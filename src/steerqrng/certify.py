@@ -465,7 +465,9 @@ def certify(
     and steering functional, with optional bootstrap uncertainty.
 
     When ``x_star`` is omitted it defaults to the setting certifying the
-    larger min-entropy (ties broken by declared setting order).
+    larger min-entropy.  Guessing probabilities within the solver's gap
+    target of the smallest one are ties, broken by declared setting order,
+    so solver rounding never decides between symmetric settings.
     """
     diagnostics: dict = {}
     if x_star is None:
@@ -474,9 +476,10 @@ def certify(
             per_setting[x] = guessing_probability(assem, x, options=options)
         diagnostics["p_guess_by_setting"] = {
             x: r.p_guess for x, r in per_setting.items()}
-        x_star = min(assem.settings,
-                     key=lambda x: (round(per_setting[x].p_guess, 12),
-                                    assem.settings.index(x)))
+        p_min = min(r.p_guess for r in per_setting.values())
+        tie = (options or sdp.SolverOptions()).gap_target * (1.0 + p_min)
+        x_star = next(x for x in assem.settings
+                      if per_setting[x].p_guess <= p_min + tie)
         guess = per_setting[x_star]
     else:
         guess = guessing_probability(assem, x_star, options=options)

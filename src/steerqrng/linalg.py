@@ -193,12 +193,15 @@ def hermitian_basis(dim: int) -> list[np.ndarray]:
 
 
 def real_embedding(a: np.ndarray) -> np.ndarray:
-    """Real symmetric 2d x 2d image [[Re A, -Im A], [Im A, Re A]] of Hermitian A."""
+    """Real symmetric 2d x 2d image [[Re A, -Im A], [Im A, Re A]] of Hermitian A.
+
+    Leading axes of a stack of matrices are kept.
+    """
     a = np.asarray(a, dtype=complex)
     re, im = a.real, a.imag
-    top = np.hstack([re, -im])
-    bot = np.hstack([im, re])
-    return np.vstack([top, bot])
+    top = np.concatenate([re, -im], axis=-1)
+    bot = np.concatenate([im, re], axis=-1)
+    return np.concatenate([top, bot], axis=-2)
 
 
 def from_real_embedding(y: np.ndarray) -> np.ndarray:

@@ -33,17 +33,31 @@ def assem_singlet_543(measurements):
     return asm.ideal_assemblage(singlet_state(), measurements, eta=0.543)
 
 
-@pytest.fixture(scope="session")
-def bootstrap_run():
-    """One full statistical chain, shared across test modules.
+def steering_cases():
+    """Named ideal assemblages on both sides of the steering boundary, with
+    symmetric and asymmetric states; shared by the solver regression test
+    and the external cross-check."""
+    measurements = asm.default_measurements()
+    yield "singlet eta=0.543", asm.ideal_assemblage(
+        singlet_state(), measurements, eta=0.543)
+    yield "singlet eta=0.8", asm.ideal_assemblage(
+        singlet_state(), measurements, eta=0.8)
+    yield "werner V=0.99 eta=0.543", asm.ideal_assemblage(
+        sim.werner_state(0.99), measurements, eta=0.543)
+    yield "werner V=0.7 eta=1", asm.ideal_assemblage(
+        sim.werner_state(0.7), measurements, eta=1.0)
+    yield "werner V=0.75 eta=1", asm.ideal_assemblage(
+        sim.werner_state(0.75), measurements, eta=1.0)
+    psi = np.array([0.1, 0.55 - 0.2j, 0.35j, 0.65], dtype=complex)
+    psi /= np.linalg.norm(psi)
+    yield "asymmetric pure eta=0.8", asm.ideal_assemblage(
+        np.outer(psi, psi.conj()), measurements, eta=0.8)
 
-    Simulates >= 1e6 tomography trials at V = 0.99, eta_A = 0.543,
-    reconstructs the assemblage by maximum likelihood, certifies it with a
-    parametric bootstrap, and certifies the noiseless ideal assemblage at the
-    same setting for comparison.  Session-scoped because the bootstrap costs
-    about a minute; the certification unit tests and the acceptance suite
-    both read from it.
-    """
+
+@pytest.fixture(scope="session")
+def ml_fit():
+    """Simulated >= 1e6-trial tomography at V = 0.99, eta_A = 0.543 and its
+    maximum-likelihood reconstruction."""
     t0 = time.perf_counter()
     config = sim.ExperimentConfig(
         visibility=0.99,
@@ -53,6 +67,23 @@ def bootstrap_run():
     )
     counts = sim.simulate_tomography(config)
     reconstruction = asm.ml_reconstruct(counts)
+    return types.SimpleNamespace(
+        config=config, counts=counts, reconstruction=reconstruction,
+        elapsed=time.perf_counter() - t0)
+
+
+@pytest.fixture(scope="session")
+def bootstrap_run(ml_fit):
+    """One full statistical chain, shared across test modules.
+
+    Certifies the maximum-likelihood fit of ``ml_fit`` with a parametric
+    bootstrap, and certifies the noiseless ideal assemblage at the same
+    setting for comparison.  Session-scoped because the bootstrap costs
+    about ten seconds; the certification unit tests and the acceptance suite
+    both read from it.
+    """
+    t0 = time.perf_counter()
+    config, counts, reconstruction = ml_fit.config, ml_fit.counts, ml_fit.reconstruction
     result = cert.certify(
         reconstruction.assemblage,
         counts=counts,
@@ -63,7 +94,7 @@ def bootstrap_run():
         sim.werner_state(config.visibility), eta=config.eta_alice
     )
     ideal_result = cert.certify(ideal, x_star=result.x_star)
-    elapsed = time.perf_counter() - t0
+    elapsed = ml_fit.elapsed + time.perf_counter() - t0
     return types.SimpleNamespace(
         config=config,
         counts=counts,

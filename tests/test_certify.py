@@ -213,6 +213,14 @@ class TestCertifyOrchestrator:
         assert "p_guess_by_setting" in result.diagnostics
         assert result.diagnostics["guessing_solver"]["status"] == "optimal"
 
+    @pytest.mark.parametrize("state", [singlet_state(), werner_state(0.99)])
+    @pytest.mark.parametrize("eta", [0.543, 0.8])
+    def test_symmetric_settings_tie_to_first_declared(self, state, eta):
+        # X and Z certify the same p_guess here; the solver's rounding must
+        # not pick the setting
+        assem = asm.ideal_assemblage(state, eta=eta)
+        assert cert.certify(assem).x_star == assem.settings[0]
+
     def test_explicit_setting_respected(self, assem_singlet_543):
         result = cert.certify(assem_singlet_543, x_star="Z")
         assert result.x_star == "Z"

@@ -12,9 +12,10 @@ cp = pytest.importorskip("cvxpy")
 
 from steerqrng import assemblage as asm
 from steerqrng import certify as cert
-from steerqrng import simulate as sim
 from steerqrng.assemblage import OUTCOMES
 from steerqrng.linalg import singlet_state
+
+from conftest import steering_cases
 
 TOL = 5e-6
 
@@ -67,32 +68,14 @@ def external_lhs_mu(assemblage):
     return float(mu.value)
 
 
-def cases():
-    measurements = asm.default_measurements()
-    yield "singlet eta=0.543", asm.ideal_assemblage(
-        singlet_state(), measurements, eta=0.543)
-    yield "singlet eta=0.8", asm.ideal_assemblage(
-        singlet_state(), measurements, eta=0.8)
-    yield "werner V=0.99 eta=0.543", asm.ideal_assemblage(
-        sim.werner_state(0.99), measurements, eta=0.543)
-    yield "werner V=0.7 eta=1", asm.ideal_assemblage(
-        sim.werner_state(0.7), measurements, eta=1.0)
-    yield "werner V=0.75 eta=1", asm.ideal_assemblage(
-        sim.werner_state(0.75), measurements, eta=1.0)
-    psi = np.array([0.1, 0.55 - 0.2j, 0.35j, 0.65], dtype=complex)
-    psi /= np.linalg.norm(psi)
-    yield "asymmetric pure eta=0.8", asm.ideal_assemblage(
-        np.outer(psi, psi.conj()), measurements, eta=0.8)
-
-
-@pytest.mark.parametrize("name,assemblage", list(cases()))
+@pytest.mark.parametrize("name,assemblage", list(steering_cases()))
 def test_guessing_probability_matches_external_solver(name, assemblage):
     ours = cert.guessing_probability(assemblage, "X").p_guess
     theirs = external_guessing(assemblage, "X")
     assert abs(ours - theirs) <= TOL, (name, ours, theirs)
 
 
-@pytest.mark.parametrize("name,assemblage", list(cases()))
+@pytest.mark.parametrize("name,assemblage", list(steering_cases()))
 def test_lhs_mu_matches_external_solver(name, assemblage):
     ours = cert.lhs_mu(assemblage).mu
     theirs = external_lhs_mu(assemblage)

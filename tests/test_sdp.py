@@ -97,6 +97,33 @@ class TestKnownOptima:
         assert sol.primal_value == pytest.approx(1.0, abs=1e-7)
         assert np.trace(sol.primal_blocks["q"]).real == pytest.approx(0.0, abs=1e-5)
 
+    def test_mixed_block_sizes(self, rng):
+        # a 1x1, two real 2x2 (not adjacent) and a complex 3x3 block (6x6
+        # once embedded); coupled trace rows fix Tr p = 0.3, t = 0.1,
+        # Tr h = 0.5 and Tr q = 0.2, so each block takes its top eigenvalue
+        p_obj, q_obj = (0.5 * (m + m.T) for m in rng.normal(size=(2, 2, 2)))
+        h_obj = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+        h_obj = 0.5 * (h_obj + h_obj.conj().T)
+        eye2, eye3, one = np.eye(2), np.eye(3, dtype=complex), np.array([[1.0]])
+        problem = sdp.SdpProblem(
+            blocks={"p": 2, "t": 1, "q": 2, "h": 3},
+            objective={"p": p_obj, "t": 2.0 * one, "q": q_obj, "h": h_obj},
+            constraints=[
+                sdp.SdpConstraint(coeffs={"p": eye2, "t": one}, rhs=0.4),
+                sdp.SdpConstraint(coeffs={"t": one, "h": eye3}, rhs=0.6),
+                sdp.SdpConstraint(coeffs={"p": eye2, "h": eye3}, rhs=0.8),
+                sdp.SdpConstraint(coeffs={"q": eye2}, rhs=0.2),
+            ],
+        )
+        sol = solved(problem)
+        top = [np.linalg.eigvalsh(m)[-1] for m in (p_obj, q_obj, h_obj)]
+        expected = 0.3 * top[0] + 0.2 * top[1] + 0.1 * 2.0 + 0.5 * top[2]
+        assert sol.primal_value == pytest.approx(expected, abs=1e-7)
+        assert sol.primal_blocks["t"][0, 0] == pytest.approx(0.1, abs=1e-7)
+        assert np.trace(sol.primal_blocks["q"]).real == pytest.approx(0.2, abs=1e-7)
+        assert np.iscomplexobj(sol.primal_blocks["h"])
+        assert sdp.check_certificate(problem, sol).ok
+
 
 class TestDualityAndCertificates:
     def test_gap_and_duality(self, rng):
@@ -105,6 +132,8 @@ class TestDualityAndCertificates:
         sol = solved(lam_max_problem(a))
         assert abs(sol.primal_value - sol.dual_value) < 1e-7
         assert sol.gap < 1e-7
+        assert 0.0 <= sol.pinf < 1e-7
+        assert 0.0 <= sol.dinf < 1e-7
 
     def test_certificate_accepts_good_solution(self, rng):
         a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
@@ -148,6 +177,22 @@ class TestStatuses:
         )
         sol = sdp.solve(problem)
         assert sol.status == sdp.INFEASIBLE
+
+    def test_phase1_decides_infeasible(self):
+        # Tr X = 1 with <sigma_x> = 2 on a qubit: the rows are independent
+        # and consistent, so only the Phase-I slack can expose infeasibility
+        sigma_x = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+        problem = sdp.SdpProblem(
+            blocks={"x": 2},
+            objective={"x": PAULI_Z},
+            constraints=[
+                sdp.SdpConstraint(coeffs={"x": np.eye(2, dtype=complex)}, rhs=1.0),
+                sdp.SdpConstraint(coeffs={"x": sigma_x}, rhs=2.0),
+            ],
+        )
+        sol = sdp.solve(problem)
+        assert sol.status == sdp.INFEASIBLE
+        assert "Phase-I" in sol.message
 
     def test_infeasible_inconsistent_rows(self):
         eye = np.array([[1.0]])
@@ -225,23 +270,6 @@ class TestValidation:
         )
         with pytest.raises(ValueError):
             problem.validate()
-
-
-class TestSerialization:
-    def test_dump_load_round_trip(self, rng, tmp_path):
-        a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-        a = 0.5 * (a + a.conj().T)
-        problem = lam_max_problem(a)
-        path = tmp_path / "problem.sdp"
-        sdp.dump_problem(problem, str(path))
-        loaded = sdp.load_problem(str(path))
-        assert loaded.blocks == problem.blocks
-        assert loaded.sense == problem.sense
-        assert len(loaded.constraints) == len(problem.constraints)
-        assert np.allclose(loaded.objective["x"], problem.objective["x"], atol=1e-12)
-        sol_a = solved(problem)
-        sol_b = solved(loaded)
-        assert sol_a.primal_value == pytest.approx(sol_b.primal_value, abs=1e-9)
 
 
 class TestRobustness:
