@@ -26,7 +26,7 @@ print(f"  total seed length      d = {params.d}")
 
 # the weak design: m subsets of seed positions, size t each, arranged so
 # that sum_{j<i} 2^(overlap with earlier sets) never exceeds m
-design = ext.weak_design(params.m, params.t, params.r)
+design = ext.weak_design(params.m, params.t)
 print("\nweak design")
 print(f"  {design.m} sets of {design.t} indices into a {design.d}-bit seed")
 print(f"  group sizes: {design.group_sizes}")
@@ -34,7 +34,8 @@ pair = (design.sets[0], design.sets[1])
 print(f"  |S_0 intersect S_1| = {len(np.intersect1d(*pair))}")
 
 # extract one demo block (uniform raw bits stand in for the real source;
-# the extractor never inspects the input distribution)
+# the extractor never inspects the input distribution); all m output bits
+# come from one batched Horner pass over the block's s-bit coefficients
 rng = np.random.default_rng(7)
 source = ext.BitString(rng.integers(0, 2, size=params.n, dtype=np.uint8))
 seed = ext.generate_seed(params.d, rng_seed=123)

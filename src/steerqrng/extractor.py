@@ -10,13 +10,19 @@ long raw stream.
 
 The parameter calculator fixes the output length
 
-    m = floor((h_min * n - 4*log2(1/epsilon) - 6) / r)
+    m = floor(h_min * n - 4*log2(1/epsilon) - 6)
 
 and the field width s as the smallest power of two with
 s >= log2(n) + log2(2*m/epsilon), giving the one-bit seed length t = 2s.
 The weak design partitions its sets into groups of lines over GF(t); each
 group occupies a fresh t^2-bit seed block, so the total seed length is
 d = (number of groups) * t^2.
+
+The map from source to output is GF(2)-linear for a fixed seed, so every
+block of a stream and every output bit is evaluated in one batched Horner
+pass (``_extract``); ``rsh_bit`` is the scalar one-bit extractor, kept as
+the reference the batched pass is tested against.  The element type of the
+field arithmetic follows the field width and is chosen in ``gf2``.
 """
 
 from __future__ import annotations
@@ -102,7 +108,7 @@ class BitString:
         return BitString(np.concatenate(arrays))
 
 
-def output_length(n: int, h_min: float, epsilon: float, r: float = 1.0) -> int:
+def output_length(n: int, h_min: float, epsilon: float) -> int:
     """Extractable output length; clamps negative results to 0."""
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -110,9 +116,7 @@ def output_length(n: int, h_min: float, epsilon: float, r: float = 1.0) -> int:
         raise ValueError(f"h_min must lie in [0, 1], got {h_min}")
     if not 0.0 < epsilon < 1.0:
         raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
-    if r < 1.0:
-        raise ValueError("r must be at least 1")
-    value = (h_min * n - 4.0 * math.log2(1.0 / epsilon) - 6.0) / r
+    value = h_min * n - 4.0 * math.log2(1.0 / epsilon) - 6.0
     return max(0, math.floor(value))
 
 
@@ -133,7 +137,6 @@ class ExtractorParams:
     n: int
     h_min: float
     epsilon: float
-    r: float
     m: int
     s: int
     t: int
@@ -149,33 +152,15 @@ class ExtractorParams:
         return self.m >= 1
 
     @classmethod
-    def for_source(
-        cls,
-        n: int,
-        h_min: float,
-        epsilon: float,
-        r: float = 1.0,
-        s: int | None = None,
-    ) -> "ExtractorParams":
-        """Compute the full parameter set for an (n, h_min*n) source.
-
-        ``s`` overrides the automatic field width (must be a power of two
-        that is at least the automatic minimum).
-        """
-        m = output_length(n, h_min, epsilon, r)
+    def for_source(cls, n: int, h_min: float, epsilon: float) -> "ExtractorParams":
+        """Compute the full parameter set for an (n, h_min*n) source."""
+        m = output_length(n, h_min, epsilon)
         if m == 0:
-            return cls(n=n, h_min=h_min, epsilon=epsilon, r=r, m=0, s=0, t=0, d=0)
-        auto = field_width(n, m, epsilon)
-        if s is None:
-            s = auto
-        else:
-            if s & (s - 1) or s < auto:
-                raise ValueError(
-                    f"field width {s} invalid: must be a power of two >= {auto}"
-                )
+            return cls(n=n, h_min=h_min, epsilon=epsilon, m=0, s=0, t=0, d=0)
+        s = field_width(n, m, epsilon)
         t = 2 * s
         d = len(_design_group_sizes(m, t)) * t * t if m > 1 else t
-        return cls(n=n, h_min=h_min, epsilon=epsilon, r=r, m=m, s=s, t=t, d=d)
+        return cls(n=n, h_min=h_min, epsilon=epsilon, m=m, s=s, t=t, d=d)
 
 
 def _design_group_sizes(m: int, t: int) -> list[int]:
@@ -214,17 +199,15 @@ class WeakDesign:
         return [frozenset(int(v) for v in row) for row in self.sets]
 
 
-def weak_design(m: int, t: int, r: float = 1.0) -> WeakDesign:
+def weak_design(m: int, t: int) -> WeakDesign:
     """Build the block design of polynomial-line sets over GF(t).
 
     Within a group, set q (with slope b = q // t and offset a = q % t)
     contains the points {(e, b*e + a) : e in GF(t)} of its seed block, laid
     out as index e*t + value.  Same-slope lines are disjoint and
     different-slope lines meet in exactly one point, which bounds the
-    overlap weight sum by m - 1 < r*m.
+    overlap weight sum by m - 1.
     """
-    if r != 1.0:
-        raise ValueError("only overlap parameter r = 1 is supported")
     if m < 1:
         raise ValueError("m must be at least 1")
     if t < 1 or (t & (t - 1)):
@@ -251,26 +234,6 @@ def weak_design(m: int, t: int, r: float = 1.0) -> WeakDesign:
     sets = np.concatenate(rows, axis=0)
     d = len(sizes) * t * t
     return WeakDesign(sets=sets, m=m, t=t, d=d, group_sizes=tuple(sizes))
-
-
-def _pack_rows(bits: np.ndarray) -> np.ndarray:
-    """Pack the rows of a (rows, s) 0/1 array into uint64, MSB first."""
-    rows, s = bits.shape
-    if s > 64:
-        raise ValueError("rows wider than 64 bits cannot be packed")
-    out = np.zeros(rows, dtype=np.uint64)
-    for j in range(s):
-        out = (out << np.uint64(1)) | bits[:, j].astype(np.uint64)
-    return out
-
-
-def _source_coefficients(bits: np.ndarray, s: int) -> np.ndarray:
-    """Zero-pad the source to a multiple of s and pack s-bit chunks."""
-    n = bits.size
-    n_chunks = -(-n // s)
-    padded = np.zeros(n_chunks * s, dtype=np.uint8)
-    padded[:n] = bits
-    return _pack_rows(padded.reshape(n_chunks, s))
 
 
 def rsh_bit(source: "BitString", seed: "BitString") -> int:
@@ -308,34 +271,35 @@ def rsh_bit(source: "BitString", seed: "BitString") -> int:
     return (y & beta).bit_count() & 1
 
 
-def _seed_points(seed_bits: np.ndarray, design: WeakDesign, s: int):
-    """Per-output-bit (alpha, beta) field elements gathered from the seed."""
-    gathered = seed_bits[design.sets]  # (m, t)
-    alpha = _pack_rows(gathered[:, :s])
-    beta = _pack_rows(gathered[:, s:])
-    return alpha, beta
+def _extract(sources: np.ndarray, seed_bits: np.ndarray, params: ExtractorParams) -> np.ndarray:
+    """Trevisan extraction of stacked blocks: (blocks, n) 0/1 -> (blocks, m).
 
-
-def _extract_blocks(coeffs: np.ndarray, alpha: np.ndarray, beta: np.ndarray, s: int) -> np.ndarray:
-    """Vectorized Horner evaluation + Hadamard bit for stacked blocks.
-
-    ``coeffs`` has shape (blocks, chunks); ``alpha``/``beta`` have shape
-    (m,).  Returns a (blocks, m) 0/1 array.
+    Output bit i of each block is ``rsh_bit(block, seed restricted to set
+    i)``, evaluated for all blocks and all output bits at once by Horner's
+    rule over the blocks' s-bit coefficients.
     """
-    n_blocks, n_chunks = coeffs.shape
-    acc = np.zeros((n_blocks, alpha.size), dtype=np.uint64)
+    s = params.s
+    design = weak_design(params.m, params.t)
+    gathered = seed_bits[design.sets]  # (m, t)
+    alpha = gf2.pack_bits(gathered[:, :s])
+    beta = gf2.pack_bits(gathered[:, s:])
+    n_blocks, n = sources.shape
+    n_chunks = -(-n // s)
+    padded = np.zeros((n_blocks, n_chunks * s), dtype=np.uint8)
+    padded[:, :n] = sources  # the trailing chunk is zero-padded
+    coeffs = gf2.pack_bits(padded.reshape(n_blocks, n_chunks, s))
+    acc = np.zeros_like(alpha, shape=(n_blocks, params.m))
     for i in range(n_chunks - 1, -1, -1):
         acc = gf2.gf_mul_vec(acc, alpha[None, :], s)
-        acc ^= coeffs[:, i][:, None]
-    return (np.bitwise_count(acc & beta[None, :]) & np.uint64(1)).astype(np.uint8)
+        acc ^= coeffs[:, i, None]
+    return gf2.parity(acc & beta[None, :], s)
 
 
 def extract(source: "BitString", seed: "BitString", params: ExtractorParams) -> "BitString":
     """Full Trevisan extraction of one source block.
 
     Output bit i is ``rsh_bit(source, seed restricted to set i)`` of the
-    weak design; the computation below is the vectorized equivalent.  The
-    seed is only read, never consumed.
+    weak design.  The seed is only read, never consumed.
     """
     if not params.passes:
         raise ValueError("parameters do not pass (m < 1); nothing to extract")
@@ -343,15 +307,7 @@ def extract(source: "BitString", seed: "BitString", params: ExtractorParams) -> 
         raise ValueError(f"source has {len(source)} bits, expected n = {params.n}")
     if len(seed) != params.d:
         raise ValueError(f"seed has {len(seed)} bits, expected d = {params.d}")
-    design = weak_design(params.m, params.t)
-    if params.s <= 64:
-        alpha, beta = _seed_points(seed.bits, design, params.s)
-        coeffs = _source_coefficients(source.bits, params.s)
-        out = _extract_blocks(coeffs[None, :], alpha, beta, params.s)
-        return BitString(out[0])
-    # Wide-field fallback: per-bit scalar evaluation.
-    bits = [rsh_bit(source, seed[design.sets[i]]) for i in range(params.m)]
-    return BitString(np.array(bits, dtype=np.uint8))
+    return BitString(_extract(source.bits[None, :], seed.bits, params)[0])
 
 
 @dataclass(frozen=True)
@@ -368,8 +324,6 @@ def block_extract(
     h_min: float,
     epsilon: float,
     block_bits: int = 160_000,
-    r: float = 1.0,
-    s: int | None = None,
 ) -> BlockExtractionResult:
     """Extract a long raw stream in fixed-size blocks with one reused seed.
 
@@ -385,7 +339,7 @@ def block_extract(
         raise ValueError(
             f"raw stream of {len(raw)} bits is shorter than one {block_bits}-bit block"
         )
-    params = ExtractorParams.for_source(block_bits, h_min, epsilon, r=r, s=s)
+    params = ExtractorParams.for_source(block_bits, h_min, epsilon)
     if not params.passes:
         raise ValueError(
             "parameters do not pass (m < 1) at "
@@ -395,21 +349,9 @@ def block_extract(
         raise ValueError(f"seed has {len(seed)} bits, expected d = {params.d}")
     discarded = len(raw) - n_blocks * block_bits
     used = raw.bits[: n_blocks * block_bits].reshape(n_blocks, block_bits)
-
-    if params.s <= 64:
-        design = weak_design(params.m, params.t)
-        alpha, beta = _seed_points(seed.bits, design, params.s)
-        n_chunks = -(-block_bits // params.s)
-        coeffs = np.zeros((n_blocks, n_chunks), dtype=np.uint64)
-        for b in range(n_blocks):
-            coeffs[b] = _source_coefficients(used[b], params.s)
-        out = _extract_blocks(coeffs, alpha, beta, params.s).ravel()
-        bits = BitString(out)
-    else:
-        parts = [extract(BitString(row), seed, params) for row in used]
-        bits = BitString.concatenate(parts)
     return BlockExtractionResult(
-        bits=bits, params=params, n_blocks=n_blocks, discarded_bits=discarded
+        bits=BitString(_extract(used, seed.bits, params).ravel()),
+        params=params, n_blocks=n_blocks, discarded_bits=discarded,
     )
 
 
@@ -463,7 +405,6 @@ def params_report(params: ExtractorParams) -> str:
         f"k {params.k:.6g}",
         f"h_min {params.h_min:.17g}",
         f"epsilon {params.epsilon:.17g}",
-        f"r {params.r:.17g}",
         f"s {params.s}",
         f"t {params.t}",
         f"d {params.d}",

@@ -8,9 +8,11 @@ x^8 + x^4 + x^3 + x + 1 for w = 8); ``is_irreducible`` can verify any entry
 and ``find_irreducible`` searches for trinomials/pentanomials at widths the
 table does not cover.
 
-Two multiplication paths exist: a scalar shift-and-xor on Python ints (any
-width) and a vectorized numpy ``uint64`` path (width <= 64) used by the
-extractor's batched polynomial evaluation.
+``gf_mul`` multiplies two Python ints and serves as the reference.  The
+array functions (``pack_bits``, ``gf_mul_vec``, ``parity``) serve the
+extractor's batched polynomial evaluation at any width: the element type
+follows the width, ``uint64`` up to 64 bits and Python ints in ``object``
+arrays above, and both run through the same shift-and-xor code.
 """
 
 from __future__ import annotations
@@ -151,41 +153,69 @@ def gf_pow(a: int, exponent: int, width: int, poly: int | None = None) -> int:
     return result
 
 
-def gf_inv(a: int, width: int, poly: int | None = None) -> int:
-    """Multiplicative inverse via a^(2^width - 2)."""
-    if a == 0:
-        raise ZeroDivisionError("zero has no inverse in GF(2^w)")
-    return gf_pow(a, (1 << width) - 2, width, poly)
+def _lane(width: int):
+    """Array element type for GF(2^width): ``uint64`` up to 64 bits, else
+    Python ints in an ``object`` array."""
+    return np.uint64 if width <= 64 else object
+
+
+def _scalar(value: int, width: int):
+    """``value`` as a scalar of the GF(2^width) lane (a 0-d ``object`` array
+    above 64 bits, so that ``np.where`` keeps the lane)."""
+    return np.uint64(value) if width <= 64 else np.array(value, dtype=object)
+
+
+def pack_bits(bits: np.ndarray) -> np.ndarray:
+    """Field elements from the last axis of a 0/1 array, most significant
+    bit first; the width is ``bits.shape[-1]``."""
+    bits = np.asarray(bits)
+    width = bits.shape[-1]
+    lane = _lane(width)
+    one = _scalar(1, width)
+    out = np.zeros(bits.shape[:-1], dtype=lane)
+    for j in range(width):
+        out = (out << one) | bits[..., j].astype(lane)
+    return out
+
+
+def parity(x: np.ndarray, width: int) -> np.ndarray:
+    """Parity of the ``width`` low bits of each element as a uint8 0/1
+    array, by xor-folding (``np.bitwise_count`` has no object loop)."""
+    shift = 1
+    while shift < width:
+        x = x ^ (x >> _scalar(shift, width))
+        shift *= 2
+    return (x & _scalar(1, width)).astype(np.uint8)
 
 
 def gf_mul_vec(a: np.ndarray, b: np.ndarray, width: int, poly: int | None = None) -> np.ndarray:
-    """Element-wise GF(2^width) product of uint64 arrays (width <= 64).
+    """Element-wise GF(2^width) product of arrays in the width's lane.
 
     Shift-and-xor over the ``width`` bit positions of ``b``; each doubling of
     the accumulated multiplicand is reduced immediately, so intermediate
     values stay inside ``width`` bits (modulo the natural uint64 wrap when
     width = 64, where the dropped bit is exactly the one being reduced).
     """
-    if width > 64:
-        raise ValueError("vectorized path supports widths up to 64")
     if poly is None:
         poly = modulus(width)
-    a = np.asarray(a, dtype=np.uint64)
-    b = np.asarray(b, dtype=np.uint64)
-    mask = np.uint64((1 << width) - 1) if width < 64 else np.uint64(0xFFFFFFFFFFFFFFFF)
+    lane = _lane(width)
+    a = np.asarray(a, dtype=lane)
+    b = np.asarray(b, dtype=lane)
+    mask = _scalar((1 << width) - 1, width)
     # Low part of the modulus: poly - x^width, which is what gets XORed in
     # when a shifted value overflows the field.
-    poly_low = np.uint64(poly ^ (1 << width))
-    top_bit = np.uint64(1 << (width - 1))
-    one = np.uint64(1)
+    poly_low = _scalar(poly ^ (1 << width), width)
+    top_bit = _scalar(1 << (width - 1), width)
+    one = _scalar(1, width)
+    zero = _scalar(0, width)
 
-    result = np.zeros(np.broadcast(a, b).shape, dtype=np.uint64)
+    result = np.zeros(np.broadcast(a, b).shape, dtype=lane)
     shifted = np.broadcast_to(a, result.shape).copy()
     bb = np.broadcast_to(b, result.shape).copy()
     for _ in range(width):
-        np.bitwise_xor(result, np.where(bb & one != 0, shifted, np.uint64(0)), out=result)
+        np.bitwise_xor(result, np.where(bb & one != 0, shifted, zero), out=result)
         carry = (shifted & top_bit) != 0
         shifted = (shifted << one) & mask
-        np.bitwise_xor(shifted, np.where(carry, poly_low, np.uint64(0)), out=shifted)
+        np.bitwise_xor(shifted, np.where(carry, poly_low, zero), out=shifted)
         bb >>= one
     return result

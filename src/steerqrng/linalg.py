@@ -28,11 +28,9 @@ __all__ = [
     "tensor",
     "partial_trace_A",
     "min_eigenvalue",
-    "fidelity",
     "hermitian_part",
     "assert_hermitian",
     "assert_density_matrix",
-    "psd_sqrt",
     "hermitian_basis",
     "real_embedding",
     "from_real_embedding",
@@ -143,27 +141,6 @@ def assert_density_matrix(
     if lam < eig_tol:
         raise ValueError(f"{name} has negative eigenvalue {lam:.3e} below {eig_tol:.1e}")
     return rho
-
-
-def psd_sqrt(a: np.ndarray) -> np.ndarray:
-    """Hermitian square root of a PSD matrix (negative rounding clipped)."""
-    a = assert_hermitian(a)
-    vals, vecs = np.linalg.eigh(hermitian_part(a))
-    vals = np.clip(vals, 0.0, None)
-    return (vecs * np.sqrt(vals)) @ vecs.conj().T
-
-
-def fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:
-    """Uhlmann fidelity F(rho, sigma) = (Tr sqrt(sqrt(rho) sigma sqrt(rho)))^2.
-
-    For pure ``sigma = |psi><psi|`` this reduces to ``<psi|rho|psi>``.  Both
-    arguments must be valid density matrices.
-    """
-    rho = assert_density_matrix(rho, name="rho")
-    sigma = assert_density_matrix(sigma, name="sigma")
-    root = psd_sqrt(rho) @ psd_sqrt(sigma)
-    f = float(np.linalg.svd(root, compute_uv=False).sum() ** 2)
-    return min(f, 1.0) if f <= 1.0 + 1e-12 else f
 
 
 def hermitian_basis(dim: int) -> list[np.ndarray]:

@@ -93,17 +93,12 @@ class ExtractionSettings:
     block_bits: int = 20_000
     seed_file: str | None = None
     seed_rng: int = 7
-    field_width: int | None = None
 
     def validate(self):
         if not 0.0 < self.epsilon < 1.0:
             raise ConfigError("epsilon must lie in (0, 1)")
         if self.block_bits < 1:
             raise ConfigError("block_bits must be positive")
-        if self.field_width is not None and (
-            self.field_width < 1 or self.field_width & (self.field_width - 1)
-        ):
-            raise ConfigError("field_width must be a power of two")
         return self
 
 
@@ -112,17 +107,12 @@ class PipelineConfig:
     experiment: sim.ExperimentConfig = field(default_factory=sim.ExperimentConfig)
     certification: CertificationSettings = field(default_factory=CertificationSettings)
     extraction: ExtractionSettings = field(default_factory=ExtractionSettings)
-    measurement: str = "default-xz"
     output_dir: str | None = None
 
     def validate(self):
         self.experiment.validate()
         self.certification.validate()
         self.extraction.validate()
-        if self.measurement != "default-xz":
-            raise ConfigError(
-                f"unknown measurement set {self.measurement!r}; only 'default-xz' is built in"
-            )
         return self
 
     def to_dict(self) -> dict:
@@ -131,7 +121,6 @@ class PipelineConfig:
             "experiment": self.experiment.to_dict(),
             "certification": asdict(self.certification),
             "extraction": asdict(self.extraction),
-            "measurement": self.measurement,
         }
         if self.output_dir is not None:
             data["output_dir"] = self.output_dir
@@ -144,7 +133,7 @@ class PipelineConfig:
         fmt = data.get("format")
         if fmt != CONFIG_FORMAT:
             raise ConfigError(f"config format must be {CONFIG_FORMAT!r}, got {fmt!r}")
-        known = {"format", "experiment", "certification", "extraction", "measurement", "output_dir"}
+        known = {"format", "experiment", "certification", "extraction", "output_dir"}
         unknown = set(data) - known
         if unknown:
             raise ConfigError(f"unknown config sections: {sorted(unknown)}")
@@ -167,7 +156,6 @@ class PipelineConfig:
             experiment=experiment,
             certification=build("certification", CertificationSettings),
             extraction=build("extraction", ExtractionSettings),
-            measurement=data.get("measurement", "default-xz"),
             output_dir=data.get("output_dir"),
         )
         return config.validate()
@@ -175,8 +163,7 @@ class PipelineConfig:
     @classmethod
     def from_file(cls, path: str) -> "PipelineConfig":
         try:
-            with open(path, "r", encoding="utf-8") as fh:
-                data = json.load(fh)
+            data = _read_json(path)
         except FileNotFoundError:
             raise StageInputError(f"config file not found: {path}") from None
         except json.JSONDecodeError as exc:
@@ -195,10 +182,22 @@ def _write_json(path: str, payload: dict):
         fh.write("\n")
 
 
-def _require(path: str, stage: str) -> str:
+def _read_json(path: str) -> dict:
+    with open(path, "r", encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def _load(path: str, stage: str, loader):
+    """``loader(path)`` for a declared input artifact of ``stage``; a missing
+    or malformed file raises StageInputError naming the stage and the file."""
     if not os.path.exists(path):
         raise StageInputError(f"{stage}: missing input artifact {path}")
-    return path
+    try:
+        return loader(path)
+    except (ValueError, IndexError, KeyError) as exc:
+        raise StageInputError(
+            f"{stage}: malformed input artifact {path} ({type(exc).__name__}: {exc})"
+        ) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +241,7 @@ def stage_simulate(config: PipelineConfig, out_dir: str, *, write_ground_truth: 
 
 def stage_tomo(config: PipelineConfig, out_dir: str) -> dict:
     """Reconstruct the assemblage from the recorded counts."""
-    counts = asm.load_counts(_require(os.path.join(out_dir, COUNTS_FILE), "tomo"))
+    counts = _load(os.path.join(out_dir, COUNTS_FILE), "tomo", asm.load_counts)
     reconstruction = asm.ml_reconstruct(counts)
     asm.save_assemblage(reconstruction.assemblage, os.path.join(out_dir, ASSEMBLAGE_FILE))
     summary = {
@@ -258,11 +257,11 @@ def stage_tomo(config: PipelineConfig, out_dir: str) -> dict:
 
 def stage_certify(config: PipelineConfig, out_dir: str) -> dict:
     """Certify min-entropy (and the steering functional) from the assemblage."""
-    assemblage = asm.load_assemblage(_require(os.path.join(out_dir, ASSEMBLAGE_FILE), "certify"))
+    assemblage = _load(os.path.join(out_dir, ASSEMBLAGE_FILE), "certify", asm.load_assemblage)
     settings = config.certification
     counts = None
     if settings.resamples > 0:
-        counts = asm.load_counts(_require(os.path.join(out_dir, COUNTS_FILE), "certify"))
+        counts = _load(os.path.join(out_dir, COUNTS_FILE), "certify", asm.load_counts)
     x_star = None if settings.x_star == "auto" else settings.x_star
     result = certify_assemblage(
         assemblage,
@@ -296,13 +295,11 @@ def stage_extract(config: PipelineConfig, out_dir: str) -> dict:
     Expects the protocol gate to have been checked by the caller; still
     refuses to extract when the parameter arithmetic yields no output bits.
     """
-    result = load_certification(_require(os.path.join(out_dir, CERTIFICATION_FILE), "extract"))
-    raw = ext.load_bits(_require(os.path.join(out_dir, RAW_BITS_FILE), "extract"))
+    result = _load(os.path.join(out_dir, CERTIFICATION_FILE), "extract", load_certification)
+    raw = _load(os.path.join(out_dir, RAW_BITS_FILE), "extract", ext.load_bits)
     settings = config.extraction
 
-    params = ext.ExtractorParams.for_source(
-        settings.block_bits, result.h_min, settings.epsilon, s=settings.field_width
-    )
+    params = ext.ExtractorParams.for_source(settings.block_bits, result.h_min, settings.epsilon)
     with open(os.path.join(out_dir, EXTRACTOR_REPORT_FILE), "w", encoding="ascii") as fh:
         fh.write(ext.params_report(params))
     if not params.passes:
@@ -323,8 +320,7 @@ def stage_extract(config: PipelineConfig, out_dir: str) -> dict:
         ext.save_bits(seed, os.path.join(out_dir, SEED_FILE))
 
     block = ext.block_extract(
-        raw, seed, result.h_min, settings.epsilon,
-        block_bits=settings.block_bits, s=settings.field_width,
+        raw, seed, result.h_min, settings.epsilon, block_bits=settings.block_bits
     )
     ext.save_bits(block.bits, os.path.join(out_dir, EXTRACTED_FILE))
     return {
@@ -487,8 +483,7 @@ def load_report(out_dir: str) -> dict:
     """
     path = os.path.join(out_dir, REPORT_JSON)
     if os.path.exists(path):
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+        return _load(path, "report", _read_json)
     if not os.path.isdir(out_dir):
         raise StageInputError(f"run directory not found: {out_dir}")
 
@@ -496,7 +491,7 @@ def load_report(out_dir: str) -> dict:
                     "gate": "not evaluated (partial run)"}
     cert_path = os.path.join(out_dir, CERTIFICATION_FILE)
     if os.path.exists(cert_path):
-        result = load_certification(cert_path)
+        result = _load(cert_path, "report", load_certification)
         report["certification"] = {
             "x_star": result.x_star,
             "p_guess": result.p_guess,
@@ -507,7 +502,7 @@ def load_report(out_dir: str) -> dict:
         report["artifacts"]["certification"] = CERTIFICATION_FILE
     extracted = os.path.join(out_dir, EXTRACTED_FILE)
     if os.path.exists(extracted):
-        bits = ext.load_bits(extracted)
+        bits = _load(extracted, "report", ext.load_bits)
         report["extraction"] = {"total_bits": len(bits), "blocks": None,
                                 "bits_per_block": None, "seed_bits": None}
         report["artifacts"]["extracted_bits"] = EXTRACTED_FILE

@@ -452,12 +452,7 @@ def _ipm(
 # public entry points
 
 
-def solve(
-    problem: SdpProblem,
-    options: SolverOptions | None = None,
-    *,
-    _classify_failure: bool = True,
-) -> SdpSolution:
+def solve(problem: SdpProblem, options: SolverOptions | None = None) -> SdpSolution:
     """Solve a block SDP; never raises on solver trouble, reports a status."""
     options = options or SolverOptions()
     internal = _InternalProblem(problem)
@@ -467,7 +462,6 @@ def solve(
     # split blocks into constrained ones and ones no constraint touches
     touched = [bool(np.max(np.abs(internal.A[k])) > 0.0) if m else False
                for k in range(nblocks)]
-    free_value = 0.0
     for k in range(nblocks):
         if touched[k]:
             continue
@@ -506,8 +500,8 @@ def solve(
 
     if not order:
         # nothing to optimize: X = 0 everywhere is optimal
-        sol = {"x": np.zeros(0), "y": np.zeros(0), "pobj": free_value,
-               "dobj": free_value, "pinf": 0.0, "dinf": 0.0, "relgap": 0.0}
+        sol = {"x": np.zeros(0), "y": np.zeros(0), "pobj": 0.0,
+               "dobj": 0.0, "pinf": 0.0, "dinf": 0.0, "relgap": 0.0}
         return _finish(problem, internal, sol, OPTIMAL, "trivial problem", 0,
                        order=order, shapes=shapes, kept=kept)
 
@@ -519,7 +513,7 @@ def solve(
     status = result["status"]
     message = result["message"]
 
-    if status != OPTIMAL and status != UNBOUNDED and _classify_failure:
+    if status != OPTIMAL and status != UNBOUNDED:
         feasible = _phase1_feasible(rows_red, b_red, shapes, options)
         if feasible is False:
             status, message = INFEASIBLE, "Phase-I slack stays positive"

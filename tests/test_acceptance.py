@@ -58,8 +58,8 @@ def test_criterion_1_output_length_exact():
     """The certified output length hits the two reference operating points
     exactly: 20000 raw bits at min-entropy rate 0.042 (resp. 0.030) with
     error bound 1e-6 yield 754 (resp. 514) extractable bits."""
-    assert ext.output_length(20_000, 0.042, 1e-6, 1) == 754
-    assert ext.output_length(20_000, 0.030, 1e-6, 1) == 514
+    assert ext.output_length(20_000, 0.042, 1e-6) == 754
+    assert ext.output_length(20_000, 0.030, 1e-6) == 514
 
 
 def test_criterion_2_heralding_threshold():
@@ -221,7 +221,7 @@ def test_criterion_6_extractor_equals_composition_oracle():
     t0 = time.perf_counter()
     params = ext.ExtractorParams.for_source(32, 0.32, 0.9)
     assert params.n <= 32 and params.s <= 8 and params.m >= 2
-    design = ext.weak_design(params.m, params.t, params.r)
+    design = ext.weak_design(params.m, params.t)
     rng = np.random.default_rng(20260823)
     for _ in range(1000):
         source = ext.BitString(rng.integers(0, 2, size=params.n, dtype=np.uint8))

@@ -38,6 +38,19 @@ def rsh_oracle(source_bits, seed_bits):
     return bin(y & beta).count("1") & 1
 
 
+#: (n, h_min, epsilon) whose automatic field width is 128 bits (m = 306).
+WIDE_FIELD = (512, 1.0, 2.0 ** -50)
+
+
+def assert_matches_oracle(outputs, sources, seed, params):
+    """Every bit of (blocks, m) ``outputs`` equals the oracle on its block
+    and its design set of the seed."""
+    design = ext.weak_design(params.m, params.t)
+    for block, source in zip(outputs, sources):
+        want = [rsh_oracle(source.tolist(), seed.bits[row].tolist()) for row in design.sets]
+        assert block.tolist() == want
+
+
 def design_masks(design):
     """Each set as a d-bit integer bitmask."""
     masks = []
@@ -64,8 +77,8 @@ def worst_overlap_weight(design):
 
 class TestOutputLength:
     def test_published_block_lengths(self):
-        assert ext.output_length(20000, 0.042, 1e-6, 1) == 754
-        assert ext.output_length(20000, 0.030, 1e-6, 1) == 514
+        assert ext.output_length(20000, 0.042, 1e-6) == 754
+        assert ext.output_length(20000, 0.030, 1e-6) == 514
 
     def test_clamps_to_zero(self):
         assert ext.output_length(100, 0.01, 1e-6) == 0
@@ -75,9 +88,6 @@ class TestOutputLength:
         n, h, eps = 4096, 0.25, 1e-3
         expected = math.floor(h * n - 4 * math.log2(1 / eps) - 6)
         assert ext.output_length(n, h, eps) == expected
-
-    def test_overlap_parameter_shrinks_output(self):
-        assert ext.output_length(20000, 0.042, 1e-6, 2.0) == 754 // 2
 
     def test_monotone_in_entropy_and_error(self):
         assert ext.output_length(20000, 0.05, 1e-6) > ext.output_length(20000, 0.04, 1e-6)
@@ -90,8 +100,6 @@ class TestOutputLength:
             ext.output_length(100, 1.5, 1e-6)
         with pytest.raises(ValueError):
             ext.output_length(100, 0.5, 0.0)
-        with pytest.raises(ValueError):
-            ext.output_length(100, 0.5, 1e-6, r=0.5)
 
 
 class TestFieldWidth:
@@ -127,13 +135,10 @@ class TestExtractorParams:
         assert params.m == 1
         assert params.d == params.t
 
-    def test_field_width_override(self):
-        params = ext.ExtractorParams.for_source(32, 0.32, 0.9, s=32)
-        assert params.s == 32 and params.t == 64
-        with pytest.raises(ValueError):
-            ext.ExtractorParams.for_source(32, 0.32, 0.9, s=4)  # below minimum
-        with pytest.raises(ValueError):
-            ext.ExtractorParams.for_source(32, 0.32, 0.9, s=24)  # not a power of 2
+    def test_wide_field_layout(self):
+        # a tight error budget alone pushes the field past 64 bits
+        params = ext.ExtractorParams.for_source(*WIDE_FIELD)
+        assert (params.m, params.s, params.t) == (306, 128, 256)
 
 
 class TestWeakDesign:
@@ -142,8 +147,6 @@ class TestWeakDesign:
             ext.weak_design(0, 16)
         with pytest.raises(ValueError):
             ext.weak_design(4, 12)  # t not a power of two
-        with pytest.raises(ValueError):
-            ext.weak_design(4, 16, r=2.0)
 
     def test_sets_are_valid(self):
         for m, t in [(1, 16), (16, 32), (64, 64), (300, 16)]:
@@ -285,17 +288,14 @@ class TestExtract:
             for i in (0, params.m // 2, params.m - 1):
                 assert got[i] == ext.rsh_bit(source, seed[design.sets[i]])
 
-    def test_scalar_fallback_path(self, rng):
-        # field width above 64 bits forces the non-vectorized code path
-        params = ext.ExtractorParams.for_source(32, 0.32, 0.9, s=128)
+    def test_wide_field_matches_oracle(self, rng):
+        # s = 128 runs the same batched core on Python-int field elements
+        params = ext.ExtractorParams.for_source(*WIDE_FIELD)
         assert params.s == 128
-        design = ext.weak_design(params.m, params.t)
-        source = BitString(rng.integers(0, 2, size=32, dtype=np.uint8))
+        source = BitString(rng.integers(0, 2, size=params.n, dtype=np.uint8))
         seed = BitString(rng.integers(0, 2, size=params.d, dtype=np.uint8))
         got = ext.extract(source, seed, params)
-        for i in range(params.m):
-            sub = seed[design.sets[i]]
-            assert got[i] == rsh_oracle(source.bits.tolist(), sub.bits.tolist())
+        assert_matches_oracle(got.bits[None, :], source.bits[None, :], seed, params)
 
     def test_single_bit_output_equals_plain_hash(self, rng):
         params = ext.ExtractorParams.for_source(16, 0.5, 0.9)
@@ -345,6 +345,16 @@ class TestBlockExtract:
         ])
         assert result.bits == manual
         assert len(result.bits) == 3 * params.m
+
+    def test_wide_field_matches_oracle(self, rng):
+        n, h_min, epsilon = WIDE_FIELD
+        raw = BitString(rng.integers(0, 2, size=2 * n + 5, dtype=np.uint8))
+        params = ext.ExtractorParams.for_source(n, h_min, epsilon)
+        seed = BitString(rng.integers(0, 2, size=params.d, dtype=np.uint8))
+        result = ext.block_extract(raw, seed, h_min, epsilon, block_bits=n)
+        assert result.params.s == 128 and result.n_blocks == 2
+        assert_matches_oracle(result.bits.bits.reshape(2, params.m),
+                              raw.bits[:2 * n].reshape(2, n), seed, params)
 
     def test_short_stream_rejected(self, rng):
         seed = BitString(rng.integers(0, 2, size=64, dtype=np.uint8))
@@ -405,6 +415,7 @@ class TestSeedAndFiles:
         assert int(entries["s"]) == 64
         assert int(entries["d"]) == 65536
         assert entries["passes"] == "yes"
+        assert "r" not in entries
 
 
 class TestBitString:

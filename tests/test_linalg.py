@@ -148,12 +148,6 @@ class TestEigenHelpers:
         a = random_hermitian(rng, 4)
         assert la.min_eigenvalue(a) == pytest.approx(jacobi_eigenvalues(a)[0], abs=1e-9)
 
-    def test_psd_sqrt_squares_back(self, rng):
-        rho = random_density(rng, 4)
-        root = la.psd_sqrt(rho)
-        la.assert_hermitian(root, tol=1e-11)
-        assert np.allclose(root @ root, rho, atol=1e-11)
-
     def test_hermitian_guards(self, rng):
         with pytest.raises(ValueError):
             la.assert_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
@@ -161,26 +155,6 @@ class TestEigenHelpers:
             la.assert_density_matrix(np.eye(2))  # trace 2
         with pytest.raises(ValueError):
             la.assert_density_matrix(np.diag([1.5, -0.5]))  # negative eigenvalue
-
-
-class TestFidelity:
-    def test_fidelity_werner_anchor(self):
-        """Overlap of the noisy state with the target it approximates."""
-        singlet = la.singlet_state()
-        werner = 0.99 * singlet + 0.01 * np.eye(4) / 4
-        assert la.fidelity(werner, singlet) == pytest.approx(0.9925, abs=1e-12)
-
-    def test_fidelity_extremes_and_symmetry(self, rng):
-        rho = random_density(rng, 3)
-        sig = random_density(rng, 3)
-        assert la.fidelity(rho, rho) == pytest.approx(1.0, abs=1e-10)
-        assert la.fidelity(rho, sig) == pytest.approx(la.fidelity(sig, rho), abs=1e-10)
-        assert 0.0 <= la.fidelity(rho, sig) <= 1.0
-
-    def test_fidelity_orthogonal_pure_states(self):
-        zero = la.projector(la.ket(1, 0))
-        one = la.projector(la.ket(0, 1))
-        assert la.fidelity(zero, one) == pytest.approx(0.0, abs=1e-12)
 
 
 class TestBasesAndEmbedding:

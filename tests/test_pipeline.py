@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import shutil
 
 import pytest
 
@@ -163,6 +164,67 @@ class TestStages:
         os.makedirs(out)
         with pytest.raises(pl.StageInputError):
             pl.stage_tomo(fast_config(), out)
+
+
+def _drop_p_guess(good: bytes) -> bytes:
+    return b"".join(line for line in good.splitlines(keepends=True)
+                    if not line.startswith(b"p_guess "))
+
+
+#: artifact -> (how it is spoiled) -> replacement content given the good bytes
+SPOILED = {
+    "empty": lambda good: b"",
+    "bad_header": lambda good: b"garbage\n",
+}
+
+#: (artifact, command reading it, call of that reader on a run directory)
+STAGE_INPUTS = [
+    (pl.COUNTS_FILE, "tomo", lambda out: pl.stage_tomo(fast_config(), out)),
+    (pl.ASSEMBLAGE_FILE, "certify", lambda out: pl.stage_certify(fast_config(), out)),
+    (pl.CERTIFICATION_FILE, "extract", lambda out: pl.stage_extract(fast_config(), out)),
+    (pl.RAW_BITS_FILE, "extract", lambda out: pl.stage_extract(fast_config(), out)),
+    (pl.CERTIFICATION_FILE, "report", pl.load_report),
+]
+
+
+class TestMalformedArtifacts:
+    """A spoiled stage input is a StageInputError naming the stage and the
+    file, and the CLI exits 4 with a one-line error instead of a traceback."""
+
+    def spoil(self, completed_run, tmp_path, artifact, spoil):
+        _, src, _ = completed_run
+        out = str(tmp_path / "spoiled")
+        shutil.copytree(src, out)
+        os.remove(os.path.join(out, pl.REPORT_JSON))  # report reads the artifacts
+        path = os.path.join(out, artifact)
+        good = read(path)
+        with open(path, "wb") as fh:
+            fh.write(spoil(good))
+        return out
+
+    def check(self, out, artifact, command, reader, capsys):
+        with pytest.raises(pl.StageInputError, match=f"^{command}: .*{artifact}"):
+            reader(out)
+        capsys.readouterr()
+        assert cli.main([command, "-o", out]) == pl.EXIT_IO
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+
+    @pytest.mark.parametrize("how", sorted(SPOILED))
+    @pytest.mark.parametrize("artifact,command,reader", STAGE_INPUTS,
+                             ids=[f"{a}-{c}" for a, c, _ in STAGE_INPUTS])
+    def test_spoiled_input(self, completed_run, tmp_path, capsys, artifact, command,
+                           reader, how):
+        out = self.spoil(completed_run, tmp_path, artifact, SPOILED[how])
+        self.check(out, artifact, command, reader, capsys)
+
+    @pytest.mark.parametrize("artifact,command,reader",
+                             [case for case in STAGE_INPUTS if case[0] == pl.CERTIFICATION_FILE],
+                             ids=["extract", "report"])
+    def test_certification_without_p_guess(self, completed_run, tmp_path, capsys, artifact,
+                                           command, reader):
+        out = self.spoil(completed_run, tmp_path, artifact, _drop_p_guess)
+        self.check(out, artifact, command, reader, capsys)
 
 
 class TestGate:
