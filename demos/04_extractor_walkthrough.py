@@ -34,8 +34,9 @@ pair = (design.sets[0], design.sets[1])
 print(f"  |S_0 intersect S_1| = {len(np.intersect1d(*pair))}")
 
 # extract one demo block (uniform raw bits stand in for the real source;
-# the extractor never inspects the input distribution); all m output bits
-# come from one batched Horner pass over the block's s-bit coefficients
+# the extractor never inspects the input distribution); output bit i is the
+# xor over the block's s-bit chunks c_j of parity(c_j & u_ij), with masks
+# u_ij that depend on the seed alone and are propagated chunk by chunk
 rng = np.random.default_rng(7)
 source = ext.BitString(rng.integers(0, 2, size=params.n, dtype=np.uint8))
 seed = ext.generate_seed(params.d, rng_seed=123)

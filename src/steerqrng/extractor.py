@@ -18,11 +18,11 @@ The weak design partitions its sets into groups of lines over GF(t); each
 group occupies a fresh t^2-bit seed block, so the total seed length is
 d = (number of groups) * t^2.
 
-The map from source to output is GF(2)-linear for a fixed seed, so every
-block of a stream and every output bit is evaluated in one batched Horner
-pass (``_extract``); ``rsh_bit`` is the scalar one-bit extractor, kept as
-the reference the batched pass is tested against.  The element type of the
-field arithmetic follows the field width and is chosen in ``gf2``.
+The map from source to output is GF(2)-linear for a fixed seed, so
+``_extract`` propagates each output bit's linear functional once per seed
+and applies it to every block of the stream; ``rsh_bit`` is the scalar
+one-bit extractor (Horner's rule), kept as the reference it is tested
+against.  ``gf2`` picks the element type from the field width.
 """
 
 from __future__ import annotations
@@ -99,13 +99,6 @@ class BitString:
 
     def to01(self) -> str:
         return "".join("01"[b] for b in self.bits)
-
-    @staticmethod
-    def concatenate(parts) -> "BitString":
-        arrays = [p.bits for p in parts]
-        if not arrays:
-            return BitString.zeros(0)
-        return BitString(np.concatenate(arrays))
 
 
 def output_length(n: int, h_min: float, epsilon: float) -> int:
@@ -274,25 +267,29 @@ def rsh_bit(source: "BitString", seed: "BitString") -> int:
 def _extract(sources: np.ndarray, seed_bits: np.ndarray, params: ExtractorParams) -> np.ndarray:
     """Trevisan extraction of stacked blocks: (blocks, n) 0/1 -> (blocks, m).
 
-    Output bit i of each block is ``rsh_bit(block, seed restricted to set
-    i)``, evaluated for all blocks and all output bits at once by Horner's
-    rule over the blocks' s-bit coefficients.
+    Output bit i is ``rsh_bit(block, seed restricted to set i)`` =
+    <beta_i, sum_j c_j alpha_i^j> = xor_j <u_ij, c_j> over the block's s-bit
+    coefficients c_j, where <x, y> is the parity of x & y, u_i0 = beta_i and
+    bit l of u_i,j+1 is <u_ij, alpha_i x^l>.  The masks u_ij depend on the
+    seed alone, so each chunk costs one mask update shared by every block.
     """
     s = params.s
     design = weak_design(params.m, params.t)
     gathered = seed_bits[design.sets]  # (m, t)
     alpha = gf2.pack_bits(gathered[:, :s])
-    beta = gf2.pack_bits(gathered[:, s:])
+    u = gf2.pack_bits(gathered[:, s:])  # mask of chunk 0: beta
+    # row i, column k: alpha_i x^(s-1-k), so the parities against u come
+    # out most significant bit first, as pack_bits reads them
+    rows = np.ascontiguousarray(gf2.mul_table(alpha, s)[::-1].T)
     n_blocks, n = sources.shape
     n_chunks = -(-n // s)
-    padded = np.zeros((n_blocks, n_chunks * s), dtype=np.uint8)
-    padded[:, :n] = sources  # the trailing chunk is zero-padded
+    padded = np.pad(sources, ((0, 0), (0, n_chunks * s - n)))  # zero-pad the last chunk
     coeffs = gf2.pack_bits(padded.reshape(n_blocks, n_chunks, s))
-    acc = np.zeros_like(alpha, shape=(n_blocks, params.m))
-    for i in range(n_chunks - 1, -1, -1):
-        acc = gf2.gf_mul_vec(acc, alpha[None, :], s)
-        acc ^= coeffs[:, i, None]
-    return gf2.parity(acc & beta[None, :], s)
+    acc = coeffs[:, 0, None] & u
+    for j in range(1, n_chunks):
+        u = gf2.pack_bits(gf2.parity(u[:, None] & rows, s))
+        acc ^= coeffs[:, j, None] & u
+    return gf2.parity(acc, s)
 
 
 def extract(source: "BitString", seed: "BitString", params: ExtractorParams) -> "BitString":

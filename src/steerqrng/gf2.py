@@ -9,10 +9,10 @@ and ``find_irreducible`` searches for trinomials/pentanomials at widths the
 table does not cover.
 
 ``gf_mul`` multiplies two Python ints and serves as the reference.  The
-array functions (``pack_bits``, ``gf_mul_vec``, ``parity``) serve the
-extractor's batched polynomial evaluation at any width: the element type
-follows the width, ``uint64`` up to 64 bits and Python ints in ``object``
-arrays above, and both run through the same shift-and-xor code.
+array functions (``pack_bits``, ``parity``, ``mul_table``, ``gf_mul_vec``)
+serve the extractor at any width, ``uint64`` lanes up to 64 bits and Python
+ints in ``object`` arrays above; ``mul_table`` is the one shift-and-reduce
+loop, and ``gf_mul_vec`` and the extractor's mask update are built on it.
 """
 
 from __future__ import annotations
@@ -171,51 +171,53 @@ def pack_bits(bits: np.ndarray) -> np.ndarray:
     bits = np.asarray(bits)
     width = bits.shape[-1]
     lane = _lane(width)
-    one = _scalar(1, width)
-    out = np.zeros(bits.shape[:-1], dtype=lane)
-    for j in range(width):
-        out = (out << one) | bits[..., j].astype(lane)
-    return out
+    n_bytes = -(-width // 8)
+    # np.packbits reads the bits as big-endian bytes, zero-padded at the end
+    weights = np.array([1 << (8 * k) for k in range(n_bytes - 1, -1, -1)], dtype=lane)
+    packed = np.packbits(bits, axis=-1).astype(lane) @ weights
+    return packed >> _scalar(8 * n_bytes - width, width)
 
 
 def parity(x: np.ndarray, width: int) -> np.ndarray:
-    """Parity of the ``width`` low bits of each element as a uint8 0/1
-    array, by xor-folding (``np.bitwise_count`` has no object loop)."""
-    shift = 1
+    """Parity of each element as a uint8 0/1 array: ``np.bitwise_count`` on
+    ``uint64`` lanes, which ``object`` lanes (no popcount loop) reach by
+    xor-folding down to 64 bits."""
+    shift = 64
     while shift < width:
         x = x ^ (x >> _scalar(shift, width))
         shift *= 2
-    return (x & _scalar(1, width)).astype(np.uint8)
+    if width > 64:
+        x = (x & _scalar((1 << 64) - 1, width)).astype(np.uint64)
+    return np.bitwise_count(x) & np.uint8(1)
 
 
-def gf_mul_vec(a: np.ndarray, b: np.ndarray, width: int, poly: int | None = None) -> np.ndarray:
-    """Element-wise GF(2^width) product of arrays in the width's lane.
+def mul_table(a: np.ndarray, width: int, poly: int | None = None) -> np.ndarray:
+    """a * x^l for l = 0 .. width-1 in the width's lane, stacked along a new
+    first axis: the terms a shift-and-xor product with ``a`` selects.
 
-    Shift-and-xor over the ``width`` bit positions of ``b``; each doubling of
-    the accumulated multiplicand is reduced immediately, so intermediate
-    values stay inside ``width`` bits (modulo the natural uint64 wrap when
-    width = 64, where the dropped bit is exactly the one being reduced).
+    Each doubling is reduced at once, so values stay inside ``width`` bits
+    (at width 64 the uint64 wrap drops exactly the bit being reduced).
     """
     if poly is None:
         poly = modulus(width)
-    lane = _lane(width)
-    a = np.asarray(a, dtype=lane)
-    b = np.asarray(b, dtype=lane)
+    shifted = np.array(a, dtype=_lane(width))
     mask = _scalar((1 << width) - 1, width)
-    # Low part of the modulus: poly - x^width, which is what gets XORed in
-    # when a shifted value overflows the field.
+    # poly - x^width: what gets XORed in when a doubling overflows the field
     poly_low = _scalar(poly ^ (1 << width), width)
-    top_bit = _scalar(1 << (width - 1), width)
-    one = _scalar(1, width)
-    zero = _scalar(0, width)
+    table = np.empty((width,) + shifted.shape, dtype=shifted.dtype)
+    for l in range(width):
+        table[l] = shifted
+        overflow = poly_low * (shifted >> _scalar(width - 1, width))
+        shifted = ((shifted << _scalar(1, width)) & mask) ^ overflow
+    return table
 
-    result = np.zeros(np.broadcast(a, b).shape, dtype=lane)
-    shifted = np.broadcast_to(a, result.shape).copy()
-    bb = np.broadcast_to(b, result.shape).copy()
-    for _ in range(width):
-        np.bitwise_xor(result, np.where(bb & one != 0, shifted, zero), out=result)
-        carry = (shifted & top_bit) != 0
-        shifted = (shifted << one) & mask
-        np.bitwise_xor(shifted, np.where(carry, poly_low, zero), out=shifted)
-        bb >>= one
+
+def gf_mul_vec(a: np.ndarray, b: np.ndarray, width: int, poly: int | None = None) -> np.ndarray:
+    """Element-wise GF(2^width) product of arrays in the width's lane: the
+    xor of the rows of ``mul_table(a)`` selected by the bits of ``b``."""
+    table = mul_table(a, width, poly)
+    b = np.asarray(b, dtype=table.dtype)
+    result = np.zeros(np.broadcast(table[0], b).shape, dtype=table.dtype)
+    for l in range(width):
+        result ^= table[l] * ((b >> _scalar(l, width)) & _scalar(1, width))
     return result

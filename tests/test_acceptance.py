@@ -193,8 +193,9 @@ def test_criterion_5_end_to_end_statistical_consistency(bootstrap_run):
 def rsh_oracle(source_bits, seed_bits, s: int) -> int:
     """Independent one-bit extractor: explicit power sums in GF(2^s).
 
-    Avoids the library's Horner/vectorized path entirely; only the scalar
-    field primitives are shared.
+    Avoids both of the library's evaluation orders, ``rsh_bit``'s Horner
+    rule and the batched path's per-chunk masks; only the scalar field
+    primitives are shared.
     """
 
     def pack(bits) -> int:

@@ -1,5 +1,6 @@
 """Seeded extractor: parameters, weak design, field hashing, statistics."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -339,10 +340,10 @@ class TestBlockExtract:
         result = ext.block_extract(raw, seed, h, eps, block_bits=block)
         assert result.n_blocks == 3
         assert result.discarded_bits == 77
-        manual = BitString.concatenate([
-            ext.extract(BitString(raw.bits[i * block:(i + 1) * block]), seed, params)
+        manual = BitString(np.concatenate([
+            ext.extract(BitString(raw.bits[i * block:(i + 1) * block]), seed, params).bits
             for i in range(3)
-        ])
+        ]))
         assert result.bits == manual
         assert len(result.bits) == 3 * params.m
 
@@ -355,6 +356,24 @@ class TestBlockExtract:
         assert result.params.s == 128 and result.n_blocks == 2
         assert_matches_oracle(result.bits.bits.reshape(2, params.m),
                               raw.bits[:2 * n].reshape(2, n), seed, params)
+
+    @pytest.mark.parametrize("h_min,n_blocks,m,digest", [
+        (0.4127, 3, 8168, "0c8ed6b0381492b11dce820f5030b5fd47b12ab07233d29ba8de647be8ae2632"),
+        (0.0363, 64, 640, "ec670c165bc4eb54d3ca7b522d20aa194f7ac39886c55c64626b15865258c2b3"),
+    ])
+    def test_pinned_output_bits(self, h_min, n_blocks, m, digest):
+        # SHA-256 of the packed output bits at the two heavy benchmark
+        # shapes (few blocks at large m, many blocks at small m), recorded
+        # with the per-block Horner evaluation that preceded the current core
+        n, epsilon = 20000, 1e-6
+        params = ext.ExtractorParams.for_source(n, h_min, epsilon)
+        assert (params.m, params.s) == (m, 64)
+        raw = BitString(np.random.default_rng(4101).integers(
+            0, 2, size=n_blocks * n, dtype=np.uint8))
+        seed = ext.generate_seed(params.d, rng_seed=4102)
+        result = ext.block_extract(raw, seed, h_min, epsilon, block_bits=n)
+        assert len(result.bits) == n_blocks * m
+        assert hashlib.sha256(np.packbits(result.bits.bits).tobytes()).hexdigest() == digest
 
     def test_short_stream_rejected(self, rng):
         seed = BitString(rng.integers(0, 2, size=64, dtype=np.uint8))
@@ -441,11 +460,6 @@ class TestBitString:
         assert (a ^ b).to01() == "0110"
         assert a == BitString.from_string("1100")
         assert a != b
-
-    def test_concatenate(self):
-        parts = [BitString.from_string("10"), BitString.from_string("011")]
-        assert BitString.concatenate(parts).to01() == "10011"
-        assert len(BitString.concatenate([])) == 0
 
 
 class TestStatisticalSanity:

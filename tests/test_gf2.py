@@ -181,8 +181,31 @@ class TestVectorizedMultiplication:
             assert got[i] == gf2.gf_mul(a[i], b[i], 128)
 
 
+class TestFunctionalRecurrence:
+    """The recurrence the extractor propagates, checked against the field
+    definition: with u_0 = beta and bit l of u_{j+1} the parity of
+    u_j & (alpha * x^l), parity(c & u_j) is the parity of beta & (c alpha^j)."""
+
+    @pytest.mark.parametrize("width", [4, 8, 64, 128])
+    def test_matches_field_definition(self, width, rng):
+        def element():
+            return int.from_bytes(rng.bytes(16), "big") >> (128 - width)
+
+        for _ in range(3):
+            alpha, beta = element(), element()
+            rows = [int(v) for v in gf2.mul_table(alpha, width)]
+            for l, row in enumerate(rows):
+                assert row == gf2.gf_mul(alpha, 1 << l, width)
+            u = beta
+            for j in range(21):
+                c = element()
+                want = (beta & gf2.gf_mul(c, gf2.gf_pow(alpha, j, width), width)).bit_count() & 1
+                assert (c & u).bit_count() & 1 == want, (alpha, beta, j)
+                u = sum(((u & row).bit_count() & 1) << l for l, row in enumerate(rows))
+
+
 class TestPackAndParity:
-    @pytest.mark.parametrize("width", [1, 8, 64, 128])
+    @pytest.mark.parametrize("width", [1, 4, 8, 64, 128])
     def test_match_python_ints(self, width, rng):
         bits = rng.integers(0, 2, size=(3, 7, width), dtype=np.uint8)
         packed = gf2.pack_bits(bits)
