@@ -54,7 +54,6 @@ from .sdp import (
     SdpConstraint,
     SdpProblem,
     SdpSolution,
-    SolverOptions,
     check_certificate,
     solve,
 )
@@ -92,7 +91,6 @@ __all__ = [
     "SdpConstraint",
     "SdpProblem",
     "SdpSolution",
-    "SolverOptions",
     "StreamResult",
     "TomographyCounts",
     "block_extract",

@@ -146,7 +146,6 @@ class Assemblage:
 
     members: dict[tuple[str, object], np.ndarray]
     settings: tuple[str, ...] = SETTINGS
-    source_counts: "TomographyCounts | None" = None
 
     def member(self, x: str, a) -> np.ndarray:
         return self.members[(x, a)]
@@ -160,15 +159,15 @@ class Assemblage:
         return np.array([self.members[(x, a)] for x in self.settings for a in OUTCOMES])
 
     @classmethod
-    def from_stacked(cls, stack: np.ndarray, settings: tuple[str, ...] = SETTINGS,
-                     source_counts: "TomographyCounts | None" = None) -> "Assemblage":
+    def from_stacked(cls, stack: np.ndarray,
+                     settings: tuple[str, ...] = SETTINGS) -> "Assemblage":
         members = {}
         idx = 0
         for x in settings:
             for a in OUTCOMES:
                 members[(x, a)] = np.asarray(stack[idx], dtype=complex)
                 idx += 1
-        return cls(members=members, settings=settings, source_counts=source_counts)
+        return cls(members=members, settings=settings)
 
     def scaled(self, factor: float) -> "Assemblage":
         return Assemblage(
@@ -296,6 +295,12 @@ class TomographyCounts:
 
 # ---------------------------------------------------------------------------
 # maximum-likelihood reconstruction
+
+# A likelihood-ascent step is flat when it changes the log-likelihood by at
+# most ML_REL_TOL relative; no convergence within ML_MAX_ITERATIONS steps
+# raises ReconstructionError.
+ML_MAX_ITERATIONS = 5000
+ML_REL_TOL = 1e-10
 
 
 @dataclass
@@ -475,9 +480,6 @@ def _linear_inversion_start(counts: TomographyCounts, cmat, dvec, pinv) -> np.nd
 def ml_reconstruct(
     counts: TomographyCounts,
     *,
-    max_iterations: int = 5000,
-    rel_tol: float = 1e-10,
-    starts: int = 2,
     initial: Assemblage | None = None,
 ) -> MlReconstruction:
     """Maximum-likelihood assemblage from tomography counts.
@@ -485,9 +487,9 @@ def ml_reconstruct(
     Projected gradient ascent with backtracking; every accepted step keeps
     the iterate exactly on the normalization/non-signaling subspace and PSD
     up to projection tolerance, and the log-likelihood never decreases.
-    ``starts`` > 1 re-runs the ascent from a second starting point and keeps
-    the best, which also serves as a convergence cross-check.  ``initial``
-    replaces the built-in starting points (used for warm starts).
+    The ascent runs from two starting points (flat and linear inversion) and
+    keeps the best, which also serves as a convergence cross-check.
+    ``initial`` replaces both with one warm start.
     """
     counts.validate()
     like = _Likelihood(counts)
@@ -496,16 +498,13 @@ def ml_reconstruct(
     if initial is not None:
         start_stacks = [_project_feasible(initial.stacked(), cmat, dvec, pinv)]
     else:
-        start_stacks = [_flat_start(counts)]
-        if starts > 1:
-            start_stacks.append(_linear_inversion_start(counts, cmat, dvec, pinv))
+        start_stacks = [_flat_start(counts),
+                        _linear_inversion_start(counts, cmat, dvec, pinv)]
 
     best: tuple | None = None
     start_lls: list[float] = []
     for stack0 in start_stacks:
-        stack, ll, hist, iters, conv = _ascend(
-            like, stack0, cmat, dvec, pinv, max_iterations, rel_tol
-        )
+        stack, ll, hist, iters, conv = _ascend(like, stack0, cmat, dvec, pinv)
         start_lls.append(ll)
         if best is None or ll > best[1]:
             best = (stack, ll, hist, iters, conv)
@@ -513,9 +512,9 @@ def ml_reconstruct(
     stack, ll, hist, iters, conv = best
     if not conv:
         raise ReconstructionError(
-            f"likelihood ascent did not converge within {max_iterations} iterations"
+            f"likelihood ascent did not converge within {ML_MAX_ITERATIONS} iterations"
         )
-    assem = Assemblage.from_stacked(stack, counts.settings, source_counts=counts)
+    assem = Assemblage.from_stacked(stack, counts.settings)
     return MlReconstruction(
         assemblage=assem,
         log_likelihood=ll,
@@ -527,7 +526,7 @@ def ml_reconstruct(
     )
 
 
-def _ascend(like, stack, cmat, dvec, pinv, max_iterations, rel_tol):
+def _ascend(like, stack, cmat, dvec, pinv):
     stack = _project_feasible(stack, cmat, dvec, pinv)
     ll = like.value(stack)
     history = [ll]
@@ -535,7 +534,7 @@ def _ascend(like, stack, cmat, dvec, pinv, max_iterations, rel_tol):
     flat_count = 0
     converged = False
     it = 0
-    for it in range(1, max_iterations + 1):
+    for it in range(1, ML_MAX_ITERATIONS + 1):
         grad = like.gradient(stack) / like.total
         improved = False
         while step >= 1e-14:
@@ -547,7 +546,7 @@ def _ascend(like, stack, cmat, dvec, pinv, max_iterations, rel_tol):
                 stack, ll = cand, max(ll_cand, ll)
                 history.append(ll)
                 step = min(step * 1.5, 1e6)
-                flat_count = flat_count + 1 if rel_change <= rel_tol else 0
+                flat_count = flat_count + 1 if rel_change <= ML_REL_TOL else 0
                 break
             step *= 0.5
         if step < 1e-14 or flat_count >= 3:

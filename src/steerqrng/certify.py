@@ -59,7 +59,8 @@ __all__ = [
     "load_certification",
 ]
 
-SUPPORT_TOL = 1e-11
+SUPPORT_TOL = 1e-11    # eigenvalues above this span an assemblage member's support
+VALIDATE_TOL = 1e-7    # assemblage validation tolerance before any SDP
 
 
 class CertificationError(RuntimeError):
@@ -138,8 +139,8 @@ class CertificationResult:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _require_valid(assem: Assemblage, tol: float) -> None:
-    report = validate_assemblage(assem, tol=tol, psd_tol=-tol)
+def _require_valid(assem: Assemblage) -> None:
+    report = validate_assemblage(assem, tol=VALIDATE_TOL, psd_tol=-VALIDATE_TOL)
     if not report.ok:
         raise CertificationError(
             "assemblage fails validation: "
@@ -150,24 +151,17 @@ def _require_valid(assem: Assemblage, tol: float) -> None:
         )
 
 
-def _member_supports(assem: Assemblage, support_tol: float):
+def _member_supports(assem: Assemblage):
     """Eigenbasis support data per member: (isometry V, eigenvalues on support)."""
     supports = {}
     for key, mat in assem.members.items():
         w, v = np.linalg.eigh(hermitian_part(np.asarray(mat, dtype=complex)))
-        keep = w > support_tol
+        keep = w > SUPPORT_TOL
         supports[key] = (v[:, keep], np.clip(w[keep], 0.0, None))
     return supports
 
 
-def guessing_probability(
-    assem: Assemblage,
-    x_star: str,
-    *,
-    options: sdp.SolverOptions | None = None,
-    validate_tol: float = 1e-7,
-    support_tol: float = SUPPORT_TOL,
-) -> GuessingResult:
+def guessing_probability(assem: Assemblage, x_star: str) -> GuessingResult:
     """Optimal guessing probability of Alice's outcome at ``x_star``.
 
     The eavesdropper's guess ranges over the full outcome alphabet including
@@ -179,8 +173,8 @@ def guessing_probability(
     """
     if x_star not in assem.settings:
         raise ValueError(f"unknown certification setting {x_star!r}")
-    _require_valid(assem, validate_tol)
-    supports = _member_supports(assem, support_tol)
+    _require_valid(assem)
+    supports = _member_supports(assem)
     guesses = list(OUTCOMES)
 
     blocks: dict[str, int] = {}
@@ -239,7 +233,7 @@ def guessing_probability(
 
     problem = sdp.SdpProblem(blocks=blocks, objective=objective,
                              constraints=constraints, sense="max")
-    solution = sdp.solve(problem, options)
+    solution = sdp.solve(problem)
     if solution.status == sdp.INFEASIBLE:
         raise CertificationError(
             "guessing-probability SDP infeasible; assemblage is inconsistent")
@@ -279,12 +273,7 @@ def min_entropy(p_guess: float) -> float:
     return max(0.0, -float(np.log2(min(p_guess, 1.0))))
 
 
-def lhs_mu(
-    assem: Assemblage,
-    *,
-    options: sdp.SolverOptions | None = None,
-    validate_tol: float = 1e-7,
-) -> LhsResult:
+def lhs_mu(assem: Assemblage) -> LhsResult:
     """Largest mu with sigma_{a|x} = sum_lambda D(a|x,lambda) sigma_lambda,
     sigma_lambda >= mu * identity.
 
@@ -295,7 +284,7 @@ def lhs_mu(
     objective-neutral ray (both halves growing together) that leaves the
     dual problem without a strict interior and stalls the solver.
     """
-    _require_valid(assem, validate_tol)
+    _require_valid(assem)
     strategies = deterministic_strategies(assem.settings)
     basis = hermitian_basis(2)
     mu_span = 4.0  # |mu| of a normalized assemblage is far below this
@@ -329,7 +318,7 @@ def lhs_mu(
     objective = {"mu_pos": np.array([[1.0]]), "mu_neg": np.array([[-1.0]])}
     problem = sdp.SdpProblem(blocks=blocks, objective=objective,
                              constraints=constraints, sense="max")
-    solution = sdp.solve(problem, options)
+    solution = sdp.solve(problem)
     if solution.status == sdp.INFEASIBLE:
         raise CertificationError("LHS SDP infeasible; assemblage is inconsistent")
     if solution.status != sdp.OPTIMAL:
@@ -349,12 +338,7 @@ def lhs_mu(
     return LhsResult(mu=mu, hidden_states=hidden, solution=solution)
 
 
-def steering_functional(
-    assem: Assemblage,
-    *,
-    options: sdp.SolverOptions | None = None,
-    validate_tol: float = 1e-7,
-) -> SteeringResult:
+def steering_functional(assem: Assemblage) -> SteeringResult:
     """Steering functional from the dual of the LHS program.
 
     The returned coefficients ``F_{a|x}`` satisfy
@@ -364,7 +348,7 @@ def steering_functional(
     ``Tr sum_{a,x,lambda} F_{a|x} D(a|x,lambda) = 1``; strong duality makes
     ``beta`` equal ``mu`` on the probed assemblage.
     """
-    lhs = lhs_mu(assem, options=options, validate_tol=validate_tol)
+    lhs = lhs_mu(assem)
     basis = hermitian_basis(2)
     y = lhs.solution.dual_multipliers
     functional: dict[tuple[str, object], np.ndarray] = {}
@@ -388,24 +372,21 @@ def bootstrap_uncertainty(
     counts: TomographyCounts,
     x_star: str,
     *,
+    point_estimate: Assemblage,
     resamples: int = 500,
     seed: int = 0,
-    point_estimate: Assemblage | None = None,
-    options: sdp.SolverOptions | None = None,
-    ml_max_iterations: int = 5000,
 ) -> UncertaintyResult:
     """Parametric bootstrap of the certified quantities.
 
     Counts are redrawn multinomially per configuration from the empirical
-    frequencies, refit (warm-started from the point estimate) and
-    re-certified at the same ``x_star``.  Resamples whose fit or SDP fails
-    are excluded and counted.  Deterministic for a fixed seed.
+    frequencies, refit (warm-started from ``point_estimate``, the fit of
+    ``counts``) and re-certified at the same ``x_star``.  Resamples whose
+    fit or SDP fails are excluded and counted.  Deterministic for a fixed
+    seed.
     """
     if resamples < 100:
         raise ValueError("bootstrap needs at least 100 resamples")
     counts.validate()
-    if point_estimate is None:
-        point_estimate = ml_reconstruct(counts, max_iterations=ml_max_iterations).assemblage
     rng = np.random.default_rng(seed)
 
     config_cells: dict[tuple[str, str], list[tuple]] = {}
@@ -429,9 +410,8 @@ def bootstrap_uncertainty(
         try:
             resampled = TomographyCounts.from_entries(
                 entries, settings=counts.settings, bases=counts.bases)
-            fit = ml_reconstruct(resampled, starts=1, initial=point_estimate,
-                                 max_iterations=ml_max_iterations)
-            g = guessing_probability(fit.assemblage, x_star, options=options)
+            fit = ml_reconstruct(resampled, initial=point_estimate)
+            g = guessing_probability(fit.assemblage, x_star)
             h_values.append(min_entropy(g.p_guess))
             p_values.append(g.p_guess)
         except (ValueError, RuntimeError):
@@ -459,7 +439,6 @@ def certify(
     counts: TomographyCounts | None = None,
     resamples: int = 0,
     seed: int = 0,
-    options: sdp.SolverOptions | None = None,
 ) -> CertificationResult:
     """Full certification: guessing probability, min-entropy, LHS robustness
     and steering functional, with optional bootstrap uncertainty.
@@ -473,18 +452,18 @@ def certify(
     if x_star is None:
         per_setting = {}
         for x in assem.settings:
-            per_setting[x] = guessing_probability(assem, x, options=options)
+            per_setting[x] = guessing_probability(assem, x)
         diagnostics["p_guess_by_setting"] = {
             x: r.p_guess for x, r in per_setting.items()}
         p_min = min(r.p_guess for r in per_setting.values())
-        tie = (options or sdp.SolverOptions()).gap_target * (1.0 + p_min)
+        tie = sdp.GAP_TARGET * (1.0 + p_min)
         x_star = next(x for x in assem.settings
                       if per_setting[x].p_guess <= p_min + tie)
         guess = per_setting[x_star]
     else:
-        guess = guessing_probability(assem, x_star, options=options)
+        guess = guessing_probability(assem, x_star)
 
-    steering = steering_functional(assem, options=options)
+    steering = steering_functional(assem)
     diagnostics["guessing_solver"] = {
         "status": guess.solution.status, "gap": guess.solution.gap,
         "iterations": guess.solution.iterations}
@@ -497,8 +476,7 @@ def certify(
         if counts is None:
             raise ValueError("bootstrap uncertainty requires tomography counts")
         uncertainty = bootstrap_uncertainty(
-            counts, x_star, resamples=resamples, seed=seed,
-            point_estimate=assem, options=options)
+            counts, x_star, point_estimate=assem, resamples=resamples, seed=seed)
 
     return CertificationResult(
         x_star=x_star,

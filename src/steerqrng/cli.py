@@ -60,7 +60,7 @@ def _parse_grid(text: str) -> list[float]:
 def cmd_simulate(args) -> int:
     config = _load_config(args)
     out = _out_dir(args, config)
-    summary = pl.stage_simulate(config, out, write_ground_truth=args.write_ground_truth)
+    summary = pl.stage_simulate(config, out)
     print(f"simulated {summary['counts_total']} tomography trials, "
           f"{summary['coincidences']} coincidences, {summary['raw_bits']} raw bits -> {out}")
     return pl.EXIT_OK
@@ -104,7 +104,7 @@ def cmd_extract(args) -> int:
 def cmd_run(args) -> int:
     config = _load_config(args)
     out = _out_dir(args, config)
-    report = pl.run(config, out, write_ground_truth=args.write_ground_truth)
+    report = pl.run(config, out)
     print(pl.render_report(out), end="")
     return report.exit_code
 
@@ -139,24 +139,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, handler, help_text, *, seed=True, ground_truth=False):
+    def add(name, handler, help_text, *, seed=True):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("-c", "--config", help="JSON run configuration")
         p.add_argument("-o", "--out", help="run directory (overrides config output_dir)")
         if seed:
             p.add_argument("--seed", type=int, help="override the experiment RNG seed")
-        if ground_truth:
-            p.add_argument("--write-ground-truth", action="store_true",
-                           help="also write the simulator's pair log (test use)")
         p.set_defaults(handler=handler)
         return p
 
-    add("simulate", cmd_simulate, "generate counts, time tags, and raw bits",
-        ground_truth=True)
+    add("simulate", cmd_simulate, "generate counts, time tags, and raw bits")
     add("tomo", cmd_tomo, "reconstruct the assemblage from counts")
     add("certify", cmd_certify, "certify min-entropy from the assemblage")
     add("extract", cmd_extract, "extract certified bits from the raw stream")
-    add("run", cmd_run, "execute the full protocol", ground_truth=True)
+    add("run", cmd_run, "execute the full protocol")
 
     p_report = sub.add_parser("report", help="render summaries for a run directory")
     p_report.add_argument("-o", "--out", required=True, help="run directory")

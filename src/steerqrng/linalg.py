@@ -38,7 +38,7 @@ __all__ = [
 
 HERMITIAN_TOL = 1e-10
 DENSITY_EIG_TOL = -1e-10
-DEFAULT_MAX_TENSOR_DIM = 16
+MAX_TENSOR_DIM = 16
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -75,19 +75,19 @@ def singlet_state() -> np.ndarray:
     return projector(psi)
 
 
-def tensor(a: np.ndarray, b: np.ndarray, *, max_dim: int = DEFAULT_MAX_TENSOR_DIM) -> np.ndarray:
+def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Kronecker product with Alice as the left factor.
 
-    Raises ``ValueError`` if the resulting dimension would exceed ``max_dim``
-    (this package only ever needs two-qubit products).
+    Raises ``ValueError`` if the resulting dimension would exceed
+    ``MAX_TENSOR_DIM`` (this package only ever needs two-qubit products).
     """
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
     if a.ndim != 2 or b.ndim != 2:
         raise ValueError("tensor expects 2-d matrices")
     out_dim = a.shape[0] * b.shape[0]
-    if out_dim > max_dim:
-        raise ValueError(f"tensor result dimension {out_dim} exceeds maximum {max_dim}")
+    if out_dim > MAX_TENSOR_DIM:
+        raise ValueError(f"tensor result dimension {out_dim} exceeds maximum {MAX_TENSOR_DIM}")
     return np.kron(a, b)
 
 

@@ -25,8 +25,6 @@ import os
 import time
 from dataclasses import dataclass, field, asdict
 
-import numpy as np
-
 from . import assemblage as asm
 from . import extractor as ext
 from . import simulate as sim
@@ -44,7 +42,6 @@ EXIT_NUMERICAL = 5
 COUNTS_FILE = "counts.txt"
 ALICE_TAGS_FILE = "alice_tags.bin"
 BOB_TAGS_FILE = "bob_tags.bin"
-GROUND_TRUTH_FILE = "ground_truth.npy"
 RAW_BITS_FILE = "raw_bits.bin"
 ASSEMBLAGE_FILE = "assemblage.txt"
 TOMO_REPORT_FILE = "tomography.json"
@@ -73,7 +70,6 @@ class CertificationSettings:
     resamples: int = 0
     bootstrap_seed: int = 1
     min_entropy_floor: float = 1e-6
-    validation_tolerance: float = 1e-7
 
     def validate(self):
         if self.x_star not in ("auto",) + asm.SETTINGS:
@@ -82,8 +78,6 @@ class CertificationSettings:
             raise ConfigError("resamples must be non-negative")
         if self.min_entropy_floor <= 0:
             raise ConfigError("min_entropy_floor must be positive")
-        if self.validation_tolerance <= 0:
-            raise ConfigError("validation_tolerance must be positive")
         return self
 
 
@@ -204,7 +198,7 @@ def _load(path: str, stage: str, loader):
 # stages
 
 
-def stage_simulate(config: PipelineConfig, out_dir: str, *, write_ground_truth: bool = False) -> dict:
+def stage_simulate(config: PipelineConfig, out_dir: str) -> dict:
     """Produce certification counts and the randomness-stage raw bits."""
     os.makedirs(out_dir, exist_ok=True)
     counts = sim.simulate_tomography(config.experiment)
@@ -223,8 +217,6 @@ def stage_simulate(config: PipelineConfig, out_dir: str, *, write_ground_truth: 
                       dict(header, party="alice"))
     sim.save_timetags(streams.bob_tags, os.path.join(out_dir, BOB_TAGS_FILE),
                       dict(header, party="bob"))
-    if write_ground_truth:
-        np.save(os.path.join(out_dir, GROUND_TRUTH_FILE), streams.ground_truth)
 
     pairs = sim.coincidences(streams.alice_tags, streams.bob_tags,
                              config.experiment.coincidence_window)
@@ -380,9 +372,14 @@ def _render_text_report(report: dict) -> str:
     else:
         lines.append("certification     : absent")
     lines.append(f"protocol gate     : {report.get('gate', 'not evaluated')}")
-    lines.append(f"pass              : {'yes' if report.get('pass') else 'no'}")
+    passed = report.get("pass")
+    verdict = "not evaluated" if passed is None else ("yes" if passed else "no")
+    lines.append(f"pass              : {verdict}")
     extraction = report.get("extraction")
-    if extraction:
+    if extraction and extraction.get("blocks") is None:
+        # a partial run knows only the length of extracted_bits.bin
+        lines.append(f"extraction        : {extraction['total_bits']} bits")
+    elif extraction:
         lines.append(
             "extraction        : "
             f"{extraction['total_bits']} bits in {extraction['blocks']} blocks "
@@ -398,7 +395,7 @@ def _render_text_report(report: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def run(config: PipelineConfig, out_dir: str, *, write_ground_truth: bool = False) -> RunReport:
+def run(config: PipelineConfig, out_dir: str) -> RunReport:
     """Execute the full protocol and write all artifacts plus the report."""
     config.validate()
     os.makedirs(out_dir, exist_ok=True)
@@ -406,7 +403,7 @@ def run(config: PipelineConfig, out_dir: str, *, write_ground_truth: bool = Fals
     artifacts: dict[str, str] = {}
 
     t0 = time.perf_counter()
-    sim_summary = stage_simulate(config, out_dir, write_ground_truth=write_ground_truth)
+    sim_summary = stage_simulate(config, out_dir)
     timings["simulate"] = time.perf_counter() - t0
     artifacts.update({
         "counts": COUNTS_FILE,
@@ -414,8 +411,6 @@ def run(config: PipelineConfig, out_dir: str, *, write_ground_truth: bool = Fals
         "bob_tags": BOB_TAGS_FILE,
         "raw_bits": RAW_BITS_FILE,
     })
-    if write_ground_truth:
-        artifacts["ground_truth"] = GROUND_TRUTH_FILE
 
     t0 = time.perf_counter()
     tomo_summary = stage_tomo(config, out_dir)
@@ -519,16 +514,7 @@ def load_report(out_dir: str) -> dict:
 
 
 def render_report(out_dir: str) -> str:
-    report = load_report(out_dir)
-    text = _render_text_report(report)
-    if report.get("extraction") and report["extraction"].get("blocks") is None:
-        # Partial-run rendering has less to say about extraction internals.
-        text = text.replace(
-            f"{report['extraction']['total_bits']} bits in None blocks "
-            "(None per block, seed None bits)",
-            f"{report['extraction']['total_bits']} bits",
-        )
-    return text
+    return _render_text_report(load_report(out_dir))
 
 
 def sweep(
@@ -546,14 +532,13 @@ def sweep(
     os.makedirs(out_dir, exist_ok=True)
     if visibility_values is None:
         visibility_values = [config.experiment.visibility]
-    measurements = asm.default_measurements()
     x_star = config.certification.x_star
 
     rows = []
     for visibility in visibility_values:
         rho = sim.werner_state(visibility)
         for eta in eta_values:
-            ideal = asm.ideal_assemblage(rho, measurements, eta=eta)
+            ideal = asm.ideal_assemblage(rho, eta=eta)
             result = certify_assemblage(ideal, x_star=None if x_star == "auto" else x_star)
             rows.append({
                 "visibility": float(visibility),

@@ -52,7 +52,6 @@ __all__ = [
     "SdpProblem",
     "SdpConstraint",
     "SdpSolution",
-    "SolverOptions",
     "CertificateReport",
     "solve",
     "check_certificate",
@@ -66,6 +65,17 @@ OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 NUMERICAL_FAILURE = "numerical-failure"
+
+# Solver settings.  The main iteration stops at GAP_TARGET/FEASIBILITY_TARGET
+# and, failing that, accepts its best iterate within the *_ACCEPTABLE
+# tolerances; Phase I accepts looser ones (see _phase1_feasible).
+MAX_ITERATIONS = 200
+GAP_TARGET = 1e-9
+FEASIBILITY_TARGET = 1e-9
+GAP_ACCEPTABLE = 1e-7
+FEASIBILITY_ACCEPTABLE = 5e-8
+STEP_FRACTION = 0.98
+RANK_TOLERANCE = 1e-9
 
 
 @dataclass
@@ -134,17 +144,6 @@ class SdpSolution:
     dinf: float
     iterations: int
     message: str = ""
-
-
-@dataclass
-class SolverOptions:
-    max_iterations: int = 200
-    gap_target: float = 1e-9
-    feasibility_target: float = 1e-9
-    gap_acceptable: float = 1e-7
-    feasibility_acceptable: float = 5e-8
-    step_fraction: float = 0.98
-    rank_tolerance: float = 1e-9
 
 
 @dataclass
@@ -289,7 +288,9 @@ def _ipm(
     b: np.ndarray,
     c: np.ndarray,
     shapes: list[tuple[int, int]],
-    options: SolverOptions,
+    *,
+    gap_acceptable: float = GAP_ACCEPTABLE,
+    feasibility_acceptable: float = FEASIBILITY_ACCEPTABLE,
 ) -> dict:
     """Minimize c @ x over PSD blocks subject to rows @ x = b.
 
@@ -297,7 +298,8 @@ def _ipm(
     the (nb, D, D) stacks listed in ``shapes``; every per-block operation is
     one batched call per stack.  All blocks are real symmetric; ``rows``
     must be linearly independent.  Returns the best iterate found (flat
-    ``x`` and ``y``) and its quality numbers.
+    ``x`` and ``y``) and its quality numbers; a best iterate within the
+    acceptable tolerances counts as optimal.
     """
     m = b.size
     n_total = sum(nb * d for nb, d in shapes)
@@ -325,7 +327,7 @@ def _ipm(
     message = "max iterations reached"
     it = 0
 
-    for it in range(1, options.max_iterations + 1):
+    for it in range(1, MAX_ITERATIONS + 1):
         pres = b - rows @ x
         rd = c - y @ rows - s
         mu = float(x @ s) / n_total
@@ -343,13 +345,13 @@ def _ipm(
             stall += 1
 
         if (
-            pinf <= options.feasibility_target
-            and dinf <= options.feasibility_target
-            and relgap <= options.gap_target
+            pinf <= FEASIBILITY_TARGET
+            and dinf <= FEASIBILITY_TARGET
+            and relgap <= GAP_TARGET
         ):
             status, message = OPTIMAL, "converged to target tolerance"
             break
-        if pinf <= options.feasibility_acceptable and pobj < -1e10 * scale_c:
+        if pinf <= feasibility_acceptable and pobj < -1e10 * scale_c:
             status, message = UNBOUNDED, "objective diverging with feasible iterate"
             break
         if mu < 1e-17 or stall > 40:
@@ -426,7 +428,7 @@ def _ipm(
             message = "search direction is not finite"
             break
 
-        gamma = options.step_fraction if mu > 1e-7 else 0.99
+        gamma = STEP_FRACTION if mu > 1e-7 else 0.99
         alpha_p = min(1.0, gamma * _max_step(chol_x, dX))
         alpha_d = min(1.0, gamma * _max_step(chol_s, _stacks(ds, shapes)))
         x = _flat([_sym(v) for v in _stacks(x + alpha_p * dx, shapes)])
@@ -439,9 +441,9 @@ def _ipm(
     result["iterations"] = it
     if status != OPTIMAL and "pinf" in best:
         if (
-            best["pinf"] <= options.feasibility_acceptable
-            and best["dinf"] <= options.feasibility_acceptable
-            and best["relgap"] <= options.gap_acceptable
+            best["pinf"] <= feasibility_acceptable
+            and best["dinf"] <= feasibility_acceptable
+            and best["relgap"] <= gap_acceptable
         ):
             result["status"] = OPTIMAL
             result["message"] = "converged within acceptable tolerance"
@@ -452,9 +454,8 @@ def _ipm(
 # public entry points
 
 
-def solve(problem: SdpProblem, options: SolverOptions | None = None) -> SdpSolution:
+def solve(problem: SdpProblem) -> SdpSolution:
     """Solve a block SDP; never raises on solver trouble, reports a status."""
-    options = options or SolverOptions()
     internal = _InternalProblem(problem)
     nblocks = len(internal.labels)
     m = internal.m_orig
@@ -482,7 +483,7 @@ def solve(problem: SdpProblem, options: SolverOptions | None = None) -> SdpSolut
 
     rows = (np.hstack([internal.A[k] for k in order]) if order
             else np.zeros((m, 0)))
-    kept, dropped = (_select_rows(rows, options.rank_tolerance) if m else ([], []))
+    kept, dropped = (_select_rows(rows, RANK_TOLERANCE) if m else ([], []))
 
     # consistency of redundant rows
     if dropped:
@@ -509,12 +510,12 @@ def solve(problem: SdpProblem, options: SolverOptions | None = None) -> SdpSolut
     b_red = internal.b[kept]
     c = np.concatenate([internal.C[k].ravel() for k in order])
 
-    result = _ipm(rows_red, b_red, c, shapes, options)
+    result = _ipm(rows_red, b_red, c, shapes)
     status = result["status"]
     message = result["message"]
 
     if status != OPTIMAL and status != UNBOUNDED:
-        feasible = _phase1_feasible(rows_red, b_red, shapes, options)
+        feasible = _phase1_feasible(rows_red, b_red, shapes)
         if feasible is False:
             status, message = INFEASIBLE, "Phase-I slack stays positive"
         elif feasible is True:
@@ -527,7 +528,6 @@ def solve(problem: SdpProblem, options: SolverOptions | None = None) -> SdpSolut
 
 def _phase1_feasible(
     rows: np.ndarray, b: np.ndarray, shapes: list[tuple[int, int]],
-    options: SolverOptions,
 ) -> bool | None:
     """Explicit Phase I: min t subject to A(X) + t*(b - A(I)) = b, X, t >= 0."""
     eye = _identity(shapes)
@@ -535,12 +535,8 @@ def _phase1_feasible(
     rows_phase = np.hstack([rows, r0[:, None]])
     c_phase = np.zeros(eye.size + 1)
     c_phase[-1] = 1.0
-    opts = SolverOptions(
-        max_iterations=options.max_iterations,
-        gap_target=1e-9, feasibility_target=1e-9,
-        gap_acceptable=1e-6, feasibility_acceptable=1e-7,
-    )
-    result = _ipm(rows_phase, b, c_phase, shapes + [(1, 1)], opts)
+    result = _ipm(rows_phase, b, c_phase, shapes + [(1, 1)],
+                  gap_acceptable=1e-6, feasibility_acceptable=1e-7)
     if result["status"] != OPTIMAL:
         return None
     slack = result["pobj"]

@@ -13,14 +13,13 @@ is exact.  All sampling is driven by ``numpy.random.Generator`` seeded from
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 
 import numpy as np
 
 from .assemblage import (
     BOB_BASES,
     SETTINGS,
-    MeasurementSet,
     TomographyCounts,
     born_probabilities,
     bob_projectors,
@@ -155,9 +154,7 @@ def werner_state(visibility: float) -> np.ndarray:
     return rho
 
 
-def simulate_tomography(
-    config: ExperimentConfig, measurements: MeasurementSet | None = None
-) -> TomographyCounts:
+def simulate_tomography(config: ExperimentConfig) -> TomographyCounts:
     """Sample certification-stage counts.
 
     For each of the six (setting, Bob basis) configurations an independent
@@ -166,10 +163,8 @@ def simulate_tomography(
     drops out here because trials are conditioned on a Bob detection.
     """
     config.validate()
-    if measurements is None:
-        measurements = default_measurements()
     rho = werner_state(config.visibility)
-    assem = ideal_assemblage(rho, measurements, eta=config.eta_alice)
+    assem = ideal_assemblage(rho, eta=config.eta_alice)
     probs = born_probabilities(assem)
     rng = np.random.default_rng([config.rng_seed, _TOMOGRAPHY_LANE])
 
@@ -186,10 +181,10 @@ def simulate_tomography(
     return TomographyCounts.from_entries(entries, settings=assem.settings)
 
 
-def _joint_channel_probabilities(config: ExperimentConfig, measurements: MeasurementSet) -> np.ndarray:
+def _joint_channel_probabilities(config: ExperimentConfig) -> np.ndarray:
     """Born probabilities p[a, beta] for the fixed RNG-stage settings."""
     rho = werner_state(config.visibility)
-    effects = measurements.effects[config.rng_setting]
+    effects = default_measurements().effects[config.rng_setting]
     projs = bob_projectors()
     p = np.empty((2, 2))
     for a in (0, 1):
@@ -237,9 +232,7 @@ def _sorted_party_stream(
     return tags, index_of_pair
 
 
-def simulate_streams(
-    config: ExperimentConfig, measurements: MeasurementSet | None = None
-) -> StreamResult:
+def simulate_streams(config: ExperimentConfig) -> StreamResult:
     """Generate the randomness-stage time-tag streams.
 
     Pair emissions form a Poisson process at ``pair_rate`` over
@@ -250,8 +243,6 @@ def simulate_streams(
     work.  Optional dark tags are uncorrelated and uniform in time.
     """
     config.validate()
-    if measurements is None:
-        measurements = default_measurements()
     rng = np.random.default_rng([config.rng_seed, _STREAM_LANE])
 
     duration_ps = config.duration_rng * _PS_PER_SECOND
@@ -259,7 +250,7 @@ def simulate_streams(
     pair_times = np.sort(rng.random(n_pairs)) * duration_ps
     pair_times = pair_times.astype(np.int64)
 
-    p_joint = _joint_channel_probabilities(config, measurements).ravel()
+    p_joint = _joint_channel_probabilities(config).ravel()
     joint = rng.choice(4, size=n_pairs, p=p_joint)
     alice_out = (joint >> 1).astype(np.int8)
     bob_out = (joint & 1).astype(np.int8)

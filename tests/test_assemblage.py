@@ -217,7 +217,7 @@ class TestMlReconstruction:
 
     def test_two_starts_agree(self):
         counts, _ = exact_counts()
-        rec = asm.ml_reconstruct(counts, starts=2)
+        rec = asm.ml_reconstruct(counts)
         assert len(rec.start_log_likelihoods) == 2
         spread = max(rec.start_log_likelihoods) - min(rec.start_log_likelihoods)
         assert spread < 1e-3

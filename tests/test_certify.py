@@ -235,7 +235,9 @@ class TestBootstrap:
     def test_minimum_resamples_enforced(self, bootstrap_run):
         with pytest.raises(ValueError):
             cert.bootstrap_uncertainty(
-                bootstrap_run.counts, "X", resamples=10, seed=1
+                bootstrap_run.counts, "X",
+                point_estimate=bootstrap_run.reconstruction.assemblage,
+                resamples=10, seed=1,
             )
 
     def test_statistics_sane(self, bootstrap_run):

@@ -67,6 +67,20 @@ class TestConfig:
         with pytest.raises(pl.ConfigError):
             pl.PipelineConfig.from_dict(base)
 
+    def test_validation_tolerance_key_rejected(self, tmp_path, capsys):
+        """The assemblage validation tolerance is a constant of the
+        certification code, not a config key."""
+        base = fast_config().to_dict()
+        base["certification"]["validation_tolerance"] = 1e-9
+        with pytest.raises(pl.ConfigError):
+            pl.PipelineConfig.from_dict(base)
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(base))
+        out = str(tmp_path / "out")
+        assert cli.main(["run", "-c", str(cfg_path), "-o", out]) == pl.EXIT_IO
+        assert "validation_tolerance" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
     def test_setting_validation(self):
         base = fast_config().to_dict()
         base["certification"]["x_star"] = "Y"
@@ -124,11 +138,6 @@ class TestFullRun:
             pl.COUNTS_FILE, pl.ASSEMBLAGE_FILE, pl.CERTIFICATION_FILE, pl.SEED_FILE,
         ):
             assert read(os.path.join(out_a, name)) == read(os.path.join(out_b, name)), name
-
-    def test_ground_truth_artifact_optional(self, tmp_path):
-        out = str(tmp_path / "gt")
-        pl.run(fast_config(pair_rate=5_000), out, write_ground_truth=True)
-        assert os.path.exists(os.path.join(out, pl.GROUND_TRUTH_FILE))
 
 
 class TestStages:
@@ -281,6 +290,17 @@ class TestReports:
         text = pl.render_report(out)
         assert "min-entropy rate" in text
         assert "pass              : yes" in text
+
+    def test_render_partial_run_text(self, completed_run, tmp_path):
+        _, out, report = completed_run
+        partial = str(tmp_path / "partial")
+        shutil.copytree(out, partial)
+        os.remove(os.path.join(partial, pl.REPORT_JSON))
+        text = pl.render_report(partial)
+        assert "None" not in text
+        total = report.extraction["total_bits"]
+        assert f"extraction        : {total} bits\n" in text
+        assert "pass              : not evaluated\n" in text
 
 
 class TestSweep:
