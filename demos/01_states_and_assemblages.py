@@ -25,11 +25,11 @@ print("singlet overlap of the V=0.99 Werner state:",
 
 # steering measurements on the untrusted side: conjugate X and Z
 measurements = asm.default_measurements()
-print("settings:", measurements.settings)
+print("settings:", list(measurements))
 
 # the ideal assemblage at heralding efficiency 0.543: each member is the
 # trusted party's unnormalized conditional state for one remote outcome
-assemblage = asm.ideal_assemblage(singlet, measurements, eta=0.543)
+assemblage = asm.ideal_assemblage(singlet, eta=0.543)
 for (x, a), member in assemblage.members.items():
     label = "null" if a is None else a
     print(f"\nsigma(a={label} | x={x}), trace {np.trace(member).real:.4f}")

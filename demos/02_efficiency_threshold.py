@@ -13,12 +13,10 @@ from steerqrng import assemblage as asm
 from steerqrng import certify as cert
 from steerqrng.linalg import singlet_state
 
-measurements = asm.default_measurements()
-
 print("  eta   p_guess   3/2-eta   h_min [bits/trial]")
 for eta_pct in range(44, 101, 4):
     eta = eta_pct / 100.0
-    assemblage = asm.ideal_assemblage(singlet_state(), measurements, eta=eta)
+    assemblage = asm.ideal_assemblage(singlet_state(), eta=eta)
     result = cert.guessing_probability(assemblage, "X")
     h_min = cert.min_entropy(result.p_guess)
     law = min(1.0, 1.5 - eta)
@@ -26,7 +24,7 @@ for eta_pct in range(44, 101, 4):
 
 # at eta = 1 every transmission is heralded and the measured bit is
 # perfectly unpredictable: p_guess = 1/2, one certified bit per trial
-assemblage = asm.ideal_assemblage(singlet_state(), measurements, eta=1.0)
+assemblage = asm.ideal_assemblage(singlet_state(), eta=1.0)
 result = cert.guessing_probability(assemblage, "X")
 print("\nlossless singlet:",
       f"p_guess = {result.p_guess:.6f},",

@@ -18,11 +18,9 @@ from steerqrng import assemblage as asm
 from steerqrng import certify as cert
 from steerqrng import simulate as sim
 
-measurements = asm.default_measurements()
-
 
 def assemblage_at(v):
-    return asm.ideal_assemblage(sim.werner_state(v), measurements, eta=1.0)
+    return asm.ideal_assemblage(sim.werner_state(v), eta=1.0)
 
 
 print("    V        mu          beta")

@@ -9,7 +9,6 @@ record into near-uniform bits with a quantum-proof Trevisan extractor.
 from .assemblage import (
     Assemblage,
     InsufficientDataError,
-    MeasurementSet,
     MlReconstruction,
     ReconstructionError,
     TomographyCounts,
@@ -83,7 +82,6 @@ __all__ = [
     "ExperimentConfig",
     "ExtractorParams",
     "InsufficientDataError",
-    "MeasurementSet",
     "MlReconstruction",
     "PipelineConfig",
     "ReconstructionError",

@@ -29,7 +29,6 @@ from .linalg import (
     PAULI_Y,
     PAULI_Z,
     assert_density_matrix,
-    assert_hermitian,
     hermitian_part,
     ket,
     ket_minus,
@@ -45,7 +44,6 @@ __all__ = [
     "OUTCOMES",
     "BOB_BASES",
     "Outcome",
-    "MeasurementSet",
     "Assemblage",
     "AssemblageReport",
     "TomographyCounts",
@@ -93,41 +91,16 @@ def parse_outcome(label: str):
     return int(label)
 
 
-@dataclass
-class MeasurementSet:
-    """Alice's measurement effects per setting (binary outcomes only).
+def default_measurements() -> dict[str, dict[int, np.ndarray]]:
+    """Alice's effects ``[x][a]``: projective Pauli-X and Pauli-Z measurements
+    (outcome 0 = +1 eigenspace).
 
-    ``effects[x][a]`` is the POVM element for outcome ``a`` of setting ``x``.
-    The null outcome is not part of the effects; loss is applied when building
-    assemblages.
+    The null outcome has no effect; loss is applied when building assemblages.
     """
-
-    settings: tuple[str, ...]
-    effects: dict[str, dict[int, np.ndarray]]
-
-    def validate(self, tol: float = 1e-10) -> None:
-        for x in self.settings:
-            if x not in self.effects:
-                raise ValueError(f"missing effects for setting {x!r}")
-            total = np.zeros((2, 2), dtype=complex)
-            for a in (0, 1):
-                m = assert_hermitian(self.effects[x][a], name=f"effect {x},{a}")
-                if min_eigenvalue(m) < -tol:
-                    raise ValueError(f"effect {x},{a} is not PSD")
-                total += m
-            if np.max(np.abs(total - ID2)) > tol:
-                raise ValueError(f"effects for setting {x!r} do not sum to identity")
-
-
-def default_measurements() -> MeasurementSet:
-    """Projective Pauli-X and Pauli-Z measurements (outcome 0 = +1 eigenspace)."""
-    return MeasurementSet(
-        settings=SETTINGS,
-        effects={
-            "X": {0: projector(ket_plus()), 1: projector(ket_minus())},
-            "Z": {0: projector(ket(1, 0)), 1: projector(ket(0, 1))},
-        },
-    )
+    return {
+        "X": {0: projector(ket_plus()), 1: projector(ket_minus())},
+        "Z": {0: projector(ket(1, 0)), 1: projector(ket(0, 1))},
+    }
 
 
 def bob_projectors() -> dict[tuple[str, int], np.ndarray]:
@@ -185,8 +158,7 @@ class AssemblageReport:
     ok: bool
 
 
-def ideal_assemblage(rho: np.ndarray, measurements: MeasurementSet | None = None,
-                     eta: float = 1.0) -> Assemblage:
+def ideal_assemblage(rho: np.ndarray, eta: float = 1.0) -> Assemblage:
     """Assemblage steered by measuring ``rho`` on Alice's side with loss.
 
     ``eta`` is Alice's heralding efficiency; the null member absorbs the
@@ -194,17 +166,16 @@ def ideal_assemblage(rho: np.ndarray, measurements: MeasurementSet | None = None
     """
     if not 0.0 <= eta <= 1.0:
         raise ValueError(f"heralding efficiency {eta} outside [0, 1]")
-    measurements = measurements or default_measurements()
-    measurements.validate()
+    effects = default_measurements()
     rho = assert_density_matrix(rho, name="rho")
     rho_b = partial_trace_A(rho, 2, 2)
     members: dict[tuple[str, object], np.ndarray] = {}
-    for x in measurements.settings:
+    for x in SETTINGS:
         for a in (0, 1):
-            op = tensor(measurements.effects[x][a], ID2)
+            op = tensor(effects[x][a], ID2)
             members[(x, a)] = eta * partial_trace_A(op @ rho, 2, 2)
         members[(x, None)] = (1.0 - eta) * rho_b
-    return Assemblage(members=members, settings=measurements.settings)
+    return Assemblage(members=members)
 
 
 def validate_assemblage(assem: Assemblage, tol: float = 1e-9,

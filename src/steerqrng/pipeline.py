@@ -21,6 +21,7 @@ timings.json so the deterministic artifacts stay byte-comparable.
 from __future__ import annotations
 
 import json
+import math
 import os
 import time
 from dataclasses import dataclass, field, asdict
@@ -64,6 +65,12 @@ class StageInputError(RuntimeError):
     """A stage's declared input artifact is missing or unreadable."""
 
 
+def _require_finite(settings):
+    for name, value in asdict(settings).items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"{name} must be finite, got {value}")
+
+
 @dataclass
 class CertificationSettings:
     x_star: str = "auto"          # "auto" | "X" | "Z"
@@ -72,6 +79,7 @@ class CertificationSettings:
     min_entropy_floor: float = 1e-6
 
     def validate(self):
+        _require_finite(self)
         if self.x_star not in ("auto",) + asm.SETTINGS:
             raise ConfigError(f"x_star must be 'auto' or one of {asm.SETTINGS}")
         if self.resamples < 0:
@@ -89,6 +97,7 @@ class ExtractionSettings:
     seed_rng: int = 7
 
     def validate(self):
+        _require_finite(self)
         if not 0.0 < self.epsilon < 1.0:
             raise ConfigError("epsilon must lie in (0, 1)")
         if self.block_bits < 1:

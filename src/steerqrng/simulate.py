@@ -13,6 +13,7 @@ is exact.  All sampling is driven by ``numpy.random.Generator`` seeded from
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -35,16 +36,6 @@ PARTY_BOB = 1
 #: Record layout shared by the in-memory streams and the on-disk format:
 #: one byte party, one byte channel, eight bytes little-endian picoseconds.
 TAG_DTYPE = np.dtype([("party", "u1"), ("channel", "u1"), ("time_ps", "<u8")])
-
-GROUND_TRUTH_DTYPE = np.dtype(
-    [
-        ("time_ps", "<u8"),
-        ("alice_outcome", "i1"),
-        ("bob_outcome", "i1"),
-        ("alice_index", "<i8"),
-        ("bob_index", "<i8"),
-    ]
-)
 
 PAIR_DTYPE = np.dtype(
     [
@@ -93,6 +84,9 @@ class ExperimentConfig:
     dark_rate: float = 0.0
 
     def validate(self):
+        for name, value in asdict(self).items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if not 0.0 <= self.visibility <= 1.0:
             raise ValueError(f"visibility must lie in [0, 1], got {self.visibility}")
         if not 0.0 <= self.eta_alice <= 1.0:
@@ -134,15 +128,13 @@ class StreamResult:
     """Output of ``simulate_streams``.
 
     ``alice_tags`` and ``bob_tags`` are ``TAG_DTYPE`` arrays sorted by
-    timestamp.  ``ground_truth`` records, per emitted pair, the sampled
-    outcomes and the indices of the corresponding tags in the sorted streams
-    (-1 where the photon went undetected).  The ground truth exists for
-    validating the coincidence search and never feeds the protocol.
+    timestamp.  Which pair a tag came from is not recorded: the protocol
+    never reads it, and tests rebuild it from ``_stream_draws`` and
+    ``_party_tags``.
     """
 
     alice_tags: np.ndarray
     bob_tags: np.ndarray
-    ground_truth: np.ndarray
 
 
 def werner_state(visibility: float) -> np.ndarray:
@@ -184,7 +176,7 @@ def simulate_tomography(config: ExperimentConfig) -> TomographyCounts:
 def _joint_channel_probabilities(config: ExperimentConfig) -> np.ndarray:
     """Born probabilities p[a, beta] for the fixed RNG-stage settings."""
     rho = werner_state(config.visibility)
-    effects = default_measurements().effects[config.rng_setting]
+    effects = default_measurements()[config.rng_setting]
     projs = bob_projectors()
     p = np.empty((2, 2))
     for a in (0, 1):
@@ -195,7 +187,7 @@ def _joint_channel_probabilities(config: ExperimentConfig) -> np.ndarray:
     return p / p.sum()
 
 
-def _sorted_party_stream(
+def _party_tags(
     party: int,
     pair_times: np.ndarray,
     channels: np.ndarray,
@@ -206,41 +198,29 @@ def _sorted_party_stream(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Assemble one party's tag array sorted by time.
 
-    Returns the sorted ``TAG_DTYPE`` array and, for each emitted pair, the
-    index of its tag in that array (-1 where undetected).
+    Returns the sorted ``TAG_DTYPE`` array and the sort permutation of the
+    pre-sort tags, which are the detected pairs in emission order followed by
+    the dark tags.
     """
-    pair_ids = np.flatnonzero(detected)
-    times = pair_times[pair_ids].astype(np.int64) + jitter[pair_ids]
+    times = pair_times[detected] + jitter[detected]
     times = np.maximum(times, 0).astype(np.uint64)
-    chans = channels[pair_ids].astype(np.uint8)
-
     all_times = np.concatenate([times, dark_times.astype(np.uint64)])
-    all_chans = np.concatenate([chans, dark_channels.astype(np.uint8)])
-    # Pair id for each pre-sort tag; dark tags carry -1.
-    origin = np.concatenate([pair_ids, np.full(len(dark_times), -1, dtype=np.int64)])
+    all_chans = np.concatenate([channels[detected], dark_channels]).astype(np.uint8)
 
     order = np.argsort(all_times, kind="stable")
     tags = np.zeros(len(order), dtype=TAG_DTYPE)
     tags["party"] = party
     tags["channel"] = all_chans[order]
     tags["time_ps"] = all_times[order]
-
-    index_of_pair = np.full(len(pair_times), -1, dtype=np.int64)
-    origin_sorted = origin[order]
-    real = origin_sorted >= 0
-    index_of_pair[origin_sorted[real]] = np.flatnonzero(real)
-    return tags, index_of_pair
+    return tags, order
 
 
-def simulate_streams(config: ExperimentConfig) -> StreamResult:
-    """Generate the randomness-stage time-tag streams.
+def _stream_draws(config: ExperimentConfig):
+    """Every random draw of the randomness stage, in its fixed order.
 
-    Pair emissions form a Poisson process at ``pair_rate`` over
-    ``duration_rng`` seconds.  Each pair's joint outcome is sampled from the
-    Born probabilities at the fixed RNG setting; each photon then survives to
-    detection independently with its party's efficiency.  Small Gaussian
-    timing jitter is applied per detector so the coincidence window does real
-    work.  Optional dark tags are uncorrelated and uniform in time.
+    Returns the pair emission times and, per party, the ``_party_tags``
+    arguments that follow them: outcomes, detection mask, jitter, dark tag
+    times and dark tag channels.
     """
     config.validate()
     rng = np.random.default_rng([config.rng_seed, _STREAM_LANE])
@@ -268,23 +248,25 @@ def simulate_streams(config: ExperimentConfig) -> StreamResult:
         chans = rng.integers(0, 2, size=n_dark)
         return times, chans
 
-    dark_a_times, dark_a_chans = dark_draw()
-    dark_b_times, dark_b_chans = dark_draw()
+    alice = (alice_out, alice_det, alice_jitter, *dark_draw())
+    bob = (bob_out, bob_det, bob_jitter, *dark_draw())
+    return pair_times, alice, bob
 
-    alice_tags, alice_idx = _sorted_party_stream(
-        PARTY_ALICE, pair_times, alice_out, alice_det, alice_jitter, dark_a_times, dark_a_chans
-    )
-    bob_tags, bob_idx = _sorted_party_stream(
-        PARTY_BOB, pair_times, bob_out, bob_det, bob_jitter, dark_b_times, dark_b_chans
-    )
 
-    truth = np.zeros(n_pairs, dtype=GROUND_TRUTH_DTYPE)
-    truth["time_ps"] = np.maximum(pair_times, 0).astype(np.uint64)
-    truth["alice_outcome"] = alice_out
-    truth["bob_outcome"] = bob_out
-    truth["alice_index"] = alice_idx
-    truth["bob_index"] = bob_idx
-    return StreamResult(alice_tags=alice_tags, bob_tags=bob_tags, ground_truth=truth)
+def simulate_streams(config: ExperimentConfig) -> StreamResult:
+    """Generate the randomness-stage time-tag streams.
+
+    Pair emissions form a Poisson process at ``pair_rate`` over
+    ``duration_rng`` seconds.  Each pair's joint outcome is sampled from the
+    Born probabilities at the fixed RNG setting; each photon then survives to
+    detection independently with its party's efficiency.  Small Gaussian
+    timing jitter is applied per detector so the coincidence window does real
+    work.  Optional dark tags are uncorrelated and uniform in time.
+    """
+    pair_times, alice, bob = _stream_draws(config)
+    alice_tags, _ = _party_tags(PARTY_ALICE, pair_times, *alice)
+    bob_tags, _ = _party_tags(PARTY_BOB, pair_times, *bob)
+    return StreamResult(alice_tags=alice_tags, bob_tags=bob_tags)
 
 
 def coincidences(
@@ -292,41 +274,55 @@ def coincidences(
 ) -> np.ndarray:
     """Pair up detections within the coincidence window.
 
-    Two-pointer sweep over the time-sorted streams: each Bob tag is matched
-    with the earliest not-yet-used Alice tag within ``window`` seconds; each
-    tag is used at most once.  Returns a ``PAIR_DTYPE`` array ordered by Bob
-    timestamp.  Raises on unsorted input.
+    Each Bob tag, in time order, is matched with the earliest not-yet-used
+    Alice tag within ``window`` seconds; each tag is used at most once.
+    Returns a ``PAIR_DTYPE`` array ordered by Bob timestamp.  Raises on
+    unsorted input.
+
+    The earliest Alice tag not before a Bob tag's window is found by binary
+    search.  It is the match unless an earlier Bob tag took it, which can
+    only happen when the two Bob windows overlap; those runs of overlapping
+    windows are resolved in order.
     """
     if window <= 0:
         raise ValueError("window must be positive")
-    for name, tags in (("alice", alice_tags), ("bob", bob_tags)):
-        times = tags["time_ps"].astype(np.int64)
+    a = alice_tags["time_ps"].astype(np.int64)
+    b = bob_tags["time_ps"].astype(np.int64)
+    for name, times in (("alice", a), ("bob", b)):
         if len(times) > 1 and np.any(np.diff(times) < 0):
             raise ValueError(f"{name} stream is not sorted by timestamp")
 
     window_ps = int(round(window * _PS_PER_SECOND))
-    # Plain-int lists: the sweep is a tight Python loop and numpy scalar
-    # indexing would dominate its cost on multi-million-tag streams.
-    a_times = alice_tags["time_ps"].astype(np.int64).tolist()
-    b_times = bob_tags["time_ps"].astype(np.int64).tolist()
+    n_a = len(a)
+    # Candidate per Bob tag: the first Alice tag with time >= bob - window.
+    first = np.searchsorted(a, b - window_ps, "left")
+    hit = first < n_a
+    hit[hit] = a[first[hit]] <= b[hit] + window_ps
+    # Bob tags whose window overlaps the previous one's.  An earlier Bob tag
+    # of the same run may have used the candidate, so the sequential sweep's
+    # rule applies: start from max(pointer, candidate), and a match moves the
+    # pointer past the used tag.  A run's first tag is exact already.
+    linked = np.flatnonzero(np.diff(b) <= 2 * window_ps) + 1
+    if n_a and len(linked):
+        starts = (first[linked - 1] + hit[linked - 1]).tolist()
+        in_run = (np.diff(linked, prepend=-1) == 1).tolist()
+        cands = first[linked].tolist()
+        highs = (b[linked] + window_ps).tolist()
+        time_of = a.item
+        picked, matched = [], []
+        ptr = 0
+        for cand, high, follows, start in zip(cands, highs, in_run, starts):
+            i = max(ptr if follows else start, cand)
+            ok = i < n_a and time_of(i) <= high
+            picked.append(i)
+            matched.append(ok)
+            ptr = i + ok
+        first[linked] = picked
+        hit[linked] = matched
 
-    matched_a = []
-    matched_b = []
-    i = 0
-    n_a = len(a_times)
-    for j, tb in enumerate(b_times):
-        lo = tb - window_ps
-        hi = tb + window_ps
-        while i < n_a and a_times[i] < lo:
-            i += 1
-        if i < n_a and a_times[i] <= hi:
-            matched_a.append(i)
-            matched_b.append(j)
-            i += 1
-
-    out = np.zeros(len(matched_a), dtype=PAIR_DTYPE)
-    ai = np.array(matched_a, dtype=np.int64)
-    bj = np.array(matched_b, dtype=np.int64)
+    bj = np.flatnonzero(hit)
+    ai = first[bj]
+    out = np.zeros(len(bj), dtype=PAIR_DTYPE)
     out["alice_index"] = ai
     out["bob_index"] = bj
     out["alice_channel"] = alice_tags["channel"][ai]

@@ -28,30 +28,29 @@ def singlet():
 
 
 @pytest.fixture(scope="session")
-def assem_singlet_543(measurements):
+def assem_singlet_543():
     """Ideal singlet assemblage at the heralding efficiency used throughout."""
-    return asm.ideal_assemblage(singlet_state(), measurements, eta=0.543)
+    return asm.ideal_assemblage(singlet_state(), eta=0.543)
 
 
 def steering_cases():
     """Named ideal assemblages on both sides of the steering boundary, with
     symmetric and asymmetric states; shared by the solver regression test
     and the external cross-check."""
-    measurements = asm.default_measurements()
     yield "singlet eta=0.543", asm.ideal_assemblage(
-        singlet_state(), measurements, eta=0.543)
+        singlet_state(), eta=0.543)
     yield "singlet eta=0.8", asm.ideal_assemblage(
-        singlet_state(), measurements, eta=0.8)
+        singlet_state(), eta=0.8)
     yield "werner V=0.99 eta=0.543", asm.ideal_assemblage(
-        sim.werner_state(0.99), measurements, eta=0.543)
+        sim.werner_state(0.99), eta=0.543)
     yield "werner V=0.7 eta=1", asm.ideal_assemblage(
-        sim.werner_state(0.7), measurements, eta=1.0)
+        sim.werner_state(0.7), eta=1.0)
     yield "werner V=0.75 eta=1", asm.ideal_assemblage(
-        sim.werner_state(0.75), measurements, eta=1.0)
+        sim.werner_state(0.75), eta=1.0)
     psi = np.array([0.1, 0.55 - 0.2j, 0.35j, 0.65], dtype=complex)
     psi /= np.linalg.norm(psi)
     yield "asymmetric pure eta=0.8", asm.ideal_assemblage(
-        np.outer(psi, psi.conj()), measurements, eta=0.8)
+        np.outer(psi, psi.conj()), eta=0.8)
 
 
 @pytest.fixture(scope="session")

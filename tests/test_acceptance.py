@@ -67,12 +67,11 @@ def test_criterion_2_heralding_threshold():
     at heralding efficiency 0.50 (guessing probability 1 within 1e-6) and is
     strictly positive at 0.52; the full grid 0.48..1.00 in steps of 0.02
     solves in under ten seconds."""
-    measurements = asm.default_measurements()
     t0 = time.perf_counter()
     p_guess = {}
     for i in range(27):
         eta = round(0.48 + 0.02 * i, 2)
-        assemblage = asm.ideal_assemblage(singlet_state(), measurements, eta=eta)
+        assemblage = asm.ideal_assemblage(singlet_state(), eta=eta)
         p_guess[eta] = cert.guessing_probability(assemblage, "X").p_guess
     elapsed = time.perf_counter() - t0
     assert abs(p_guess[0.50] - 1.0) <= 1e-6
@@ -85,23 +84,22 @@ def suite_assemblages() -> dict:
     """Representative assemblages: lossy singlets, noisy Werner states on
     both sides of the steering boundary, unsteerable states, a non-symmetric
     pure state, and a maximum-likelihood reconstruction from finite counts."""
-    measurements = asm.default_measurements()
     cases = {}
     for eta in (0.543, 0.8, 1.0):
         cases[f"singlet eta={eta}"] = asm.ideal_assemblage(
-            singlet_state(), measurements, eta=eta)
+            singlet_state(), eta=eta)
     for v in (0.5, 0.99):
         cases[f"werner V={v} eta=0.8"] = asm.ideal_assemblage(
-            sim.werner_state(v), measurements, eta=0.8)
+            sim.werner_state(v), eta=0.8)
     for v in (INV_SQRT2 - 0.05, INV_SQRT2 + 0.05):
         cases[f"werner V={v:.3f} eta=1"] = asm.ideal_assemblage(
-            sim.werner_state(v), measurements, eta=1.0)
+            sim.werner_state(v), eta=1.0)
     cases["maximally mixed"] = asm.ideal_assemblage(
-        np.eye(4) / 4.0, measurements, eta=0.9)
+        np.eye(4) / 4.0, eta=0.9)
     psi = np.array([0.2, 0.4 - 0.1j, -0.5j, 0.75], dtype=complex)
     psi /= np.linalg.norm(psi)
     cases["asymmetric pure eta=0.87"] = asm.ideal_assemblage(
-        np.outer(psi, psi.conj()), measurements, eta=0.87)
+        np.outer(psi, psi.conj()), eta=0.87)
     config = sim.ExperimentConfig(
         visibility=0.95, eta_alice=0.7, trials_certification=200_000, rng_seed=5)
     counts = sim.simulate_tomography(config)
@@ -134,11 +132,10 @@ def test_criterion_4_werner_boundary_by_bisection():
     mu (and beta) change sign there.  Bisection locates the boundary within
     +-0.01 and an independent fine grid of solves agrees."""
     t0 = time.perf_counter()
-    measurements = asm.default_measurements()
 
     def mu_at(v: float) -> float:
         assemblage = asm.ideal_assemblage(
-            sim.werner_state(v), measurements, eta=1.0)
+            sim.werner_state(v), eta=1.0)
         return cert.lhs_mu(assemblage).mu
 
     def steered(mu: float) -> bool:
@@ -163,9 +160,9 @@ def test_criterion_4_werner_boundary_by_bisection():
     assert abs(v_grid - INV_SQRT2) <= 0.01
 
     below = cert.steering_functional(asm.ideal_assemblage(
-        sim.werner_state(INV_SQRT2 - 0.01), measurements, eta=1.0))
+        sim.werner_state(INV_SQRT2 - 0.01), eta=1.0))
     above = cert.steering_functional(asm.ideal_assemblage(
-        sim.werner_state(INV_SQRT2 + 0.01), measurements, eta=1.0))
+        sim.werner_state(INV_SQRT2 + 0.01), eta=1.0))
     assert below.mu >= -1e-8 and below.beta >= -1e-8
     assert above.mu < -1e-4 and above.beta < -1e-4
 

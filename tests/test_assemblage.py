@@ -33,24 +33,14 @@ def exact_counts(visibility=0.7, eta=0.6, per_config=100_000):
 
 class TestMeasurements:
     def test_default_measurements_are_projective(self, measurements):
-        measurements.validate()
-        for x in measurements.settings:
+        assert set(measurements) == set(asm.SETTINGS)
+        for x in asm.SETTINGS:
             for a in (0, 1):
-                e = measurements.effects[x][a]
+                e = measurements[x][a]
+                assert np.allclose(e, e.conj().T, atol=1e-12)
                 assert np.allclose(e @ e, e, atol=1e-12)
-            total = measurements.effects[x][0] + measurements.effects[x][1]
+            total = measurements[x][0] + measurements[x][1]
             assert np.allclose(total, ID2, atol=1e-12)
-
-    def test_validation_catches_broken_effects(self, measurements):
-        bad = asm.MeasurementSet(
-            settings=("X", "Z"),
-            effects={
-                "X": {0: np.eye(2), 1: np.eye(2)},  # sums to 2 * identity
-                "Z": measurements.effects["Z"],
-            },
-        )
-        with pytest.raises(ValueError):
-            bad.validate()
 
     def test_bob_projectors_cover_three_bases(self):
         projs = asm.bob_projectors()

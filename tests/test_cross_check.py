@@ -85,8 +85,7 @@ def test_lhs_mu_matches_external_solver(name, assemblage):
 def test_external_solver_confirms_efficiency_law():
     """The external solver independently reproduces p_guess = 3/2 - eta for
     the lossy singlet under the two conjugate measurements."""
-    measurements = asm.default_measurements()
     for eta in (0.6, 0.75, 0.9):
         assemblage = asm.ideal_assemblage(
-            singlet_state(), measurements, eta=eta)
+            singlet_state(), eta=eta)
         assert abs(external_guessing(assemblage, "X") - (1.5 - eta)) <= TOL

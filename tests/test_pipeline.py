@@ -81,6 +81,29 @@ class TestConfig:
         assert "validation_tolerance" in capsys.readouterr().err
         assert not os.path.exists(out)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("section, key", [
+        ("experiment", "pair_rate"), ("experiment", "duration_rng"),
+        ("experiment", "coincidence_window"), ("experiment", "timing_jitter"),
+        ("experiment", "dark_rate"), ("experiment", "trials_certification"),
+        ("certification", "min_entropy_floor"), ("certification", "resamples"),
+        ("extraction", "block_bits"),
+    ])
+    def test_non_finite_value_rejected(self, tmp_path, capsys, section, key, value):
+        """JSON configs may carry NaN and Infinity; each is a config error,
+        reported on one line, before anything is simulated."""
+        base = fast_config().to_dict()
+        base[section][key] = value
+        with pytest.raises(pl.ConfigError, match=key):
+            pl.PipelineConfig.from_dict(base)
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(base))
+        out = str(tmp_path / "out")
+        assert cli.main(["simulate", "-c", str(cfg_path), "-o", out]) == pl.EXIT_IO
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and key in err[0]
+        assert not os.path.exists(out)
+
     def test_setting_validation(self):
         base = fast_config().to_dict()
         base["certification"]["x_star"] = "Y"

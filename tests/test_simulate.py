@@ -22,6 +22,99 @@ def stream_config(**overrides):
     return sim.ExperimentConfig(**base)
 
 
+GROUND_TRUTH_DTYPE = np.dtype(
+    [
+        ("time_ps", "<u8"),
+        ("alice_outcome", "i1"),
+        ("bob_outcome", "i1"),
+        ("alice_index", "<i8"),
+        ("bob_index", "<i8"),
+    ]
+)
+
+
+def ground_truth(config):
+    """Per emitted pair: the sampled outcomes and the index of each party's
+    tag in its sorted stream (-1 where the photon went undetected).
+
+    Rebuilt from the simulator's own draws and tag assembly; the protocol
+    path, ``simulate_streams``, does not keep which pair a tag came from.
+    """
+    pair_times, alice, bob = sim._stream_draws(config)
+    truth = np.zeros(len(pair_times), dtype=GROUND_TRUTH_DTYPE)
+    truth["time_ps"] = np.maximum(pair_times, 0).astype(np.uint64)
+    for name, party, draws in (("alice", sim.PARTY_ALICE, alice), ("bob", sim.PARTY_BOB, bob)):
+        outcomes, detected = draws[0], draws[1]
+        _, order = sim._party_tags(party, pair_times, *draws)
+        # Pre-sort tags are the detected pairs in emission order, then dark tags.
+        position = np.empty_like(order)
+        position[order] = np.arange(len(order))
+        index = np.full(len(pair_times), -1, dtype=np.int64)
+        index[detected] = position[:np.count_nonzero(detected)]
+        truth[f"{name}_outcome"] = outcomes
+        truth[f"{name}_index"] = index
+    return truth
+
+
+def coincidences_oracle(
+    alice_tags: np.ndarray, bob_tags: np.ndarray, window: float = 3e-9
+) -> np.ndarray:
+    """Pair up detections within the coincidence window.
+
+    Two-pointer sweep over the time-sorted streams: each Bob tag is matched
+    with the earliest not-yet-used Alice tag within ``window`` seconds; each
+    tag is used at most once.  Returns a ``PAIR_DTYPE`` array ordered by Bob
+    timestamp.  Raises on unsorted input.
+
+    This is the reference definition of ``sim.coincidences``, kept as the
+    test oracle for its vectorised matcher.
+    """
+    if window <= 0:
+        raise ValueError("window must be positive")
+    for name, tags in (("alice", alice_tags), ("bob", bob_tags)):
+        times = tags["time_ps"].astype(np.int64)
+        if len(times) > 1 and np.any(np.diff(times) < 0):
+            raise ValueError(f"{name} stream is not sorted by timestamp")
+
+    window_ps = int(round(window * 1e12))
+    # Plain-int lists: the sweep is a tight Python loop and numpy scalar
+    # indexing would dominate its cost on multi-million-tag streams.
+    a_times = alice_tags["time_ps"].astype(np.int64).tolist()
+    b_times = bob_tags["time_ps"].astype(np.int64).tolist()
+
+    matched_a = []
+    matched_b = []
+    i = 0
+    n_a = len(a_times)
+    for j, tb in enumerate(b_times):
+        lo = tb - window_ps
+        hi = tb + window_ps
+        while i < n_a and a_times[i] < lo:
+            i += 1
+        if i < n_a and a_times[i] <= hi:
+            matched_a.append(i)
+            matched_b.append(j)
+            i += 1
+
+    out = np.zeros(len(matched_a), dtype=sim.PAIR_DTYPE)
+    ai = np.array(matched_a, dtype=np.int64)
+    bj = np.array(matched_b, dtype=np.int64)
+    out["alice_index"] = ai
+    out["bob_index"] = bj
+    out["alice_channel"] = alice_tags["channel"][ai]
+    out["bob_channel"] = bob_tags["channel"][bj]
+    out["bob_time_ps"] = bob_tags["time_ps"][bj]
+    return out
+
+
+def tag_array(party, times, channels):
+    tags = np.zeros(len(times), dtype=sim.TAG_DTYPE)
+    tags["party"] = party
+    tags["time_ps"] = times
+    tags["channel"] = channels
+    return tags
+
+
 class TestConfig:
     def test_round_trip(self):
         config = stream_config(dark_rate=12.5)
@@ -107,7 +200,7 @@ class TestStreams:
         b = sim.simulate_streams(config)
         assert np.array_equal(a.alice_tags, b.alice_tags)
         assert np.array_equal(a.bob_tags, b.bob_tags)
-        assert np.array_equal(a.ground_truth, b.ground_truth)
+        assert np.array_equal(ground_truth(config), ground_truth(config))
 
     def test_streams_sorted_and_typed(self):
         result = sim.simulate_streams(stream_config(pair_rate=20_000))
@@ -123,7 +216,7 @@ class TestStreams:
     def test_heralding_ratio(self):
         config = stream_config(pair_rate=200_000)
         result = sim.simulate_streams(config)
-        n_pairs = len(result.ground_truth)
+        n_pairs = len(ground_truth(config))
         ratio = len(result.alice_tags) / n_pairs
         sigma = np.sqrt(0.543 * 0.457 / n_pairs)
         assert abs(ratio - 0.543) < 5 * sigma
@@ -131,8 +224,9 @@ class TestStreams:
         assert len(result.bob_tags) == n_pairs
 
     def test_ground_truth_indices_point_at_tags(self):
-        result = sim.simulate_streams(stream_config(pair_rate=20_000))
-        truth = result.ground_truth
+        config = stream_config(pair_rate=20_000)
+        result = sim.simulate_streams(config)
+        truth = ground_truth(config)
         detected = truth[truth["alice_index"] >= 0]
         lost = truth[truth["alice_index"] < 0]
         assert len(detected) + len(lost) == len(truth)
@@ -141,7 +235,7 @@ class TestStreams:
 
     def test_perfect_anticorrelation_in_truth(self):
         # singlet sampled in the Z/Z configuration: outcomes never agree
-        truth = sim.simulate_streams(stream_config(pair_rate=20_000)).ground_truth
+        truth = ground_truth(stream_config(pair_rate=20_000))
         assert np.all(truth["alice_outcome"] != truth["bob_outcome"])
 
     def test_dark_counts_extend_streams(self):
@@ -158,12 +252,59 @@ class TestCoincidences:
         pairs = sim.coincidences(
             result.alice_tags, result.bob_tags, config.coincidence_window
         )
-        truth = result.ground_truth
+        truth = ground_truth(config)
         both = truth[(truth["alice_index"] >= 0) & (truth["bob_index"] >= 0)]
         true_set = set(zip(both["alice_index"].tolist(), both["bob_index"].tolist()))
         found = set(zip(pairs["alice_index"].tolist(), pairs["bob_index"].tolist()))
         agreement = len(found & true_set) / len(true_set)
         assert agreement >= 0.999
+
+    def test_equals_oracle_on_random_dense_streams(self):
+        """Small, dense streams: many equal timestamps, Alice tags exactly at
+        +-window of a Bob tag, Bob tags exactly two windows apart, Bob tags
+        earlier than the window, and long runs of overlapping Bob windows."""
+        rng = np.random.default_rng(2026)
+        for trial in range(300):
+            window_ps = int(rng.integers(1, 40))
+            span = int(rng.integers(1, 20 * window_ps + 2))
+            n_a, n_b = (int(n) for n in rng.integers(0, 60, size=2))
+            a_times = rng.integers(0, span, size=n_a)
+            b_times = rng.integers(0, span, size=n_b)
+            if trial % 3 == 0:
+                b_times = np.concatenate([b_times, b_times[:n_b // 2] + 2 * window_ps])
+            b_times = np.sort(b_times)
+            if n_b and trial % 2:
+                edges = rng.choice(b_times, size=n_b) + rng.choice([-window_ps, window_ps], size=n_b)
+                a_times = np.concatenate([a_times, edges[edges >= 0]])
+            a_times = np.sort(a_times)
+            alice = tag_array(sim.PARTY_ALICE, a_times, rng.integers(0, 2, size=len(a_times)))
+            bob = tag_array(sim.PARTY_BOB, b_times, rng.integers(0, 2, size=len(b_times)))
+            window = window_ps * 1e-12
+            got = sim.coincidences(alice, bob, window)
+            want = coincidences_oracle(alice, bob, window)
+            assert got.dtype == sim.PAIR_DTYPE
+            assert np.array_equal(got, want), (trial, window_ps, a_times, b_times)
+
+    def test_equals_oracle_on_empty_streams(self):
+        alice = tag_array(sim.PARTY_ALICE, [0, 4, 4, 9], [0, 1, 1, 0])
+        bob = tag_array(sim.PARTY_BOB, [2, 4, 12], [1, 0, 0])
+        no_alice = tag_array(sim.PARTY_ALICE, [], [])
+        no_bob = tag_array(sim.PARTY_BOB, [], [])
+        for a, b in ((no_alice, bob), (alice, no_bob), (no_alice, no_bob)):
+            got = sim.coincidences(a, b, 3e-12)
+            assert got.dtype == sim.PAIR_DTYPE and len(got) == 0
+            assert np.array_equal(got, coincidences_oracle(a, b, 3e-12))
+
+    def test_equals_oracle_on_simulated_stream(self):
+        config = stream_config(pair_rate=200_000, eta_alice=0.8, dark_rate=10_000)
+        result = sim.simulate_streams(config)
+        window_ps = round(config.coincidence_window * 1e12)
+        bob_gaps = np.diff(result.bob_tags["time_ps"].astype(np.int64))
+        assert np.count_nonzero(bob_gaps <= 2 * window_ps) > 100  # overlapping windows
+        got = sim.coincidences(result.alice_tags, result.bob_tags, config.coincidence_window)
+        want = coincidences_oracle(result.alice_tags, result.bob_tags, config.coincidence_window)
+        assert len(got) > 100_000
+        assert np.array_equal(got, want)
 
     def test_time_shift_invariance(self):
         config = stream_config(pair_rate=20_000)
@@ -186,7 +327,7 @@ class TestCoincidences:
         pairs = sim.coincidences(
             result.alice_tags, result.bob_tags, config.coincidence_window
         )
-        truth = result.ground_truth
+        truth = ground_truth(config)
         n_mutual = int(np.count_nonzero(
             (truth["alice_index"] >= 0) & (truth["bob_index"] >= 0)
         ))
