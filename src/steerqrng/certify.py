@@ -67,13 +67,10 @@ class CertificationError(RuntimeError):
     """SDP trouble during certification (infeasible or not converged)."""
 
 
-def deterministic_strategies(settings: tuple[str, ...],
-                             outcomes: tuple = OUTCOMES) -> list[dict]:
+def deterministic_strategies(settings: tuple[str, ...]) -> list[dict]:
     """All maps setting -> outcome, enumerated outcomes-major per setting."""
-    out = []
-    for combo in itertools.product(outcomes, repeat=len(settings)):
-        out.append(dict(zip(settings, combo)))
-    return out
+    return [dict(zip(settings, combo))
+            for combo in itertools.product(OUTCOMES, repeat=len(settings))]
 
 
 def strategy_response(strategy: dict, a, x: str) -> int:

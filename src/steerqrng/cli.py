@@ -14,6 +14,7 @@ directory, and ``sweep`` for certification grids.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from . import assemblage as asm
@@ -38,14 +39,24 @@ def _out_dir(args, config: pl.PipelineConfig) -> str:
     return out
 
 
+def _grid_value(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise pl.ConfigError(f"grid value {text!r} is not a number") from None
+    if not math.isfinite(value):
+        raise pl.ConfigError(f"grid value {text!r} is not finite")
+    return value
+
+
 def _parse_grid(text: str) -> list[float]:
     """Either 'start:stop:step' (inclusive endpoint within half a step) or a
-    comma-separated list."""
+    comma-separated list; every value must lie in [0, 1]."""
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
             raise pl.ConfigError(f"grid must be start:stop:step, got {text!r}")
-        start, stop, step = (float(p) for p in parts)
+        start, stop, step = (_grid_value(p) for p in parts)
         if step <= 0:
             raise pl.ConfigError("grid step must be positive")
         values = []
@@ -53,8 +64,14 @@ def _parse_grid(text: str) -> list[float]:
         while v <= stop + step / 2:
             values.append(round(v, 12))
             v += step
-        return values
-    return [float(p) for p in text.split(",") if p]
+    else:
+        values = [_grid_value(p) for p in text.split(",") if p]
+    if not values:
+        raise pl.ConfigError(f"grid {text!r} holds no values")
+    for v in values:
+        if not 0.0 <= v <= 1.0:
+            raise pl.ConfigError(f"grid value {v} lies outside [0, 1]")
+    return values
 
 
 def cmd_simulate(args) -> int:

@@ -22,7 +22,8 @@ The map from source to output is GF(2)-linear for a fixed seed, so
 ``_extract`` propagates each output bit's linear functional once per seed
 and applies it to every block of the stream; ``rsh_bit`` is the scalar
 one-bit extractor (Horner's rule), kept as the reference it is tested
-against.  ``gf2`` picks the element type from the field width.
+against.  Field elements are ``gf2``'s ``uint64`` words, ceil(s/64) per
+element along a trailing axis, at every width.
 """
 
 from __future__ import annotations
@@ -219,7 +220,7 @@ def weak_design(m: int, t: int) -> WeakDesign:
         slopes = (q // t).astype(np.uint64)
         consts = (q % t).astype(np.uint64)
         if width:
-            values = gf2.gf_mul_vec(slopes[:, None], e[None, :], width)
+            values = gf2.gf_mul_vec(slopes[:, None, None], e[None, :, None], width)[..., 0]
         else:
             values = np.zeros((g, t), dtype=np.uint64)
         values ^= consts[:, None]
@@ -276,20 +277,20 @@ def _extract(sources: np.ndarray, seed_bits: np.ndarray, params: ExtractorParams
     s = params.s
     design = weak_design(params.m, params.t)
     gathered = seed_bits[design.sets]  # (m, t)
-    alpha = gf2.pack_bits(gathered[:, :s])
+    alpha = gf2.pack_bits(gathered[:, :s])  # (m, words)
     u = gf2.pack_bits(gathered[:, s:])  # mask of chunk 0: beta
     # row i, column k: alpha_i x^(s-1-k), so the parities against u come
     # out most significant bit first, as pack_bits reads them
-    rows = np.ascontiguousarray(gf2.mul_table(alpha, s)[::-1].T)
+    rows = np.ascontiguousarray(gf2.mul_table(alpha, s)[::-1].transpose(1, 0, 2))
     n_blocks, n = sources.shape
     n_chunks = -(-n // s)
     padded = np.pad(sources, ((0, 0), (0, n_chunks * s - n)))  # zero-pad the last chunk
-    coeffs = gf2.pack_bits(padded.reshape(n_blocks, n_chunks, s))
+    coeffs = gf2.pack_bits(padded.reshape(n_blocks, n_chunks, s))  # (blocks, chunks, words)
     acc = coeffs[:, 0, None] & u
     for j in range(1, n_chunks):
-        u = gf2.pack_bits(gf2.parity(u[:, None] & rows, s))
+        u = gf2.pack_bits(gf2.parity(u[:, None] & rows))
         acc ^= coeffs[:, j, None] & u
-    return gf2.parity(acc, s)
+    return gf2.parity(acc)
 
 
 def extract(source: "BitString", seed: "BitString", params: ExtractorParams) -> "BitString":

@@ -10,14 +10,15 @@ table does not cover.
 
 ``gf_mul`` multiplies two Python ints and serves as the reference.  The
 array functions (``pack_bits``, ``parity``, ``mul_table``, ``gf_mul_vec``)
-serve the extractor at any width, ``uint64`` lanes up to 64 bits and Python
-ints in ``object`` arrays above; ``mul_table`` is the one shift-and-reduce
+serve the extractor at every width: an element of GF(2^w) is the last axis
+of a ``uint64`` array, k = ceil(w/64) words, most significant word first, so
+AND and XOR act word by word.  ``mul_table`` is the one shift-and-reduce
 loop, and ``gf_mul_vec`` and the extractor's mask update are built on it.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -34,6 +35,8 @@ IRREDUCIBLE = {
     16: (1 << 16) | 0b101011,             # x^16 + x^5 + x^3 + x + 1
     32: (1 << 32) | 0b10001101,           # x^32 + x^7 + x^3 + x^2 + 1
     64: (1 << 64) | 0b11011,              # x^64 + x^4 + x^3 + x + 1
+    128: (1 << 128) | 0b10000111,         # x^128 + x^7 + x^2 + x + 1
+    256: (1 << 256) | 0b10000100101,      # x^256 + x^10 + x^5 + x^2 + 1
 }
 
 
@@ -153,71 +156,61 @@ def gf_pow(a: int, exponent: int, width: int, poly: int | None = None) -> int:
     return result
 
 
-def _lane(width: int):
-    """Array element type for GF(2^width): ``uint64`` up to 64 bits, else
-    Python ints in an ``object`` array."""
-    return np.uint64 if width <= 64 else object
-
-
-def _scalar(value: int, width: int):
-    """``value`` as a scalar of the GF(2^width) lane (a 0-d ``object`` array
-    above 64 bits, so that ``np.where`` keeps the lane)."""
-    return np.uint64(value) if width <= 64 else np.array(value, dtype=object)
+def _words(value: int, width: int) -> np.ndarray:
+    """A Python int as the ``uint64`` words of a GF(2^width) element."""
+    big_endian = value.to_bytes(8 * -(-width // 64), "big")
+    return np.frombuffer(big_endian, dtype=">u8").astype(np.uint64)
 
 
 def pack_bits(bits: np.ndarray) -> np.ndarray:
     """Field elements from the last axis of a 0/1 array, most significant
-    bit first; the width is ``bits.shape[-1]``."""
-    bits = np.asarray(bits)
-    width = bits.shape[-1]
-    lane = _lane(width)
-    n_bytes = -(-width // 8)
-    # np.packbits reads the bits as big-endian bytes, zero-padded at the end
-    weights = np.array([1 << (8 * k) for k in range(n_bytes - 1, -1, -1)], dtype=lane)
-    packed = np.packbits(bits, axis=-1).astype(lane) @ weights
-    return packed >> _scalar(8 * n_bytes - width, width)
+    bit first, as (..., ceil(width/64)) words; the width is ``bits.shape[-1]``."""
+    bits = np.asarray(bits, dtype=np.uint8)
+    # np.packbits pads at the end and the words hold the padding in front;
+    # np.pad always copies, so it only runs when there is padding
+    pad = -bits.shape[-1] % 64
+    if pad:
+        bits = np.pad(bits, [(0, 0)] * (bits.ndim - 1) + [(pad, 0)])
+    return np.packbits(bits, axis=-1).view(">u8").astype(np.uint64)
 
 
-def parity(x: np.ndarray, width: int) -> np.ndarray:
-    """Parity of each element as a uint8 0/1 array: ``np.bitwise_count`` on
-    ``uint64`` lanes, which ``object`` lanes (no popcount loop) reach by
-    xor-folding down to 64 bits."""
-    shift = 64
-    while shift < width:
-        x = x ^ (x >> _scalar(shift, width))
-        shift *= 2
-    if width > 64:
-        x = (x & _scalar((1 << 64) - 1, width)).astype(np.uint64)
-    return np.bitwise_count(x) & np.uint8(1)
+def parity(x: np.ndarray) -> np.ndarray:
+    """Parity of each element as a uint8 0/1 array: the popcount of the xor
+    of its words."""
+    return np.bitwise_count(reduce(np.bitwise_xor, np.moveaxis(x, -1, 0))) & np.uint8(1)
 
 
-def mul_table(a: np.ndarray, width: int, poly: int | None = None) -> np.ndarray:
-    """a * x^l for l = 0 .. width-1 in the width's lane, stacked along a new
-    first axis: the terms a shift-and-xor product with ``a`` selects.
+def mul_table(a: np.ndarray, width: int) -> np.ndarray:
+    """a * x^l for l = 0 .. width-1, stacked along a new first axis: the
+    terms a shift-and-xor product with ``a`` selects.
 
-    Each doubling is reduced at once, so values stay inside ``width`` bits
-    (at width 64 the uint64 wrap drops exactly the bit being reduced).
+    Each doubling carries the top bit of every word into the next more
+    significant word and is reduced at once, so values stay inside ``width``
+    bits.
     """
-    if poly is None:
-        poly = modulus(width)
-    shifted = np.array(a, dtype=_lane(width))
-    mask = _scalar((1 << width) - 1, width)
+    shifted = np.array(a, dtype=np.uint64)
+    top = np.uint64((width - 1) % 64)  # the element's top bit within word 0
+    mask = _words((1 << width) - 1, width)
     # poly - x^width: what gets XORed in when a doubling overflows the field
-    poly_low = _scalar(poly ^ (1 << width), width)
-    table = np.empty((width,) + shifted.shape, dtype=shifted.dtype)
+    poly_low = _words(modulus(width) ^ (1 << width), width)
+    table = np.empty((width,) + shifted.shape, dtype=np.uint64)
     for l in range(width):
         table[l] = shifted
-        overflow = poly_low * (shifted >> _scalar(width - 1, width))
-        shifted = ((shifted << _scalar(1, width)) & mask) ^ overflow
+        overflow = poly_low * (shifted[..., :1] >> top)
+        carry = shifted[..., 1:] >> np.uint64(63)
+        shifted = (shifted << np.uint64(1)) & mask
+        shifted[..., :-1] |= carry
+        shifted ^= overflow
     return table
 
 
-def gf_mul_vec(a: np.ndarray, b: np.ndarray, width: int, poly: int | None = None) -> np.ndarray:
-    """Element-wise GF(2^width) product of arrays in the width's lane: the
-    xor of the rows of ``mul_table(a)`` selected by the bits of ``b``."""
-    table = mul_table(a, width, poly)
-    b = np.asarray(b, dtype=table.dtype)
-    result = np.zeros(np.broadcast(table[0], b).shape, dtype=table.dtype)
+def gf_mul_vec(a: np.ndarray, b: np.ndarray, width: int) -> np.ndarray:
+    """Element-wise GF(2^width) product of word arrays: the xor of the rows
+    of ``mul_table(a)`` selected by the bits of ``b``."""
+    table = mul_table(a, width)
+    b = np.asarray(b, dtype=np.uint64)
+    result = np.zeros(np.broadcast_shapes(table.shape[1:], b.shape), dtype=np.uint64)
     for l in range(width):
-        result ^= table[l] * ((b >> _scalar(l, width)) & _scalar(1, width))
+        word = b[..., -1 - l // 64, None]
+        result ^= table[l] * ((word >> np.uint64(l % 64)) & np.uint64(1))
     return result

@@ -290,7 +290,7 @@ class TestExtract:
                 assert got[i] == ext.rsh_bit(source, seed[design.sets[i]])
 
     def test_wide_field_matches_oracle(self, rng):
-        # s = 128 runs the same batched core on Python-int field elements
+        # s = 128 runs the same batched core on two-word field elements
         params = ext.ExtractorParams.for_source(*WIDE_FIELD)
         assert params.s == 128
         source = BitString(rng.integers(0, 2, size=params.n, dtype=np.uint8))
@@ -357,17 +357,21 @@ class TestBlockExtract:
         assert_matches_oracle(result.bits.bits.reshape(2, params.m),
                               raw.bits[:2 * n].reshape(2, n), seed, params)
 
-    @pytest.mark.parametrize("h_min,n_blocks,m,digest", [
-        (0.4127, 3, 8168, "0c8ed6b0381492b11dce820f5030b5fd47b12ab07233d29ba8de647be8ae2632"),
-        (0.0363, 64, 640, "ec670c165bc4eb54d3ca7b522d20aa194f7ac39886c55c64626b15865258c2b3"),
+    @pytest.mark.parametrize("h_min,n_blocks,m,digest,n,epsilon,s", [
+        (0.4127, 3, 8168, "0c8ed6b0381492b11dce820f5030b5fd47b12ab07233d29ba8de647be8ae2632",
+         20000, 1e-6, 64),
+        (0.0363, 64, 640, "ec670c165bc4eb54d3ca7b522d20aa194f7ac39886c55c64626b15865258c2b3",
+         20000, 1e-6, 64),
+        (1.0, 4, 306, "a933b589d319876f0d3c74be05b5fe95c0a6f26e53166467623b5e452bb884cd",
+         512, 2.0 ** -50, 128),  # the WIDE_FIELD shape
     ])
-    def test_pinned_output_bits(self, h_min, n_blocks, m, digest):
+    def test_pinned_output_bits(self, h_min, n_blocks, m, digest, n, epsilon, s):
         # SHA-256 of the packed output bits at the two heavy benchmark
         # shapes (few blocks at large m, many blocks at small m), recorded
-        # with the per-block Horner evaluation that preceded the current core
-        n, epsilon = 20000, 1e-6
+        # with the per-block Horner evaluation that preceded the current core,
+        # and at a two-word field, recorded when its elements were Python ints
         params = ext.ExtractorParams.for_source(n, h_min, epsilon)
-        assert (params.m, params.s) == (m, 64)
+        assert (params.m, params.s) == (m, s)
         raw = BitString(np.random.default_rng(4101).integers(
             0, 2, size=n_blocks * n, dtype=np.uint8))
         seed = ext.generate_seed(params.d, rng_seed=4102)

@@ -143,6 +143,24 @@ class TestInverseAndPower:
             gf2.gf_pow(3, -1, 8)
 
 
+def to_words(values, width):
+    """Python ints as the (..., ceil(width/64)) uint64 words the array
+    functions take, most significant word first; ``from_words`` inverts it."""
+    k = -(-width // 64)
+    values = np.asarray(values, dtype=object)
+    words = [[(int(v) >> (64 * i)) & ((1 << 64) - 1) for i in range(k - 1, -1, -1)]
+             for v in values.ravel()]
+    return np.array(words, dtype=np.uint64).reshape(values.shape + (k,))
+
+
+def from_words(words):
+    """(..., k) uint64 words as an object array of Python ints."""
+    values = np.zeros(np.shape(words)[:-1], dtype=object)
+    for word in np.moveaxis(np.asarray(words), -1, 0):
+        values = (values << 64) | word.astype(object)
+    return values
+
+
 class TestVectorizedMultiplication:
     @pytest.mark.parametrize("width", [1, 2, 4, 8, 16, 32, 64])
     def test_matches_scalar(self, width, rng):
@@ -150,35 +168,35 @@ class TestVectorizedMultiplication:
         hi = (1 << width) - 1
         a = rng.integers(0, hi, size=size, endpoint=True, dtype=np.uint64)
         b = rng.integers(0, hi, size=size, endpoint=True, dtype=np.uint64)
-        got = gf2.gf_mul_vec(a, b, width)
+        got = from_words(gf2.gf_mul_vec(to_words(a, width), to_words(b, width), width))
         for i in range(size):
-            assert int(got[i]) == gf2.gf_mul(int(a[i]), int(b[i]), width)
+            assert got[i] == gf2.gf_mul(int(a[i]), int(b[i]), width)
 
     def test_top_bit_wraparound_64(self):
-        # values with the top bit set force the uint64 overflow-reduction path
-        a = np.array([1 << 63, (1 << 64) - 1], dtype=np.uint64)
-        b = np.array([2, (1 << 64) - 1], dtype=np.uint64)
-        got = gf2.gf_mul_vec(a, b, 64)
+        # values with the top bit set force the overflow-reduction step
+        a = [1 << 63, (1 << 64) - 1]
+        b = [2, (1 << 64) - 1]
+        got = from_words(gf2.gf_mul_vec(to_words(a, 64), to_words(b, 64), 64))
         for i in range(2):
-            assert int(got[i]) == gf2.gf_mul(int(a[i]), int(b[i]), 64)
+            assert got[i] == gf2.gf_mul(a[i], b[i], 64)
 
     def test_broadcasting(self):
-        a = np.uint64(7)
-        b = np.arange(16, dtype=np.uint64)
-        got = gf2.gf_mul_vec(a, b, 4)
-        assert got.shape == b.shape
+        a = to_words(7, 4)
+        b = to_words(range(16), 4)
+        got = from_words(gf2.gf_mul_vec(a, b, 4))
+        assert got.shape == (16,)
         for i in range(16):
-            assert int(got[i]) == gf2.gf_mul(7, i, 4)
+            assert got[i] == gf2.gf_mul(7, i, 4)
 
-    def test_width_128_matches_scalar(self, rng):
-        # above 64 bits the elements are Python ints in object arrays
-        a = [int.from_bytes(rng.bytes(16), "big") for _ in range(100)]
-        b = [int.from_bytes(rng.bytes(16), "big") for _ in range(100)]
-        a[0], b[0] = (1 << 128) - 1, (1 << 128) - 1  # every bit set
-        got = gf2.gf_mul_vec(np.array(a, dtype=object), np.array(b, dtype=object), 128)
-        assert got.dtype == object
+    @pytest.mark.parametrize("width", [128, 256])
+    def test_wide_matches_scalar(self, width, rng):
+        # more than one word per element: carries cross word boundaries
+        a = [int.from_bytes(rng.bytes(width // 8), "big") for _ in range(100)]
+        b = [int.from_bytes(rng.bytes(width // 8), "big") for _ in range(100)]
+        a[0], b[0] = (1 << width) - 1, (1 << width) - 1  # every bit set
+        got = from_words(gf2.gf_mul_vec(to_words(a, width), to_words(b, width), width))
         for i in range(100):
-            assert got[i] == gf2.gf_mul(a[i], b[i], 128)
+            assert got[i] == gf2.gf_mul(a[i], b[i], width)
 
 
 class TestFunctionalRecurrence:
@@ -186,14 +204,14 @@ class TestFunctionalRecurrence:
     definition: with u_0 = beta and bit l of u_{j+1} the parity of
     u_j & (alpha * x^l), parity(c & u_j) is the parity of beta & (c alpha^j)."""
 
-    @pytest.mark.parametrize("width", [4, 8, 64, 128])
+    @pytest.mark.parametrize("width", [4, 8, 64, 128, 256])
     def test_matches_field_definition(self, width, rng):
         def element():
-            return int.from_bytes(rng.bytes(16), "big") >> (128 - width)
+            return int.from_bytes(rng.bytes(32), "big") >> (256 - width)
 
         for _ in range(3):
             alpha, beta = element(), element()
-            rows = [int(v) for v in gf2.mul_table(alpha, width)]
+            rows = list(from_words(gf2.mul_table(to_words(alpha, width), width)))
             for l, row in enumerate(rows):
                 assert row == gf2.gf_mul(alpha, 1 << l, width)
             u = beta
@@ -205,15 +223,16 @@ class TestFunctionalRecurrence:
 
 
 class TestPackAndParity:
-    @pytest.mark.parametrize("width", [1, 4, 8, 64, 128])
+    @pytest.mark.parametrize("width", [1, 4, 8, 64, 128, 256])
     def test_match_python_ints(self, width, rng):
         bits = rng.integers(0, 2, size=(3, 7, width), dtype=np.uint8)
         packed = gf2.pack_bits(bits)
-        assert packed.shape == (3, 7)
-        parity = gf2.parity(packed, width)
-        assert parity.dtype == np.uint8
+        assert packed.shape == (3, 7, -(-width // 64)) and packed.dtype == np.uint64
+        values = from_words(packed)
+        parity = gf2.parity(packed)
+        assert parity.shape == (3, 7) and parity.dtype == np.uint8
         for i in range(3):
             for j in range(7):
                 value = int("".join(str(v) for v in bits[i, j]), 2)
-                assert int(packed[i, j]) == value
+                assert values[i, j] == value
                 assert parity[i, j] == value.bit_count() % 2

@@ -400,3 +400,17 @@ class TestCli:
         assert code == 0
         tsv = read(os.path.join(out, pl.SWEEP_TSV)).decode().splitlines()
         assert len(tsv) == 4  # header + 0.55, 0.60, 0.65
+
+    @pytest.mark.parametrize("grid", [
+        ["--eta", "1.5"],
+        ["--eta", "nan"],
+        ["--eta", "0.6", "--visibility", "2"],
+        ["--eta", "abc"],
+        ["--eta", "0.5:0.9:nan"],
+    ], ids=["eta-above-1", "eta-nan", "visibility-above-1", "eta-not-a-number", "step-nan"])
+    def test_sweep_rejects_bad_grid(self, grid, tmp_path, capsys):
+        out = str(tmp_path / "sweepbad")
+        assert cli.main(["sweep", "-o", out] + grid) == pl.EXIT_IO
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert not os.path.exists(out)
