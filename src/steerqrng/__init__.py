@@ -18,6 +18,7 @@ from .assemblage import (
     load_assemblage,
     load_counts,
     ml_reconstruct,
+    ml_reconstruct_many,
     save_assemblage,
     save_counts,
     validate_assemblage,
@@ -110,6 +111,7 @@ __all__ = [
     "load_timetags",
     "min_entropy",
     "ml_reconstruct",
+    "ml_reconstruct_many",
     "output_length",
     "raw_bits",
     "rsh_bit",

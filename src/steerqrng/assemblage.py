@@ -15,6 +15,9 @@ Tomography counts are multinomial per (x, b) configuration, where b is Bob's
 measurement basis (X, Y or Z); ``ml_reconstruct`` maximizes the multinomial
 likelihood over the set of valid assemblages by projected gradient ascent,
 with feasibility enforced by Dykstra's alternating projections at every step.
+The fit holds each member as its four real Pauli coordinates, where both
+projections are closed-form, and runs several fits as one lockstep batch:
+the two starts of a cold fit, or the many tables of ``ml_reconstruct_many``.
 """
 
 from __future__ import annotations
@@ -56,6 +59,7 @@ __all__ = [
     "validate_assemblage",
     "born_probabilities",
     "ml_reconstruct",
+    "ml_reconstruct_many",
     "save_assemblage",
     "load_assemblage",
     "save_counts",
@@ -266,12 +270,19 @@ class TomographyCounts:
 
 # ---------------------------------------------------------------------------
 # maximum-likelihood reconstruction
+#
+# The fit works in real Pauli coordinates: a member sigma is the row
+# v = (Tr sigma, Tr X sigma, Tr Y sigma, Tr Z sigma), so that
+# sigma = (v0 1 + v1 X + v2 Y + v3 Z) / 2 and ||sigma||_F^2 = |v|^2 / 2.
+# Euclidean projections of v are therefore Frobenius projections of sigma.
 
 # A likelihood-ascent step is flat when it changes the log-likelihood by at
 # most ML_REL_TOL relative; no convergence within ML_MAX_ITERATIONS steps
 # raises ReconstructionError.
 ML_MAX_ITERATIONS = 5000
 ML_REL_TOL = 1e-10
+
+_PAULI_BASIS = np.array([ID2, PAULI_X, PAULI_Y, PAULI_Z])
 
 
 @dataclass
@@ -289,162 +300,128 @@ def _member_index(settings: tuple[str, ...]):
     return [(x, a) for x in settings for a in OUTCOMES]
 
 
-def _stack_to_vec(stack: np.ndarray) -> np.ndarray:
-    """Hermitian-basis coordinates: [s00, s11, sqrt2 Re s01, sqrt2 Im s01]."""
-    sqrt2 = np.sqrt(2.0)
-    return np.column_stack([
-        stack[:, 0, 0].real,
-        stack[:, 1, 1].real,
-        sqrt2 * stack[:, 0, 1].real,
-        sqrt2 * stack[:, 0, 1].imag,
-    ]).reshape(-1)
+def _pauli_coordinates(stack: np.ndarray) -> np.ndarray:
+    """(..., 2, 2) Hermitian matrices -> (..., 4) rows (Tr s, Tr Xs, Tr Ys, Tr Zs)."""
+    return np.real(np.einsum("kij,...ji->...k", _PAULI_BASIS, stack))
 
 
-def _vec_to_stack(vec: np.ndarray, n_members: int) -> np.ndarray:
-    v = vec.reshape(n_members, 4)
-    stack = np.zeros((n_members, 2, 2), dtype=complex)
-    stack[:, 0, 0] = v[:, 0]
-    stack[:, 1, 1] = v[:, 1]
-    inv = 1.0 / np.sqrt(2.0)
-    stack[:, 0, 1] = inv * (v[:, 2] + 1.0j * v[:, 3])
-    stack[:, 1, 0] = inv * (v[:, 2] - 1.0j * v[:, 3])
-    return stack
+def _from_pauli(v: np.ndarray) -> np.ndarray:
+    return 0.5 * np.einsum("...k,kij->...ij", v, _PAULI_BASIS)
 
 
-def _affine_operator(settings: tuple[str, ...]):
-    """Rows enforcing normalization per setting and non-signaling across settings."""
-    members = _member_index(settings)
-    n = len(members)
-    rows = []
-    rhs = []
-    for x in settings:
-        row = np.zeros(4 * n)
-        for m, (xx, _a) in enumerate(members):
-            if xx == x:
-                row[4 * m + 0] = 1.0
-                row[4 * m + 1] = 1.0
-        rows.append(row)
-        rhs.append(1.0)
-    x0 = settings[0]
-    for x in settings[1:]:
-        for comp in range(4):
-            row = np.zeros(4 * n)
-            for m, (xx, _a) in enumerate(members):
-                if xx == x0:
-                    row[4 * m + comp] = 1.0
-                elif xx == x:
-                    row[4 * m + comp] = -1.0
-            rows.append(row)
-            rhs.append(0.0)
-    cmat = np.array(rows)
-    dvec = np.array(rhs)
-    pinv = np.linalg.pinv(cmat)
-    return cmat, dvec, pinv
+def _psd_project(v: np.ndarray) -> np.ndarray:
+    """Nearest PSD matrices: projection onto the cone t >= |(x, y, z)|.
+
+    Members inside the cone stay; those with t <= -r go to zero; the rest
+    keep their positive eigenvalue (t + r) / 2 and its eigenvector.
+    """
+    t = v[..., 0]
+    r = np.sqrt(v[..., 1] ** 2 + v[..., 2] ** 2 + v[..., 3] ** 2)
+    keep = t >= r
+    top = np.where(keep, t, np.maximum(0.5 * (t + r), 0.0))
+    shrink = np.divide(top, r, out=np.ones_like(r), where=~keep & (r > 0.0))
+    return np.concatenate([top[..., None], shrink[..., None] * v[..., 1:]], axis=-1)
 
 
-def _psd_project_stack(stack: np.ndarray) -> np.ndarray:
-    """Batched projection of Hermitian 2x2 matrices onto the PSD cone."""
-    a = stack[:, 0, 0].real
-    d = stack[:, 1, 1].real
-    c = stack[:, 0, 1]
-    m = 0.5 * (a + d)
-    r = np.sqrt((0.5 * (a - d)) ** 2 + np.abs(c) ** 2)
-    lo = m - r
-    hi = m + r
-    out = stack.copy()
-    # members with lo >= 0 stay; hi <= 0 go to zero; the rest keep only the
-    # positive eigenspace
-    clip_all = hi <= 0.0
-    partial = (lo < 0.0) & ~clip_all
-    safe_r = np.where(r > 1e-300, r, 1.0)
-    ident = np.broadcast_to(np.eye(2), stack.shape)
-    plus_proj = (stack - lo[:, None, None] * ident) / (2.0 * safe_r[:, None, None])
-    out[partial] = hi[partial, None, None] * plus_proj[partial]
-    out[clip_all] = 0.0
-    degenerate = partial & (r <= 1e-300)
-    if np.any(degenerate):
-        out[degenerate] = np.maximum(hi[degenerate], 0.0)[:, None, None] * np.eye(2)
+def _affine_project(v: np.ndarray) -> np.ndarray:
+    """Nearest normalized, non-signaling assemblages.
+
+    The outcome sums of every setting move to their mean over settings, with
+    the trace set to 1; each setting's outcomes share its gap equally.
+    """
+    g = v.reshape(*v.shape[:-2], -1, len(OUTCOMES), 4)
+    sums = g.sum(axis=-2)
+    target = sums.mean(axis=-2, keepdims=True)
+    target[..., 0] = 1.0
+    return (g + ((target - sums) / len(OUTCOMES))[..., None, :]).reshape(v.shape)
+
+
+def _project_feasible(v: np.ndarray, iterations=500, tol=1e-13) -> np.ndarray:
+    """Dykstra alternation between the PSD cone and the affine subspace.
+
+    ``v`` is (B, n, 4), one assemblage per fit.  A fit stops, and leaves the
+    batch, once no matrix entry moved by ``tol`` in one iteration.
+    """
+    out = v.copy()
+    live = np.arange(len(v))
+    y = v
+    corr = np.zeros_like(v)
+    prev = None
+    for _ in range(iterations):
+        z = _psd_project(y + corr)
+        corr = y + corr - z
+        y = _affine_project(z)
+        if prev is not None:
+            d = y - prev
+            # largest entry change: |dt +- dz| / 2 on the diagonal, |dx - i dy| / 2 off it
+            moved = np.maximum(np.abs(d[..., 0]) + np.abs(d[..., 3]),
+                               np.hypot(d[..., 1], d[..., 2])).max(axis=-1)
+            done = 0.5 * moved < tol
+            if done.any():
+                out[live[done]] = y[done]
+                live, y, corr = live[~done], y[~done], corr[~done]
+                if not live.size:
+                    return out
+        prev = y
+    out[live] = y
     return out
 
 
-def _project_feasible(stack, cmat, dvec, pinv, iterations=500, tol=1e-13):
-    """Dykstra alternation between the PSD cone and the affine subspace."""
-    n = stack.shape[0]
-    y = stack
-    corr = np.zeros_like(stack)
-    prev = None
-    for _ in range(iterations):
-        z = _psd_project_stack(y + corr)
-        corr = y + corr - z
-        vec = _stack_to_vec(z)
-        vec = vec - pinv @ (cmat @ vec - dvec)
-        y = _vec_to_stack(vec, n)
-        if prev is not None and np.max(np.abs(y - prev)) < tol:
-            break
-        prev = y
-    return y
-
-
 class _Likelihood:
-    def __init__(self, counts: TomographyCounts):
-        members = _member_index(counts.settings)
+    """Multinomial log-likelihoods of one table per fit."""
+
+    def __init__(self, tables: list[TomographyCounts]):
+        first = tables[0]
         projs = bob_projectors()
-        proj_keys = [(b, beta) for b in counts.bases for beta in (0, 1)]
-        self.members = members
-        self.proj_stack = np.array([projs[k] for k in proj_keys])
-        self.N = np.zeros((len(members), len(proj_keys)))
-        for mi, (x, a) in enumerate(members):
-            for pi, (b, beta) in enumerate(proj_keys):
-                self.N[mi, pi] = counts.count(x, a, b, beta)
-        for x in counts.settings:
-            for b in counts.bases:
-                if counts.config_total(x, b) == 0:
-                    raise InsufficientDataError(
-                        f"no counts for configuration (x={x}, b={b})"
-                    )
-        self.total = float(self.N.sum())
+        keys = [(b, beta) for b in first.bases for beta in (0, 1)]
+        self.settings = first.settings
+        self.proj = _pauli_coordinates(np.array([projs[k] for k in keys]))
+        for counts in tables:
+            if (counts.settings, counts.bases) != (first.settings, first.bases):
+                raise ValueError("tables of one batch must share settings and bases")
+            for x in counts.settings:
+                for b in counts.bases:
+                    if counts.config_total(x, b) == 0:
+                        raise InsufficientDataError(
+                            f"no counts for configuration (x={x}, b={b})"
+                        )
+        self.N = np.array([[[counts.count(x, a, b, beta) for b, beta in keys]
+                            for x, a in _member_index(first.settings)]
+                           for counts in tables], dtype=float)
+        self.total = self.N.sum(axis=(1, 2))
         self.mask = self.N > 0
 
-    def probabilities(self, stack: np.ndarray) -> np.ndarray:
-        return np.real(np.einsum("mij,pji->mp", stack, self.proj_stack))
+    def value(self, v: np.ndarray, fits: np.ndarray) -> np.ndarray:
+        mask = self.mask[fits]
+        p = np.where(mask, np.clip(0.5 * (v @ self.proj.T), 1e-300, None), 1.0)
+        return (self.N[fits] * np.log(p)).reshape(len(fits), -1).sum(axis=1)
 
-    def value(self, stack: np.ndarray) -> float:
-        p = self.probabilities(stack)
-        p = np.where(self.mask, np.clip(p, 1e-300, None), 1.0)
-        return float(np.sum(self.N * np.log(p), where=self.mask))
-
-    def gradient(self, stack: np.ndarray) -> np.ndarray:
-        p = self.probabilities(stack)
-        w = np.where(self.mask, self.N / np.clip(p, 1e-300, None), 0.0)
-        return np.einsum("mp,pij->mij", w, self.proj_stack)
+    def gradient(self, v: np.ndarray, fits: np.ndarray) -> np.ndarray:
+        """Frobenius gradient of the per-trial log-likelihood, in Pauli coordinates."""
+        p = np.clip(0.5 * (v @ self.proj.T), 1e-300, None)
+        w = np.where(self.mask[fits], self.N[fits] / p, 0.0)
+        return (w @ self.proj) / self.total[fits, None, None]
 
 
 def _flat_start(counts: TomographyCounts) -> np.ndarray:
-    members = _member_index(counts.settings)
     kept = sum(n for (x, a, b, beta), n in counts.entries.items() if a is not None)
     total = sum(counts.totals.values())
     eta_hat = float(np.clip(kept / total if total else 0.5, 1e-3, 1.0 - 1e-3))
-    stack = np.zeros((len(members), 2, 2), dtype=complex)
-    for mi, (_x, a) in enumerate(members):
-        stack[mi] = (eta_hat / 4.0) * ID2 if a is not None else ((1 - eta_hat) / 2.0) * ID2
-    return stack
+    v = np.zeros((len(counts.settings) * len(OUTCOMES), 4))
+    v[:, 0] = [eta_hat / 2.0 if a is not None else 1.0 - eta_hat
+               for _x, a in _member_index(counts.settings)]
+    return v
 
 
-def _linear_inversion_start(counts: TomographyCounts, cmat, dvec, pinv) -> np.ndarray:
-    members = _member_index(counts.settings)
-    stack = np.zeros((len(members), 2, 2), dtype=complex)
-    for mi, (x, a) in enumerate(members):
-        trace_est = []
-        sigma = np.zeros((2, 2), dtype=complex)
-        for b in counts.bases:
-            t = counts.config_total(x, b)
-            p0 = counts.count(x, a, b, 0) / t
-            p1 = counts.count(x, a, b, 1) / t
-            trace_est.append(p0 + p1)
-            sigma += 0.5 * (p0 - p1) * _PAULI[b]
-        sigma += 0.5 * float(np.mean(trace_est)) * ID2
-        stack[mi] = sigma
-    projected = _project_feasible(stack, cmat, dvec, pinv)
+def _linear_inversion_start(counts: TomographyCounts) -> np.ndarray:
+    """Per member: the outcome frequency averaged over Bob's bases as the
+    trace, the +/- frequency difference per basis as (x, y, z)."""
+    rows = []
+    for x, a in _member_index(counts.settings):
+        freq = np.array([[counts.count(x, a, b, beta) / counts.config_total(x, b)
+                          for beta in (0, 1)] for b in BOB_BASES])
+        rows.append([np.mean(freq.sum(axis=1)), *(freq[:, 0] - freq[:, 1])])
+    projected = _project_feasible(np.array(rows)[None])[0]
     return 0.95 * projected + 0.05 * _flat_start(counts)
 
 
@@ -458,75 +435,99 @@ def ml_reconstruct(
     Projected gradient ascent with backtracking; every accepted step keeps
     the iterate exactly on the normalization/non-signaling subspace and PSD
     up to projection tolerance, and the log-likelihood never decreases.
-    The ascent runs from two starting points (flat and linear inversion) and
-    keeps the best, which also serves as a convergence cross-check.
-    ``initial`` replaces both with one warm start.
+    The ascent runs from two starting points (flat and linear inversion),
+    as one batch, and keeps the best, which also serves as a convergence
+    cross-check.  ``initial`` replaces both with one warm start.
     """
-    counts.validate()
-    like = _Likelihood(counts)
-    cmat, dvec, pinv = _affine_operator(counts.settings)
-
     if initial is not None:
-        start_stacks = [_project_feasible(initial.stacked(), cmat, dvec, pinv)]
+        fit = ml_reconstruct_many([counts], initial=initial)[0]
     else:
-        start_stacks = [_flat_start(counts),
-                        _linear_inversion_start(counts, cmat, dvec, pinv)]
-
-    best: tuple | None = None
-    start_lls: list[float] = []
-    for stack0 in start_stacks:
-        stack, ll, hist, iters, conv = _ascend(like, stack0, cmat, dvec, pinv)
-        start_lls.append(ll)
-        if best is None or ll > best[1]:
-            best = (stack, ll, hist, iters, conv)
-
-    stack, ll, hist, iters, conv = best
-    if not conv:
+        counts.validate()
+        like = _Likelihood([counts, counts])
+        starts = [_flat_start(counts), _linear_inversion_start(counts)]
+        fits = _ascend(like, np.array(starts))
+        fit = fits[1] if fits[1].log_likelihood > fits[0].log_likelihood else fits[0]
+        fit.start_log_likelihoods = [f.log_likelihood for f in fits]
+    if not fit.converged:
         raise ReconstructionError(
             f"likelihood ascent did not converge within {ML_MAX_ITERATIONS} iterations"
         )
-    assem = Assemblage.from_stacked(stack, counts.settings)
-    return MlReconstruction(
-        assemblage=assem,
-        log_likelihood=ll,
-        log_likelihood_per_trial=ll / like.total,
-        iterations=iters,
-        converged=conv,
-        start_log_likelihoods=start_lls,
-        ll_history=hist,
-    )
+    return fit
 
 
-def _ascend(like, stack, cmat, dvec, pinv):
-    stack = _project_feasible(stack, cmat, dvec, pinv)
-    ll = like.value(stack)
-    history = [ll]
-    step = 0.5
-    flat_count = 0
-    converged = False
-    it = 0
+def ml_reconstruct_many(
+    tables: list[TomographyCounts],
+    *,
+    initial: Assemblage,
+) -> list[MlReconstruction]:
+    """One fit per table, each warm-started from ``initial``, all in one batch.
+
+    Each fit is the one ``ml_reconstruct(table, initial=initial)`` returns,
+    except that a fit that did not converge comes back with
+    ``converged=False`` instead of raising.
+    """
+    for counts in tables:
+        counts.validate()
+    like = _Likelihood(tables)
+    start = _project_feasible(_pauli_coordinates(initial.stacked())[None])
+    return _ascend(like, np.repeat(start, len(tables), axis=0))
+
+
+def _ascend(like: _Likelihood, v: np.ndarray) -> list[MlReconstruction]:
+    """Lockstep projected-gradient ascent, one fit per row of ``v`` (B, n, 4).
+
+    Every fit keeps its own step, flat-step counter and iteration count and
+    leaves the batch when it converges.
+    """
+    n_fits = len(v)
+    v = _project_feasible(v)
+    ll = like.value(v, np.arange(n_fits))
+    history = [[value] for value in ll.tolist()]
+    step = np.full(n_fits, 0.5)
+    flat = np.zeros(n_fits, dtype=int)
+    iterations = np.zeros(n_fits, dtype=int)
+    converged = np.zeros(n_fits, dtype=bool)
+    active = np.arange(n_fits)
     for it in range(1, ML_MAX_ITERATIONS + 1):
-        grad = like.gradient(stack) / like.total
-        improved = False
-        while step >= 1e-14:
-            cand = _project_feasible(stack + step * grad, cmat, dvec, pinv)
-            ll_cand = like.value(cand)
-            if ll_cand >= ll - 1e-13 * (1.0 + abs(ll)):
-                improved = ll_cand > ll
-                rel_change = abs(ll_cand - ll) / (1.0 + abs(ll))
-                stack, ll = cand, max(ll_cand, ll)
-                history.append(ll)
-                step = min(step * 1.5, 1e6)
-                flat_count = flat_count + 1 if rel_change <= ML_REL_TOL else 0
-                break
-            step *= 0.5
-        if step < 1e-14 or flat_count >= 3:
-            converged = True
+        iterations[active] = it
+        improved = np.zeros(n_fits, dtype=bool)
+        trying, grad = active, like.gradient(v[active], active)
+        while trying.size:
+            cand = _project_feasible(v[trying] + step[trying, None, None] * grad)
+            ll_cand = like.value(cand, trying)
+            ll_old = ll[trying]
+            ok = ll_cand >= ll_old - 1e-13 * (1.0 + np.abs(ll_old))
+            hit, new, old = trying[ok], ll_cand[ok], ll_old[ok]
+            improved[hit] = new > old
+            v[hit] = cand[ok]
+            ll[hit] = np.maximum(new, old)
+            for i, value in zip(hit.tolist(), ll[hit].tolist()):
+                history[i].append(value)
+            step[hit] = np.minimum(step[hit] * 1.5, 1e6)
+            rel_change = np.abs(new - old) / (1.0 + np.abs(old))
+            flat[hit] = np.where(rel_change <= ML_REL_TOL, flat[hit] + 1, 0)
+            missed = trying[~ok]
+            step[missed] *= 0.5
+            retry = step[missed] >= 1e-14
+            trying, grad = missed[retry], grad[~ok][retry]
+        done = ((step[active] < 1e-14) | (flat[active] >= 3)
+                | (~improved[active] & (flat[active] >= 1)))
+        converged[active[done]] = True
+        active = active[~done]
+        if not active.size:
             break
-        if not improved and flat_count >= 1:
-            converged = True
-            break
-    return stack, ll, history, it, converged
+    return [
+        MlReconstruction(
+            assemblage=Assemblage.from_stacked(_from_pauli(v[i]), like.settings),
+            log_likelihood=float(ll[i]),
+            log_likelihood_per_trial=float(ll[i] / like.total[i]),
+            iterations=int(iterations[i]),
+            converged=bool(converged[i]),
+            start_log_likelihoods=[float(ll[i])],
+            ll_history=history[i],
+        )
+        for i in range(n_fits)
+    ]
 
 
 # ---------------------------------------------------------------------------

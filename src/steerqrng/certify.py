@@ -33,7 +33,8 @@ from .assemblage import (
     OUTCOMES,
     Assemblage,
     TomographyCounts,
-    ml_reconstruct,
+    ml_reconstruct,  # unused here; benchmarks/layers.py wraps it at this name
+    ml_reconstruct_many,
     outcome_label,
     validate_assemblage,
 )
@@ -376,38 +377,42 @@ def bootstrap_uncertainty(
     """Parametric bootstrap of the certified quantities.
 
     Counts are redrawn multinomially per configuration from the empirical
-    frequencies, refit (warm-started from ``point_estimate``, the fit of
-    ``counts``) and re-certified at the same ``x_star``.  Resamples whose
-    fit or SDP fails are excluded and counted.  Deterministic for a fixed
-    seed.
+    frequencies, all resamples first.  They are refit in one batch
+    (``ml_reconstruct_many``, warm-started from ``point_estimate``, the fit
+    of ``counts``), and each fit is re-certified at the same ``x_star``.
+    Resamples whose fit does not converge or whose SDP fails are excluded
+    and counted.  Deterministic for a fixed seed.
     """
     if resamples < 100:
         raise ValueError("bootstrap needs at least 100 resamples")
     counts.validate()
     rng = np.random.default_rng(seed)
 
-    config_cells: dict[tuple[str, str], list[tuple]] = {}
+    configs = []
     for x in counts.settings:
         for b in counts.bases:
             cells = [(x, a, b, beta) for a in OUTCOMES for beta in (0, 1)]
-            config_cells[(x, b)] = cells
+            weights = np.array([counts.entries.get(c, 0) for c in cells], dtype=float)
+            configs.append((cells, counts.config_total(x, b), weights / weights.sum()))
+
+    tables = []
+    for _ in range(resamples):
+        entries: dict[tuple, int] = {}
+        for cells, total, probs in configs:
+            for cell, n in zip(cells, rng.multinomial(total, probs)):
+                entries[cell] = int(n)
+        tables.append(TomographyCounts.from_entries(
+            entries, settings=counts.settings, bases=counts.bases))
+    fits = ml_reconstruct_many(tables, initial=point_estimate)
 
     h_values = []
     p_values = []
     failed = 0
-    for _ in range(resamples):
-        entries: dict[tuple, int] = {}
-        for (x, b), cells in config_cells.items():
-            total = counts.config_total(x, b)
-            weights = np.array([counts.entries.get(c, 0) for c in cells], dtype=float)
-            probs = weights / weights.sum()
-            draw = rng.multinomial(total, probs)
-            for cell, n in zip(cells, draw):
-                entries[cell] = int(n)
+    for fit in fits:
+        if not fit.converged:
+            failed += 1
+            continue
         try:
-            resampled = TomographyCounts.from_entries(
-                entries, settings=counts.settings, bases=counts.bases)
-            fit = ml_reconstruct(resampled, initial=point_estimate)
             g = guessing_probability(fit.assemblage, x_star)
             h_values.append(min_entropy(g.p_guess))
             p_values.append(g.p_guess)

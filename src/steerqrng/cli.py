@@ -39,6 +39,10 @@ def _out_dir(args, config: pl.PipelineConfig) -> str:
     return out
 
 
+# Largest number of points a start:stop:step grid may hold (one SDP solve each).
+MAX_GRID_POINTS = 10_001
+
+
 def _grid_value(text: str) -> float:
     try:
         value = float(text)
@@ -50,8 +54,9 @@ def _grid_value(text: str) -> float:
 
 
 def _parse_grid(text: str) -> list[float]:
-    """Either 'start:stop:step' (inclusive endpoint within half a step) or a
-    comma-separated list; every value must lie in [0, 1]."""
+    """Either 'start:stop:step' (inclusive endpoint within half a step, at
+    most MAX_GRID_POINTS points) or a comma-separated list; every value must
+    lie in [0, 1]."""
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
@@ -59,11 +64,11 @@ def _parse_grid(text: str) -> list[float]:
         start, stop, step = (_grid_value(p) for p in parts)
         if step <= 0:
             raise pl.ConfigError("grid step must be positive")
-        values = []
-        v = start
-        while v <= stop + step / 2:
-            values.append(round(v, 12))
-            v += step
+        # start + i * step for every i >= 0 up to stop + step / 2
+        last = (stop - start) / step + 0.5
+        if last >= MAX_GRID_POINTS:
+            raise pl.ConfigError(f"grid {text!r} has more than {MAX_GRID_POINTS} points")
+        values = [round(start + i * step, 12) for i in range(math.floor(last) + 1)]
     else:
         values = [_grid_value(p) for p in text.split(",") if p]
     if not values:

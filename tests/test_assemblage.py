@@ -196,6 +196,89 @@ class TestTomographyCounts:
         assert loaded.bases == counts.bases
 
 
+def resampled_counts(counts, rng, per_config=20_000):
+    """Multinomial redraw of every configuration from the frequencies of ``counts``."""
+    entries = {}
+    for x in counts.settings:
+        for b in counts.bases:
+            cells = [(x, a, b, beta) for a in asm.OUTCOMES for beta in (0, 1)]
+            p = np.array([counts.count(*cell) for cell in cells], dtype=float)
+            for cell, n in zip(cells, rng.multinomial(per_config, p / p.sum())):
+                entries[cell] = int(n)
+    return asm.TomographyCounts.from_entries(entries)
+
+
+def biased_counts():
+    """Exact counts doctored to prefer different Bob marginals for X and Z."""
+    counts, _ = exact_counts()
+    entries = dict(counts.entries)
+    for beta in (0, 1):
+        entries[("Z", 0, "Z", beta)] += 4000 * (1 + beta)
+        entries[("X", 1, "X", beta)] += 1500
+    return asm.TomographyCounts.from_entries(entries)
+
+
+def random_hermitian(rng, n):
+    m = rng.normal(size=(n, 2, 2)) + 1j * rng.normal(size=(n, 2, 2))
+    return 0.5 * (m + np.conj(np.swapaxes(m, -1, -2)))
+
+
+def psd_oracle(mats):
+    """Frobenius-nearest PSD matrices: eigendecomposition, negative eigenvalues clipped."""
+    vals, vecs = np.linalg.eigh(mats)
+    return np.einsum("nij,nj,nkj->nik", vecs, np.maximum(vals, 0.0), vecs.conj())
+
+
+class TestProjections:
+    """The closed-form projections in Pauli coordinates against direct oracles."""
+
+    def test_pauli_round_trip(self, rng):
+        mats = random_hermitian(rng, 50)
+        v = asm._pauli_coordinates(mats)
+        assert np.max(np.abs(asm._from_pauli(v) - mats)) < 1e-15
+        # ||sigma||_F^2 = |v|^2 / 2, so Euclidean distance in v is Frobenius distance
+        frob = np.sum(np.abs(mats) ** 2, axis=(1, 2))
+        assert np.allclose(frob, 0.5 * np.sum(v ** 2, axis=1), rtol=1e-14)
+
+    def test_psd_projection_matches_eigh(self, rng):
+        mats = random_hermitian(rng, 500)
+        got = asm._from_pauli(asm._psd_project(asm._pauli_coordinates(mats)))
+        assert np.max(np.abs(got - psd_oracle(mats))) < 1e-14
+
+    @pytest.mark.parametrize("v", [
+        [5.0, 3.0, 0.0, 4.0],      # t = r (exactly): rank one, on the boundary
+        [-5.0, 3.0, 0.0, -4.0],    # t = -r: rank one negative, goes to zero
+        [0.7, 0.0, 0.0, 0.0],      # r = 0, positive multiple of the identity
+        [-0.7, 0.0, 0.0, 0.0],     # r = 0, negative definite
+        [0.0, 0.0, 0.0, 0.0],      # zero
+        [-2.0, 0.3, -0.4, 1.2],    # negative definite
+        [2.0, 0.3, -0.4, 1.2],     # positive definite
+        [0.2, 0.3, -0.4, 1.2],     # indefinite
+    ], ids=["t-eq-r", "t-eq-minus-r", "r-zero-positive", "r-zero-negative", "zero",
+            "negative-definite", "positive-definite", "indefinite"])
+    def test_psd_projection_edge_cases(self, v):
+        v = np.array([v])
+        got = asm._psd_project(v)
+        oracle = asm._pauli_coordinates(psd_oracle(asm._from_pauli(v)))
+        assert np.max(np.abs(got - oracle)) < 1e-15
+        if v[0, 0] >= np.linalg.norm(v[0, 1:]):
+            # already PSD: left exactly as it is
+            assert np.array_equal(got, v)
+
+    def test_affine_projection_feasible_idempotent_nearest(self, rng):
+        v = rng.normal(size=(20, 6, 4))
+        p = asm._affine_project(v)
+        sums = p.reshape(20, 2, 3, 4).sum(axis=2)
+        assert np.max(np.abs(sums[:, :, 0] - 1.0)) < 1e-15
+        assert np.max(np.abs(sums[:, 0] - sums[:, 1])) < 1e-15
+        assert np.max(np.abs(asm._affine_project(p) - p)) < 1e-15
+        # nearest point: the residual is orthogonal to every direction
+        # inside the affine set
+        other = asm._affine_project(rng.normal(size=(20, 6, 4)))
+        inner = np.sum((v - p) * (other - p), axis=(1, 2))
+        assert np.max(np.abs(inner)) < 1e-12
+
+
 class TestMlReconstruction:
     def test_exact_counts_fixed_point(self):
         """With frequencies equal to a realizable model, the fit must return
@@ -242,13 +325,7 @@ class TestMlReconstruction:
     def test_biased_marginals_still_non_signaling(self):
         """Counts doctored to prefer different Bob marginals for X and Z
         settings: the fit lives on the non-signaling manifold regardless."""
-        counts, _ = exact_counts()
-        entries = dict(counts.entries)
-        for beta in (0, 1):
-            entries[("Z", 0, "Z", beta)] += 4000 * (1 + beta)
-            entries[("X", 1, "X", beta)] += 1500
-        biased = asm.TomographyCounts.from_entries(entries)
-        rec = asm.ml_reconstruct(biased)
+        rec = asm.ml_reconstruct(biased_counts())
         assert rec.converged
         report = asm.validate_assemblage(rec.assemblage, tol=1e-7)
         assert report.ok
@@ -268,6 +345,51 @@ class TestMlReconstruction:
         rec = asm.ml_reconstruct(counts)
         diffs = np.diff(np.asarray(rec.ll_history))
         assert np.all(diffs >= -1e-7)
+
+    @staticmethod
+    def batch_tables(rng):
+        """Resamples of the V = 0.7 model, the biased table, and resamples of
+        the pure-state (V = 1) model, whose fitted members are rank one, so
+        the PSD projection is active and Dykstra runs to different lengths."""
+        counts, truth = exact_counts()
+        pure, _ = exact_counts(visibility=1.0)
+        tables = [resampled_counts(counts, rng) for _ in range(2)] + [biased_counts()]
+        return tables + [resampled_counts(pure, rng) for _ in range(2)], truth
+
+    @staticmethod
+    def assert_same_fit(got, want):
+        assert got.iterations == want.iterations
+        assert got.converged == want.converged
+        assert got.log_likelihood == want.log_likelihood
+        assert got.ll_history == want.ll_history
+        for key, member in want.assemblage.members.items():
+            assert np.array_equal(got.assemblage.members[key], member)
+
+    def test_many_equals_solo_fits(self, rng):
+        """Each fit of the batch is bit-identical to the same fit run alone."""
+        tables, truth = self.batch_tables(rng)
+        fits = asm.ml_reconstruct_many(tables, initial=truth)
+        assert len(fits) == len(tables)
+        for table, fit in zip(tables, fits):
+            assert fit.converged
+            self.assert_same_fit(fit, asm.ml_reconstruct(table, initial=truth))
+        assert len({fit.iterations for fit in fits}) > 1
+
+    def test_many_reports_slow_fit_unconverged(self, rng, monkeypatch):
+        tables, truth = self.batch_tables(rng)
+        full = asm.ml_reconstruct_many(tables, initial=truth)
+        cap = sorted(fit.iterations for fit in full)[2]
+        assert max(fit.iterations for fit in full) > cap
+        monkeypatch.setattr(asm, "ML_MAX_ITERATIONS", cap)
+        capped = asm.ml_reconstruct_many(tables, initial=truth)
+        for table, want, got in zip(tables, full, capped):
+            if want.iterations <= cap:
+                self.assert_same_fit(got, want)
+            else:
+                assert not got.converged
+                assert got.iterations == cap
+                with pytest.raises(asm.ReconstructionError):
+                    asm.ml_reconstruct(table, initial=truth)
 
 
 class TestAssemblageSerialization:

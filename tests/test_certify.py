@@ -265,6 +265,30 @@ class TestBootstrap:
         assert repeat.h_min_mean == baseline.h_min_mean
         assert repeat.failed == baseline.failed
 
+    def test_unconverged_refits_counted_as_failed(self, bootstrap_run, monkeypatch):
+        """With the iteration cap below most refits' needs, the slow resamples
+        count as failed and the rest certify exactly as without the cap."""
+        fits = []
+
+        def spy(tables, *, initial):
+            fits.extend(asm.ml_reconstruct_many(tables, initial=initial))
+            return fits
+
+        monkeypatch.setattr(asm, "ML_MAX_ITERATIONS", 130)
+        monkeypatch.setattr(cert, "ml_reconstruct_many", spy)
+        capped = cert.bootstrap_uncertainty(
+            bootstrap_run.counts,
+            bootstrap_run.result.x_star,
+            resamples=BOOTSTRAP_RESAMPLES,
+            seed=BOOTSTRAP_SEED,
+            point_estimate=bootstrap_run.reconstruction.assemblage,
+        )
+        converged = [fit.converged for fit in fits]
+        assert 0 < capped.failed < BOOTSTRAP_RESAMPLES
+        assert capped.failed == converged.count(False)
+        baseline = bootstrap_run.result.uncertainty.h_min_values
+        assert capped.h_min_values == [h for h, ok in zip(baseline, converged) if ok]
+
 
 class TestSerialization:
     def test_round_trip_with_uncertainty(self, tmp_path, bootstrap_run):

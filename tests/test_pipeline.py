@@ -407,7 +407,10 @@ class TestCli:
         ["--eta", "0.6", "--visibility", "2"],
         ["--eta", "abc"],
         ["--eta", "0.5:0.9:nan"],
-    ], ids=["eta-above-1", "eta-nan", "visibility-above-1", "eta-not-a-number", "step-nan"])
+        ["--eta", "0.5:0.9:1e-20"],
+        ["--eta", "0.5:0.9:1e-9"],
+    ], ids=["eta-above-1", "eta-nan", "visibility-above-1", "eta-not-a-number", "step-nan",
+            "step-below-float-spacing", "too-many-points"])
     def test_sweep_rejects_bad_grid(self, grid, tmp_path, capsys):
         out = str(tmp_path / "sweepbad")
         assert cli.main(["sweep", "-o", out] + grid) == pl.EXIT_IO
