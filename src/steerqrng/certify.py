@@ -159,16 +159,19 @@ def _member_supports(assem: Assemblage):
     return supports
 
 
-def guessing_probability(assem: Assemblage, x_star: str) -> GuessingResult:
-    """Optimal guessing probability of Alice's outcome at ``x_star``.
+@dataclass
+class _GuessingProgram:
+    """The guessing-probability SDP of one assemblage, with the member
+    supports and block labels that read its solution back."""
 
-    The eavesdropper's guess ranges over the full outcome alphabet including
-    null: predicting a no-detection event is as good for her as predicting a
-    bit, which is what makes low heralding efficiency fatal.  Each part of
-    her decomposition is restricted to the support of the corresponding
-    assemblage member (forced by positivity), which keeps the program
-    strictly feasible even for rank-deficient ideal assemblages.
-    """
+    problem: sdp.SdpProblem
+    x_star: str
+    supports: dict
+    labels: dict[tuple, str]
+
+
+def _guessing_program(assem: Assemblage, x_star: str) -> _GuessingProgram:
+    """Build the guessing-probability SDP (see ``guessing_probability``)."""
     if x_star not in assem.settings:
         raise ValueError(f"unknown certification setting {x_star!r}")
     _require_valid(assem)
@@ -201,24 +204,18 @@ def guessing_probability(assem: Assemblage, x_star: str) -> GuessingResult:
             constraints.append(sdp.SdpConstraint(
                 coeffs=coeffs, rhs=rhs,
                 name=f"split_{x}_{outcome_label(a)}_{k}"))
-    # every part is non-signaling on its own
+    # every part is non-signaling on its own; the basis is compressed to
+    # each member's support once, not once per guess
     full_basis = hermitian_basis(2)
+    compressed = {key: [v.conj().T @ basis_el @ v for basis_el in full_basis]
+                  for key, (v, _w) in supports.items()}
     x0 = assem.settings[0]
     for e in guesses:
         for x in assem.settings[1:]:
-            for k, basis_el in enumerate(full_basis):
-                coeffs: dict[str, np.ndarray] = {}
-                for xx, sign in ((x0, 1.0), (x, -1.0)):
-                    for a in OUTCOMES:
-                        key = (e, xx, a)
-                        if key not in labels:
-                            continue
-                        v, _w = supports[(xx, a)]
-                        reduced = sign * (v.conj().T @ basis_el @ v)
-                        if labels[key] in coeffs:
-                            coeffs[labels[key]] = coeffs[labels[key]] + reduced
-                        else:
-                            coeffs[labels[key]] = reduced
+            for k in range(len(full_basis)):
+                coeffs = {labels[(e, xx, a)]: sign * compressed[(xx, a)][k]
+                          for xx, sign in ((x0, 1.0), (x, -1.0))
+                          for a in OUTCOMES if (e, xx, a) in labels}
                 constraints.append(sdp.SdpConstraint(
                     coeffs=coeffs, rhs=0.0,
                     name=f"nosig_e{outcome_label(e)}_{x}_{k}"))
@@ -231,7 +228,13 @@ def guessing_probability(assem: Assemblage, x_star: str) -> GuessingResult:
 
     problem = sdp.SdpProblem(blocks=blocks, objective=objective,
                              constraints=constraints, sense="max")
-    solution = sdp.solve(problem)
+    return _GuessingProgram(problem=problem, x_star=x_star, supports=supports,
+                            labels=labels)
+
+
+def _guess_value(solution: sdp.SdpSolution) -> float:
+    """The guessing probability of a solved program; raises
+    CertificationError unless the solve was optimal."""
     if solution.status == sdp.INFEASIBLE:
         raise CertificationError(
             "guessing-probability SDP infeasible; assemblage is inconsistent")
@@ -239,25 +242,44 @@ def guessing_probability(assem: Assemblage, x_star: str) -> GuessingResult:
         raise CertificationError(
             f"guessing-probability SDP did not converge: {solution.status} "
             f"({solution.message})")
+    return float(solution.primal_value)
 
+
+def _read_guess(program: _GuessingProgram, solution: sdp.SdpSolution) -> GuessingResult:
+    """Guessing probability and Eve's decomposition from a solved program."""
+    p_guess = _guess_value(solution)
     parts: dict[object, dict[tuple[str, object], np.ndarray]] = {}
-    for e in guesses:
+    for e in OUTCOMES:
         part: dict[tuple[str, object], np.ndarray] = {}
-        for (x, a), (v, _w) in supports.items():
+        for (x, a), (v, _w) in program.supports.items():
             key = (e, x, a)
-            if key in labels:
-                reduced = solution.primal_blocks[labels[key]]
+            if key in program.labels:
+                reduced = solution.primal_blocks[program.labels[key]]
                 part[(x, a)] = v @ reduced @ v.conj().T
             else:
                 part[(x, a)] = np.zeros((2, 2), dtype=complex)
         parts[e] = part
-    decomposition = EveDecomposition(parts=parts, x_star=x_star)
+    decomposition = EveDecomposition(parts=parts, x_star=program.x_star)
     return GuessingResult(
-        p_guess=float(solution.primal_value),
-        x_star=x_star,
+        p_guess=p_guess,
+        x_star=program.x_star,
         decomposition=decomposition,
         solution=solution,
     )
+
+
+def guessing_probability(assem: Assemblage, x_star: str) -> GuessingResult:
+    """Optimal guessing probability of Alice's outcome at ``x_star``.
+
+    The eavesdropper's guess ranges over the full outcome alphabet including
+    null: predicting a no-detection event is as good for her as predicting a
+    bit, which is what makes low heralding efficiency fatal.  Each part of
+    her decomposition is restricted to the support of the corresponding
+    assemblage member (forced by positivity), which keeps the program
+    strictly feasible even for rank-deficient ideal assemblages.
+    """
+    program = _guessing_program(assem, x_star)
+    return _read_guess(program, sdp.solve(program.problem))
 
 
 def min_entropy(p_guess: float) -> float:
@@ -379,7 +401,9 @@ def bootstrap_uncertainty(
     Counts are redrawn multinomially per configuration from the empirical
     frequencies, all resamples first.  They are refit in one batch
     (``ml_reconstruct_many``, warm-started from ``point_estimate``, the fit
-    of ``counts``), and each fit is re-certified at the same ``x_star``.
+    of ``counts``), and the guessing-probability SDPs of the converged fits,
+    at the same ``x_star``, are solved in one ``sdp.solve_many`` call, in
+    lockstep groups; each resample's result is the one it would get alone.
     Resamples whose fit does not converge or whose SDP fails are excluded
     and counted.  Deterministic for a fixed seed.
     """
@@ -404,20 +428,35 @@ def bootstrap_uncertainty(
         tables.append(TomographyCounts.from_entries(
             entries, settings=counts.settings, bases=counts.bases))
     fits = ml_reconstruct_many(tables, initial=point_estimate)
+    # only the converged assemblages go on: the tables and the fits, with
+    # their likelihood histories, are released before any SDP is built
+    assemblages = [fit.assemblage for fit in fits if fit.converged]
+    failed = len(fits) - len(assemblages)
+    del tables, fits
+
+    def problems():
+        # built as the solver takes them, so the problems are never all
+        # alive at once
+        nonlocal failed
+        for assem in assemblages:
+            try:
+                program = _guessing_program(assem, x_star)
+            except (ValueError, RuntimeError):
+                failed += 1
+                continue
+            yield program.problem
 
     h_values = []
     p_values = []
-    failed = 0
-    for fit in fits:
-        if not fit.converged:
-            failed += 1
-            continue
+    for solution in sdp.solve_many(problems()):
         try:
-            g = guessing_probability(fit.assemblage, x_star)
-            h_values.append(min_entropy(g.p_guess))
-            p_values.append(g.p_guess)
+            p_guess = _guess_value(solution)
+            h_min = min_entropy(p_guess)
         except (ValueError, RuntimeError):
             failed += 1
+            continue
+        h_values.append(h_min)
+        p_values.append(p_guess)
 
     if not h_values:
         raise CertificationError("all bootstrap resamples failed")
@@ -452,9 +491,10 @@ def certify(
     """
     diagnostics: dict = {}
     if x_star is None:
-        per_setting = {}
-        for x in assem.settings:
-            per_setting[x] = guessing_probability(assem, x)
+        programs = [_guessing_program(assem, x) for x in assem.settings]
+        solutions = sdp.solve_many([program.problem for program in programs])
+        per_setting = {x: _read_guess(program, solution) for x, program, solution
+                       in zip(assem.settings, programs, solutions)}
         diagnostics["p_guess_by_setting"] = {
             x: r.p_guess for x, r in per_setting.items()}
         p_min = min(r.p_guess for r in per_setting.values())

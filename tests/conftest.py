@@ -78,9 +78,10 @@ def bootstrap_run(ml_fit):
     Certifies the maximum-likelihood fit of ``ml_fit`` with a parametric
     bootstrap, and certifies the noiseless ideal assemblage at the same
     setting for comparison.  Session-scoped because the bootstrap costs
-    about two seconds, nearly all of it in its hundred SDP solves (the
-    refits run as one batch); the certification unit tests and the
-    acceptance suite both read from it.
+    over a second, most of it in its hundred SDP solves (in lockstep groups
+    of ``sdp.GROUP_SIZE``; the refits run as one batch); the certification
+    unit tests, the solver regression pins and the acceptance suite all read
+    from it.
     """
     t0 = time.perf_counter()
     config, counts, reconstruction = ml_fit.config, ml_fit.counts, ml_fit.reconstruction

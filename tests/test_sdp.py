@@ -1,10 +1,18 @@
 """Interior-point SDP solver on problems with independently known answers."""
 
+import copy
+import dataclasses
+
 import numpy as np
 import pytest
 
+from steerqrng import assemblage as asm
+from steerqrng import certify as cert
 from steerqrng import sdp
+from steerqrng import simulate as sim
 from steerqrng.linalg import PAULI_Y, PAULI_Z
+
+from conftest import steering_cases
 
 
 def lam_max_problem(a, sense="max"):
@@ -26,6 +34,61 @@ def solved(problem, **kw):
     sol = sdp.solve(problem, **kw)
     assert sol.status == sdp.OPTIMAL, sol.message
     return sol
+
+
+def negative_trace_problem():
+    return sdp.SdpProblem(
+        blocks={"x": 1},
+        objective={"x": np.array([[1.0]])},
+        constraints=[
+            sdp.SdpConstraint(coeffs={"x": np.array([[1.0]])}, rhs=-1.0)
+        ],
+    )
+
+
+def phase1_infeasible_problem():
+    # Tr X = 1 with <sigma_x> = 2 on a qubit: the rows are independent
+    # and consistent, so only the Phase-I slack can expose infeasibility
+    sigma_x = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+    return sdp.SdpProblem(
+        blocks={"x": 2},
+        objective={"x": PAULI_Z},
+        constraints=[
+            sdp.SdpConstraint(coeffs={"x": np.eye(2, dtype=complex)}, rhs=1.0),
+            sdp.SdpConstraint(coeffs={"x": sigma_x}, rhs=2.0),
+        ],
+    )
+
+
+def inconsistent_rows_problem():
+    eye = np.array([[1.0]])
+    return sdp.SdpProblem(
+        blocks={"x": 1},
+        objective={"x": eye},
+        constraints=[
+            sdp.SdpConstraint(coeffs={"x": eye}, rhs=1.0),
+            sdp.SdpConstraint(coeffs={"x": eye}, rhs=2.0),
+        ],
+    )
+
+
+def unbounded_problem():
+    return sdp.SdpProblem(
+        blocks={"free": 2, "pinned": 1},
+        objective={"free": np.eye(2, dtype=complex)},
+        constraints=[
+            sdp.SdpConstraint(coeffs={"pinned": np.array([[1.0]])}, rhs=1.0)
+        ],
+    )
+
+
+def redundant_rows_problem(a):
+    problem = lam_max_problem(a)
+    problem.constraints.append(
+        sdp.SdpConstraint(coeffs={"x": 2.0 * np.eye(3, dtype=complex)}, rhs=2.0,
+                          name="duplicate")
+    )
+    return problem
 
 
 class TestKnownOptima:
@@ -168,65 +231,26 @@ class TestDualityAndCertificates:
 
 class TestStatuses:
     def test_infeasible_negative_trace(self):
-        problem = sdp.SdpProblem(
-            blocks={"x": 1},
-            objective={"x": np.array([[1.0]])},
-            constraints=[
-                sdp.SdpConstraint(coeffs={"x": np.array([[1.0]])}, rhs=-1.0)
-            ],
-        )
-        sol = sdp.solve(problem)
+        sol = sdp.solve(negative_trace_problem())
         assert sol.status == sdp.INFEASIBLE
 
     def test_phase1_decides_infeasible(self):
-        # Tr X = 1 with <sigma_x> = 2 on a qubit: the rows are independent
-        # and consistent, so only the Phase-I slack can expose infeasibility
-        sigma_x = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-        problem = sdp.SdpProblem(
-            blocks={"x": 2},
-            objective={"x": PAULI_Z},
-            constraints=[
-                sdp.SdpConstraint(coeffs={"x": np.eye(2, dtype=complex)}, rhs=1.0),
-                sdp.SdpConstraint(coeffs={"x": sigma_x}, rhs=2.0),
-            ],
-        )
-        sol = sdp.solve(problem)
+        sol = sdp.solve(phase1_infeasible_problem())
         assert sol.status == sdp.INFEASIBLE
         assert "Phase-I" in sol.message
 
     def test_infeasible_inconsistent_rows(self):
-        eye = np.array([[1.0]])
-        problem = sdp.SdpProblem(
-            blocks={"x": 1},
-            objective={"x": eye},
-            constraints=[
-                sdp.SdpConstraint(coeffs={"x": eye}, rhs=1.0),
-                sdp.SdpConstraint(coeffs={"x": eye}, rhs=2.0),
-            ],
-        )
-        sol = sdp.solve(problem)
+        sol = sdp.solve(inconsistent_rows_problem())
         assert sol.status == sdp.INFEASIBLE
 
     def test_unbounded_direction(self):
-        problem = sdp.SdpProblem(
-            blocks={"free": 2, "pinned": 1},
-            objective={"free": np.eye(2, dtype=complex)},
-            constraints=[
-                sdp.SdpConstraint(coeffs={"pinned": np.array([[1.0]])}, rhs=1.0)
-            ],
-        )
-        sol = sdp.solve(problem)
+        sol = sdp.solve(unbounded_problem())
         assert sol.status == sdp.UNBOUNDED
 
     def test_redundant_rows_still_optimal(self, rng):
         a = rng.normal(size=(3, 3))
         a = 0.5 * (a + a.T)
-        problem = lam_max_problem(a)
-        problem.constraints.append(
-            sdp.SdpConstraint(coeffs={"x": 2.0 * np.eye(3, dtype=complex)}, rhs=2.0,
-                              name="duplicate")
-        )
-        sol = solved(problem)
+        sol = solved(redundant_rows_problem(a))
         assert sol.primal_value == pytest.approx(np.linalg.eigvalsh(a)[-1], abs=1e-7)
 
     def test_zero_dimensional_block_rejected(self):
@@ -291,3 +315,128 @@ class TestRobustness:
         eps = 1e-4
         bumped = solved(lam_max_problem(a + eps * np.eye(3))).primal_value
         assert bumped == pytest.approx(base + eps, abs=1e-6)
+
+
+def assert_same_solution(a, b):
+    """Field-for-field, bit-for-bit equality of two solutions."""
+    assert (a.status, a.message, a.iterations) == (b.status, b.message, b.iterations)
+    for name in ("primal_value", "dual_value", "gap", "pinf", "dinf"):
+        assert np.array_equal(getattr(a, name), getattr(b, name), equal_nan=True), name
+    assert np.array_equal(a.dual_multipliers, b.dual_multipliers)
+    assert a.primal_blocks.keys() == b.primal_blocks.keys()
+    for label, block in a.primal_blocks.items():
+        assert np.array_equal(block, b.primal_blocks[label]), label
+
+
+def certification_problems(monkeypatch):
+    """The guessing SDPs at X and Z and the LHS SDP of every steering case,
+    as the certification functions pose them."""
+    problems = []
+    solve = sdp.solve
+
+    def spy(problem):
+        problems.append(problem)
+        return solve(problem)
+
+    monkeypatch.setattr(sdp, "solve", spy)
+    for _name, assemblage in steering_cases():
+        cert.guessing_probability(assemblage, "X")
+        cert.guessing_probability(assemblage, "Z")
+        cert.lhs_mu(assemblage)
+    monkeypatch.setattr(sdp, "solve", solve)
+    return problems
+
+
+@pytest.fixture(scope="module")
+def refit_problems(ml_fit):
+    """Guessing SDPs at Z of warm ML refits of 12 fresh 1e6-trial datasets:
+    the bootstrap's traffic, 18 complex 2x2 blocks and 36 rows each."""
+    tables = [sim.simulate_tomography(dataclasses.replace(ml_fit.config, rng_seed=seed))
+              for seed in range(300, 312)]
+    fits = asm.ml_reconstruct_many(tables, initial=ml_fit.reconstruction.assemblage)
+    return [cert._guessing_program(fit.assemblage, "Z").problem for fit in fits]
+
+
+def infeasible_copy(problem):
+    """The same structure with every rhs negated: the parts would have to
+    sum to minus the assemblage, so no PSD split exists."""
+    problem = copy.deepcopy(problem)
+    for con in problem.constraints:
+        con.rhs = -con.rhs
+    return problem
+
+
+class TestSolveMany:
+    def test_mixed_list_equals_solo_solves(self, monkeypatch, rng):
+        # the guessing problems mix 1x1 and 2x2 blocks, so the list spans
+        # several lockstep groups besides the status problems
+        a = rng.normal(size=(3, 3))
+        problems = certification_problems(monkeypatch) + [
+            negative_trace_problem(), phase1_infeasible_problem(),
+            inconsistent_rows_problem(), unbounded_problem(),
+            redundant_rows_problem(0.5 * (a + a.T)),
+        ]
+        solutions = sdp.solve_many(problems)
+        assert len(solutions) == len(problems)
+        for problem, solution in zip(problems, solutions):
+            assert_same_solution(solution, sdp.solve(problem))
+        statuses = [s.status for s in solutions[-5:]]
+        assert statuses == [sdp.INFEASIBLE] * 3 + [sdp.UNBOUNDED, sdp.OPTIMAL]
+
+    def test_group_invariance(self, refit_problems):
+        """A problem's solution is the same alone, in a full group, and in a
+        group with a member that fails."""
+        problems = refit_problems[:sdp.GROUP_SIZE]
+        assert {(len(p.blocks), len(p.constraints)) for p in problems} == {(18, 36)}
+        alone = [sdp.solve(p) for p in problems]
+        together = sdp.solve_many(problems)
+        failing = sdp.solve_many([infeasible_copy(problems[0])] + problems[1:])
+        assert failing[0].status == sdp.INFEASIBLE
+        assert_same_solution(failing[0], sdp.solve(infeasible_copy(problems[0])))
+        for solo, group in zip(alone, together):
+            assert solo.status == sdp.OPTIMAL
+            assert_same_solution(group, solo)
+        for solo, group in zip(alone[1:], failing[1:]):
+            assert_same_solution(group, solo)
+
+    @pytest.mark.parametrize("stage", ["_cholesky", "_schur_jitter"])
+    def test_member_failing_mid_iteration(self, refit_problems, monkeypatch, stage):
+        """A member whose factorization fails in the fifth iteration leaves
+        the group there, and the others go on exactly as alone."""
+        problems = refit_problems[:4]
+        alone = [sdp.solve(p) for p in problems]
+        real = getattr(sdp, stage)
+        calls = []
+
+        def failing_first_member(arg):
+            out = real(arg)
+            calls.append(len(arg))
+            if len(calls) != 5:
+                return out
+            if stage == "_cholesky":
+                ok = out[1].copy()
+                ok[0] = False
+                return None, ok
+            out[0] = np.nan
+            return out
+
+        monkeypatch.setattr(sdp, stage, failing_first_member)
+        solutions = sdp.solve_many(problems)
+        message = {"_cholesky": "lost positive definiteness",
+                   "_schur_jitter": "Schur complement factorization failed"}[stage]
+        assert solutions[0].status == sdp.NUMERICAL_FAILURE
+        assert message in solutions[0].message
+        assert solutions[0].iterations == 5
+        for solo, group in zip(alone[1:], solutions[1:]):
+            assert_same_solution(group, solo)
+
+    def test_list_longer_than_group_splits(self, refit_problems):
+        assert len(refit_problems) > sdp.GROUP_SIZE
+        for problem, solution in zip(refit_problems, sdp.solve_many(refit_problems)):
+            assert_same_solution(solution, sdp.solve(problem))
+
+    def test_refit_solutions_certify(self, refit_problems):
+        problems = refit_problems[:10]
+        for problem, solution in zip(problems, sdp.solve_many(problems)):
+            assert solution.status == sdp.OPTIMAL
+            assert sdp.check_certificate(problem, solution).ok
