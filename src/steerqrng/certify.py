@@ -476,42 +476,26 @@ def bootstrap_uncertainty(
 def certify(
     assem: Assemblage,
     *,
-    x_star: str | None = None,
+    x_star: str,
     counts: TomographyCounts | None = None,
     resamples: int = 0,
     seed: int = 0,
 ) -> CertificationResult:
-    """Full certification: guessing probability, min-entropy, LHS robustness
-    and steering functional, with optional bootstrap uncertainty.
+    """Full certification at setting ``x_star``: guessing probability,
+    min-entropy, LHS robustness and steering functional, with optional
+    bootstrap uncertainty.
 
-    When ``x_star`` is omitted it defaults to the setting certifying the
-    larger min-entropy.  Guessing probabilities within the solver's gap
-    target of the smallest one are ties, broken by declared setting order,
-    so solver rounding never decides between symmetric settings.
+    ``x_star`` is the setting whose outcomes are extracted; a certificate at
+    any other setting bounds a variable the extractor never reads.
     """
-    diagnostics: dict = {}
-    if x_star is None:
-        programs = [_guessing_program(assem, x) for x in assem.settings]
-        solutions = sdp.solve_many([program.problem for program in programs])
-        per_setting = {x: _read_guess(program, solution) for x, program, solution
-                       in zip(assem.settings, programs, solutions)}
-        diagnostics["p_guess_by_setting"] = {
-            x: r.p_guess for x, r in per_setting.items()}
-        p_min = min(r.p_guess for r in per_setting.values())
-        tie = sdp.GAP_TARGET * (1.0 + p_min)
-        x_star = next(x for x in assem.settings
-                      if per_setting[x].p_guess <= p_min + tie)
-        guess = per_setting[x_star]
-    else:
-        guess = guessing_probability(assem, x_star)
-
+    guess = guessing_probability(assem, x_star)
     steering = steering_functional(assem)
-    diagnostics["guessing_solver"] = {
-        "status": guess.solution.status, "gap": guess.solution.gap,
-        "iterations": guess.solution.iterations}
-    diagnostics["lhs_solver"] = {
-        "status": steering.solution.status, "gap": steering.solution.gap,
-        "iterations": steering.solution.iterations}
+    diagnostics = {
+        "guessing_solver": {"status": guess.solution.status, "gap": guess.solution.gap,
+                            "iterations": guess.solution.iterations},
+        "lhs_solver": {"status": steering.solution.status, "gap": steering.solution.gap,
+                       "iterations": steering.solution.iterations},
+    }
 
     uncertainty = None
     if resamples:

@@ -73,15 +73,15 @@ def _require_finite(settings):
 
 @dataclass
 class CertificationSettings:
-    x_star: str = "auto"          # "auto" | "X" | "Z"
+    # kept for existing configs: "auto" or experiment.rng_setting, and either
+    # way the certified setting is rng_setting (PipelineConfig.validate)
+    x_star: str = "auto"
     resamples: int = 0
     bootstrap_seed: int = 1
     min_entropy_floor: float = 1e-6
 
     def validate(self):
         _require_finite(self)
-        if self.x_star not in ("auto",) + asm.SETTINGS:
-            raise ConfigError(f"x_star must be 'auto' or one of {asm.SETTINGS}")
         if self.resamples < 0:
             raise ConfigError("resamples must be non-negative")
         if self.min_entropy_floor <= 0:
@@ -116,6 +116,11 @@ class PipelineConfig:
         self.experiment.validate()
         self.certification.validate()
         self.extraction.validate()
+        rng_setting = self.experiment.rng_setting
+        if self.certification.x_star not in ("auto", rng_setting):
+            raise ConfigError(
+                f"x_star must be 'auto' or the stream's rng_setting {rng_setting!r}, "
+                f"got {self.certification.x_star!r}")
         return self
 
     def to_dict(self) -> dict:
@@ -257,16 +262,16 @@ def stage_tomo(config: PipelineConfig, out_dir: str) -> dict:
 
 
 def stage_certify(config: PipelineConfig, out_dir: str) -> dict:
-    """Certify min-entropy (and the steering functional) from the assemblage."""
+    """Certify min-entropy (and the steering functional) from the assemblage,
+    at ``experiment.rng_setting``, the setting the raw stream measures."""
     assemblage = _load(os.path.join(out_dir, ASSEMBLAGE_FILE), "certify", asm.load_assemblage)
     settings = config.certification
     counts = None
     if settings.resamples > 0:
         counts = _load(os.path.join(out_dir, COUNTS_FILE), "certify", asm.load_counts)
-    x_star = None if settings.x_star == "auto" else settings.x_star
     result = certify_assemblage(
         assemblage,
-        x_star=x_star,
+        x_star=config.experiment.rng_setting,
         counts=counts,
         resamples=settings.resamples,
         seed=settings.bootstrap_seed,
@@ -534,21 +539,22 @@ def sweep(
 ) -> list[dict]:
     """Certification sweep over ideal assemblages on an eta (x visibility) grid.
 
-    Emits plot-ready rows (one per grid point) with the certified rate and
-    the steering quantities, written as both TSV and JSON.
+    Emits plot-ready rows (one per grid point) with the certified rate at
+    ``experiment.rng_setting`` and the steering quantities, written as both
+    TSV and JSON.
     """
     config.validate()
     os.makedirs(out_dir, exist_ok=True)
     if visibility_values is None:
         visibility_values = [config.experiment.visibility]
-    x_star = config.certification.x_star
+    x_star = config.experiment.rng_setting
 
     rows = []
     for visibility in visibility_values:
         rho = sim.werner_state(visibility)
         for eta in eta_values:
             ideal = asm.ideal_assemblage(rho, eta=eta)
-            result = certify_assemblage(ideal, x_star=None if x_star == "auto" else x_star)
+            result = certify_assemblage(ideal, x_star=x_star)
             rows.append({
                 "visibility": float(visibility),
                 "eta": float(eta),

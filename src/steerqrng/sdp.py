@@ -214,9 +214,11 @@ class _InternalProblem:
         self.A: list[np.ndarray] = []
         self.C: list[np.ndarray] = []
         for label, rows_used, mats in zip(self.labels, used, coeffs):
+            # the embedding is decided on the Hermitian part, whose 1x1
+            # blocks are real whatever rounding the raw coefficients carry
             mats = np.array(mats, dtype=complex)
-            is_complex = bool(np.max(np.abs(mats.imag)) > 0.0)
             mats = 0.5 * (mats + mats.conj().swapaxes(-1, -2))
+            is_complex = bool(np.max(np.abs(mats.imag)) > 0.0)
             mats = 0.5 * real_embedding(mats) if is_complex else mats.real
             d = mats.shape[-1]
             rows = np.zeros((self.m_orig, d * d))
@@ -448,9 +450,9 @@ def _ipm(
     c_max = np.abs(c).max(axis=1, initial=0.0)
     g.scale_b = 1.0 + b_max
     g.scale_c = 1.0 + c_max
+    g.a_max = np.abs(rows).max(axis=(1, 2), initial=0.0)
     xi = 10.0 * np.maximum(1.0, b_max)
-    eta = 10.0 * np.maximum(np.maximum(1.0, c_max),
-                            np.abs(rows).max(axis=(1, 2), initial=0.0))
+    eta = 10.0 * np.maximum(np.maximum(1.0, c_max), g.a_max)
     eye = _identity(shapes)
     g.x = xi[:, None] * eye
     g.s = eta[:, None] * eye
@@ -527,7 +529,11 @@ def _ipm(
 
         optimal = ((pinf <= FEASIBILITY_TARGET) & (dinf <= FEASIBILITY_TARGET)
                    & (relgap <= GAP_TARGET))
-        unbounded = ~optimal & (pinf <= feasibility_acceptable) & (pobj < -1e10 * g.scale_c)
+        # along a feasible ray the residual's rounding grows with the iterate,
+        # so feasibility there is judged relative to the iterate's size
+        ray_pinf = (np.abs(g.pres).max(axis=1, initial=0.0)
+                    / (g.scale_b + g.a_max * np.abs(g.x).max(axis=1)))
+        unbounded = ~optimal & (ray_pinf <= feasibility_acceptable) & (pobj < -1e10 * g.scale_c)
         stalled = ~optimal & ~unbounded & ((g.mu < 1e-17) | (g.stall > 40))
         if not leave((optimal, OPTIMAL, "converged to target tolerance"),
                      (unbounded, UNBOUNDED, "objective diverging with feasible iterate"),

@@ -1,10 +1,11 @@
 """Synthetic stand-in for the photonic steering experiment.
 
-Generates Werner-family two-qubit states, samples tomography counts for the
-certification stage, and emits time-tagged detection streams for the
-randomness-generation stage.  Losses on the untrusted side are modelled as
-independent Bernoulli survival with probability ``eta_alice``; lost photons
-simply produce no time tag, which is how null outcomes enter the raw data.
+The source is one assemblage, ``ideal_assemblage(werner_state(V), eta_alice)``:
+both the tomography counts of the certification stage and the time-tagged
+detection streams of the randomness-generation stage sample its Born
+probabilities p(a, beta | x, b).  Loss on the untrusted side is the
+assemblage's null member, an outcome like the other two; a null produces
+no Alice time tag, which is how null outcomes enter the raw data.
 
 Timestamps are integer picoseconds throughout so that coincidence windowing
 is exact.  All sampling is driven by ``numpy.random.Generator`` seeded from
@@ -20,15 +21,14 @@ import numpy as np
 
 from .assemblage import (
     BOB_BASES,
+    OUTCOMES,
     SETTINGS,
     TomographyCounts,
     born_probabilities,
-    bob_projectors,
-    default_measurements,
     ideal_assemblage,
 )
 from .extractor import BitString
-from .linalg import assert_density_matrix, singlet_state, tensor
+from .linalg import assert_density_matrix, singlet_state
 
 PARTY_ALICE = 0
 PARTY_BOB = 1
@@ -59,10 +59,13 @@ _PS_PER_SECOND = 1e12
 class ExperimentConfig:
     """Knobs of the simulated run.
 
-    ``visibility`` is the Werner mixing weight, ``eta_alice`` the heralding
-    efficiency of the untrusted side, ``eta_bob`` the trusted side's detector
-    efficiency.  ``trials_certification`` is the number of tomography trials
-    recorded per (setting, basis) configuration.  ``duration_rng`` is the
+    ``visibility`` is the Werner mixing weight and ``eta_alice`` the heralding
+    efficiency of the untrusted side: the source is the assemblage
+    ``ideal_assemblage(werner_state(visibility), eta_alice)``, whose null
+    member carries the ``1 - eta_alice`` of Alice's loss; loss is an outcome
+    of the source, not a separate per-photon draw.  ``eta_bob`` is the
+    trusted side's detector efficiency.  ``trials_certification`` is the
+    number of tomography trials recorded per (setting, basis) configuration.  ``duration_rng`` is the
     wall-clock length of the randomness-generation stream in seconds and
     ``pair_rate`` the expected pair-emission rate in pairs per second.
     """
@@ -146,45 +149,38 @@ def werner_state(visibility: float) -> np.ndarray:
     return rho
 
 
+def _source_probabilities(config: ExperimentConfig) -> np.ndarray:
+    """p(a, beta | x, b) of the source as a (settings, bases, 6) array.
+
+    The source is the assemblage ``ideal_assemblage(werner_state(V), eta)``;
+    the last axis holds the cells a in (0, 1, null) times beta in (0, 1), in
+    that order, and each (x, b) row sums to one.
+    """
+    assem = ideal_assemblage(werner_state(config.visibility), eta=config.eta_alice)
+    probs = born_probabilities(assem)
+    p = np.array([[[probs[(x, a, b, beta)] for a in OUTCOMES for beta in (0, 1)]
+                   for b in BOB_BASES] for x in assem.settings])
+    p = np.clip(p, 0.0, None)
+    return p / p.sum(axis=-1, keepdims=True)
+
+
 def simulate_tomography(config: ExperimentConfig) -> TomographyCounts:
     """Sample certification-stage counts.
 
     For each of the six (setting, Bob basis) configurations an independent
-    multinomial of ``trials_certification`` trials is drawn from the Born
-    probabilities of the lossy ideal assemblage.  Bob's detector efficiency
-    drops out here because trials are conditioned on a Bob detection.
+    multinomial of ``trials_certification`` trials is drawn from the source's
+    Born probabilities.  Bob's detector efficiency drops out here because
+    trials are conditioned on a Bob detection.
     """
     config.validate()
-    rho = werner_state(config.visibility)
-    assem = ideal_assemblage(rho, eta=config.eta_alice)
-    probs = born_probabilities(assem)
     rng = np.random.default_rng([config.rng_seed, _TOMOGRAPHY_LANE])
-
-    entries = {}
-    for x in assem.settings:
-        for b in BOB_BASES:
-            cells = [(x, a, b, beta) for a in (0, 1, None) for beta in (0, 1)]
-            p = np.array([probs[c] for c in cells])
-            p = np.clip(p, 0.0, None)
-            p = p / p.sum()
-            draws = rng.multinomial(config.trials_certification, p)
-            for cell, count in zip(cells, draws):
-                entries[cell] = int(count)
-    return TomographyCounts.from_entries(entries, settings=assem.settings)
-
-
-def _joint_channel_probabilities(config: ExperimentConfig) -> np.ndarray:
-    """Born probabilities p[a, beta] for the fixed RNG-stage settings."""
-    rho = werner_state(config.visibility)
-    effects = default_measurements()[config.rng_setting]
-    projs = bob_projectors()
-    p = np.empty((2, 2))
-    for a in (0, 1):
-        for beta in (0, 1):
-            op = tensor(effects[a], projs[(config.bob_rng_basis, beta)])
-            p[a, beta] = float(np.real(np.trace(op @ rho)))
-    p = np.clip(p, 0.0, None)
-    return p / p.sum()
+    draws = rng.multinomial(config.trials_certification, _source_probabilities(config))
+    cells = [(a, beta) for a in OUTCOMES for beta in (0, 1)]
+    entries = {(x, a, b, beta): int(n)
+               for x, per_x in zip(SETTINGS, draws)
+               for b, per_b in zip(BOB_BASES, per_x)
+               for (a, beta), n in zip(cells, per_b)}
+    return TomographyCounts.from_entries(entries, settings=SETTINGS)
 
 
 def _party_tags(
@@ -220,7 +216,8 @@ def _stream_draws(config: ExperimentConfig):
 
     Returns the pair emission times and, per party, the ``_party_tags``
     arguments that follow them: outcomes, detection mask, jitter, dark tag
-    times and dark tag channels.
+    times and dark tag channels.  Alice's outcome is 0, 1 or 2 (null), and
+    she detects exactly the pairs whose outcome is not null.
     """
     config.validate()
     rng = np.random.default_rng([config.rng_seed, _STREAM_LANE])
@@ -230,12 +227,15 @@ def _stream_draws(config: ExperimentConfig):
     pair_times = np.sort(rng.random(n_pairs)) * duration_ps
     pair_times = pair_times.astype(np.int64)
 
-    p_joint = _joint_channel_probabilities(config).ravel()
-    joint = rng.choice(4, size=n_pairs, p=p_joint)
-    alice_out = (joint >> 1).astype(np.int8)
-    bob_out = (joint & 1).astype(np.int8)
+    # one 6-cell draw per pair from the source's row at the RNG-stage
+    # settings: Alice's outcome 2 is the null, which leaves no tag
+    p_row = _source_probabilities(config)[SETTINGS.index(config.rng_setting),
+                                          BOB_BASES.index(config.bob_rng_basis)]
+    cell = rng.choice(len(p_row), size=n_pairs, p=p_row).astype(np.int8)
+    alice_out = cell >> 1
+    bob_out = cell & 1
 
-    alice_det = rng.random(n_pairs) < config.eta_alice
+    alice_det = alice_out < 2
     bob_det = rng.random(n_pairs) < config.eta_bob
 
     jitter_ps = config.timing_jitter * _PS_PER_SECOND
@@ -257,9 +257,10 @@ def simulate_streams(config: ExperimentConfig) -> StreamResult:
     """Generate the randomness-stage time-tag streams.
 
     Pair emissions form a Poisson process at ``pair_rate`` over
-    ``duration_rng`` seconds.  Each pair's joint outcome is sampled from the
-    Born probabilities at the fixed RNG setting; each photon then survives to
-    detection independently with its party's efficiency.  Small Gaussian
+    ``duration_rng`` seconds.  Each pair's joint outcome (a, beta) is sampled
+    from the source's Born probabilities at the fixed RNG setting and basis;
+    a null leaves no Alice tag, and Bob's photon survives to detection
+    independently with probability ``eta_bob``.  Small Gaussian
     timing jitter is applied per detector so the coincidence window does real
     work.  Optional dark tags are uncorrelated and uniform in time.
     """

@@ -75,8 +75,8 @@ def ml_fit():
 def bootstrap_run(ml_fit):
     """One full statistical chain, shared across test modules.
 
-    Certifies the maximum-likelihood fit of ``ml_fit`` with a parametric
-    bootstrap, and certifies the noiseless ideal assemblage at the same
+    Certifies the maximum-likelihood fit of ``ml_fit`` at the stream's
+    setting with a parametric bootstrap, and certifies the noiseless ideal assemblage at the same
     setting for comparison.  Session-scoped because the bootstrap costs
     over a second, most of it in its hundred SDP solves (in lockstep groups
     of ``sdp.GROUP_SIZE``; the refits run as one batch); the certification
@@ -87,6 +87,7 @@ def bootstrap_run(ml_fit):
     config, counts, reconstruction = ml_fit.config, ml_fit.counts, ml_fit.reconstruction
     result = cert.certify(
         reconstruction.assemblage,
+        x_star=config.rng_setting,
         counts=counts,
         resamples=BOOTSTRAP_RESAMPLES,
         seed=BOOTSTRAP_SEED,

@@ -205,30 +205,28 @@ class TestSteeringFunctional:
 
 class TestCertifyOrchestrator:
     def test_fields_consistent(self, assem_singlet_543):
-        result = cert.certify(assem_singlet_543)
-        assert result.x_star in ("X", "Z")
+        result = cert.certify(assem_singlet_543, x_star="X")
+        assert result.x_star == "X"
         assert result.h_min == pytest.approx(-math.log2(result.p_guess), abs=1e-12)
         assert result.p_guess == pytest.approx(1.5 - 0.543, abs=1e-7)
         assert result.beta == pytest.approx(result.mu, abs=1e-8)
-        assert "p_guess_by_setting" in result.diagnostics
         assert result.diagnostics["guessing_solver"]["status"] == "optimal"
-
-    @pytest.mark.parametrize("state", [singlet_state(), werner_state(0.99)])
-    @pytest.mark.parametrize("eta", [0.543, 0.8])
-    def test_symmetric_settings_tie_to_first_declared(self, state, eta):
-        # X and Z certify the same p_guess here; the solver's rounding must
-        # not pick the setting
-        assem = asm.ideal_assemblage(state, eta=eta)
-        assert cert.certify(assem).x_star == assem.settings[0]
 
     def test_explicit_setting_respected(self, assem_singlet_543):
         result = cert.certify(assem_singlet_543, x_star="Z")
         assert result.x_star == "Z"
-        assert "p_guess_by_setting" not in result.diagnostics
+        assert result.decomposition.x_star == "Z"
+
+    def test_setting_is_required(self, assem_singlet_543):
+        # no default: the caller names the setting its raw bits measure
+        with pytest.raises(TypeError):
+            cert.certify(assem_singlet_543)
+        with pytest.raises(ValueError):
+            cert.certify(assem_singlet_543, x_star="Y")
 
     def test_bootstrap_requires_counts(self, assem_singlet_543):
         with pytest.raises(ValueError):
-            cert.certify(assem_singlet_543, resamples=100)
+            cert.certify(assem_singlet_543, x_star="Z", resamples=100)
 
 
 class TestBootstrap:
@@ -306,7 +304,7 @@ class TestSerialization:
             assert np.allclose(loaded.functional[key], mat, atol=1e-15)
 
     def test_round_trip_without_uncertainty(self, tmp_path, assem_singlet_543):
-        result = cert.certify(assem_singlet_543)
+        result = cert.certify(assem_singlet_543, x_star="Z")
         path = tmp_path / "certification.txt"
         cert.save_certification(result, str(path))
         loaded = cert.load_certification(str(path))

@@ -7,6 +7,7 @@ import shutil
 
 import pytest
 
+from steerqrng import certify as cert
 from steerqrng import cli
 from steerqrng import pipeline as pl
 from steerqrng import simulate as sim
@@ -118,6 +119,25 @@ class TestConfig:
         with pytest.raises(pl.ConfigError):
             pl.PipelineConfig.from_dict(base)
 
+    def test_x_star_other_than_stream_setting_rejected(self, tmp_path, capsys):
+        """x_star names no setting of its own: "auto" and the stream's
+        rng_setting both certify rng_setting, and any other setting is a
+        config error, reported on one line, before anything is simulated."""
+        base = fast_config(rng_setting="Z").to_dict()
+        for accepted in ("auto", "Z"):
+            base["certification"]["x_star"] = accepted
+            pl.PipelineConfig.from_dict(base)
+        base["certification"]["x_star"] = "X"
+        with pytest.raises(pl.ConfigError, match="x_star"):
+            pl.PipelineConfig.from_dict(base)
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(base))
+        out = str(tmp_path / "out")
+        assert cli.main(["run", "-c", str(cfg_path), "-o", out]) == pl.EXIT_IO
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "x_star" in err[0]
+        assert not os.path.exists(out)
+
     def test_missing_file_raises_stage_input_error(self):
         with pytest.raises(pl.StageInputError):
             pl.PipelineConfig.from_file("/nonexistent/config.json")
@@ -161,6 +181,18 @@ class TestFullRun:
             pl.COUNTS_FILE, pl.ASSEMBLAGE_FILE, pl.CERTIFICATION_FILE, pl.SEED_FILE,
         ):
             assert read(os.path.join(out_a, name)) == read(os.path.join(out_b, name)), name
+
+
+    @pytest.mark.parametrize("setting", ["X", "Z"])
+    def test_certifies_the_stream_setting(self, tmp_path, setting):
+        # the singlet certifies X and Z alike, so no tie rule may pick X
+        out = str(tmp_path / "run")
+        report = pl.run(fast_config(rng_setting=setting), out)
+        assert report.exit_code == pl.EXIT_OK
+        on_disk = json.loads(read(os.path.join(out, pl.REPORT_JSON)))
+        assert on_disk["certification"]["x_star"] == setting
+        certificate = cert.load_certification(os.path.join(out, pl.CERTIFICATION_FILE))
+        assert certificate.x_star == setting
 
 
 class TestStages:
@@ -340,6 +372,14 @@ class TestSweep:
         assert len(tsv) == 3
         loaded = json.loads(read(os.path.join(out, pl.SWEEP_JSON)))
         assert loaded["rows"] == rows
+
+    @pytest.mark.parametrize("setting", ["X", "Z"])
+    def test_certifies_the_stream_setting(self, tmp_path, setting):
+        out = str(tmp_path / "sweep")
+        pl.sweep(fast_config(rng_setting=setting), out, eta_values=[0.6, 0.8])
+        tsv = read(os.path.join(out, pl.SWEEP_TSV)).decode().splitlines()
+        column = tsv[0].split("\t").index("x_star")
+        assert [line.split("\t")[column] for line in tsv[1:]] == [setting, setting]
 
 
 class TestCli:

@@ -2,6 +2,7 @@
 
 import copy
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -79,6 +80,16 @@ def unbounded_problem():
         constraints=[
             sdp.SdpConstraint(coeffs={"pinned": np.array([[1.0]])}, rhs=1.0)
         ],
+    )
+
+
+def feasible_ray_problem():
+    """max u subject to u - v = 1: feasible, and unbounded along u = v + 1."""
+    one = np.array([[1.0]])
+    return sdp.SdpProblem(
+        blocks={"u": 1, "v": 1},
+        objective={"u": one},
+        constraints=[sdp.SdpConstraint(coeffs={"u": one, "v": -one}, rhs=1.0)],
     )
 
 
@@ -247,6 +258,14 @@ class TestStatuses:
         sol = sdp.solve(unbounded_problem())
         assert sol.status == sdp.UNBOUNDED
 
+    def test_unbounded_along_feasible_ray(self):
+        # the residual's rounding grows with the diverging iterate; the
+        # solve must classify the ray before it overflows
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sol = sdp.solve(feasible_ray_problem())
+        assert sol.status == sdp.UNBOUNDED
+
     def test_redundant_rows_still_optimal(self, rng):
         a = rng.normal(size=(3, 3))
         a = 0.5 * (a + a.T)
@@ -294,6 +313,29 @@ class TestValidation:
         )
         with pytest.raises(ValueError):
             problem.validate()
+
+
+class TestRealForm:
+    def test_one_by_one_blocks_stay_real(self):
+        """A 1x1 block's Hermitian part is real, so the block is never
+        embedded as 2x2, whatever imaginary rounding its raw coefficients
+        carry: 12 of the 18 blocks of the singlet guessing SDP at eta 0.543
+        are 1x1, and their compressed coefficients v^H B v carry such
+        rounding."""
+        problem = sdp.SdpProblem(
+            blocks={"x": 1},
+            objective={"x": np.array([[1.0 + 1e-17j]])},
+            constraints=[sdp.SdpConstraint(coeffs={"x": np.array([[1.0 - 1e-17j]])}, rhs=1.0)],
+        )
+        assert sdp._InternalProblem(problem).dims == [1]
+        for _name, assem in steering_cases():
+            for x_star in assem.settings:
+                internal = sdp._InternalProblem(cert._guessing_program(assem, x_star).problem)
+                assert [d for user, d in zip(internal.block_dims, internal.dims)
+                        if user == 1] == [1] * internal.block_dims.count(1)
+        singlet = asm.ideal_assemblage(sim.werner_state(1.0), eta=0.543)
+        internal = sdp._InternalProblem(cert._guessing_program(singlet, "X").problem)
+        assert sorted(internal.dims) == [1] * 12 + [4] * 6
 
 
 class TestRobustness:

@@ -238,6 +238,28 @@ class TestStreams:
         truth = ground_truth(stream_config(pair_rate=20_000))
         assert np.all(truth["alice_outcome"] != truth["bob_outcome"])
 
+    @pytest.mark.parametrize("setting, basis", [("Z", "Z"), ("X", "Z")])
+    def test_pairs_sample_the_source_assemblage(self, setting, basis):
+        """Per emitted pair, (a, beta) at the stream's setting and basis, null
+        included, follows the Born probabilities of the same assemblage the
+        tomography samples; Alice is detected exactly when a is not null."""
+        config = stream_config(visibility=0.9, eta_alice=0.7, pair_rate=200_000,
+                               rng_setting=setting, bob_rng_basis=basis)
+        truth = ground_truth(config)
+        n = len(truth)
+        model = asm.ideal_assemblage(
+            sim.werner_state(config.visibility), eta=config.eta_alice
+        )
+        probs = asm.born_probabilities(model)
+        for a_index, a in enumerate(asm.OUTCOMES):
+            for beta in (0, 1):
+                p = probs[(setting, a, basis, beta)]
+                f = np.count_nonzero((truth["alice_outcome"] == a_index)
+                                     & (truth["bob_outcome"] == beta)) / n
+                sigma = np.sqrt(max(p * (1 - p), 1e-12) / n)
+                assert abs(f - p) < 5 * sigma + 1e-9, (a, beta, f, p)
+        assert np.array_equal(truth["alice_index"] >= 0, truth["alice_outcome"] < 2)
+
     def test_dark_counts_extend_streams(self):
         quiet = sim.simulate_streams(stream_config(pair_rate=20_000))
         noisy = sim.simulate_streams(stream_config(pair_rate=20_000, dark_rate=5_000))
