@@ -11,10 +11,15 @@ ideal assemblage is
 which is normalized (traces sum to one per setting) and non-signaling (the
 sum over outcomes is independent of the setting).
 
-Tomography counts are multinomial per (x, b) configuration, where b is Bob's
-measurement basis (X, Y or Z); ``ml_reconstruct`` maximizes the multinomial
-likelihood over the set of valid assemblages by projected gradient ascent,
-with feasibility enforced by Dykstra's alternating projections at every step.
+The measurement layout is fixed: Alice's settings ``SETTINGS`` (X, Z), her
+outcomes ``OUTCOMES`` and Bob's tomography bases ``BOB_BASES`` (X, Y, Z).
+Every table and assemblage is laid out over these constants, and no object
+carries its own copy.  Tomography counts are one integer array of shape
+``CELLS``, axes (x, b, a, beta) with b Bob's basis and beta his outcome;
+each (x, b) slice is one multinomial.  ``ml_reconstruct`` maximizes the
+multinomial likelihood over the set of valid assemblages by projected
+gradient ascent, with feasibility enforced by Dykstra's alternating
+projections at every step.
 The fit holds each member as its four real Pauli coordinates, where both
 projections are closed-form, and runs several fits as one lockstep batch:
 the two starts of a cold fit, or the many tables of ``ml_reconstruct_many``.
@@ -22,7 +27,7 @@ the two starts of a cold fit, or the many tables of ``ml_reconstruct_many``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,7 +51,7 @@ __all__ = [
     "SETTINGS",
     "OUTCOMES",
     "BOB_BASES",
-    "Outcome",
+    "CELLS",
     "Assemblage",
     "AssemblageReport",
     "TomographyCounts",
@@ -68,13 +73,15 @@ __all__ = [
     "parse_outcome",
 ]
 
-Outcome = "int | None"
-
 SETTINGS: tuple[str, ...] = ("X", "Z")
 OUTCOMES: tuple[object, ...] = (0, 1, None)
 BOB_BASES: tuple[str, ...] = ("X", "Y", "Z")
+#: Shape of a tomography table: axes (x, b, a, beta) over SETTINGS, BOB_BASES,
+#: OUTCOMES and Bob's two outcomes; each (x, b) slice is one multinomial.
+CELLS = (len(SETTINGS), len(BOB_BASES), len(OUTCOMES), 2)
 
 _PAULI = {"X": PAULI_X, "Y": PAULI_Y, "Z": PAULI_Z}
+_MEMBERS = [(x, a) for x in SETTINGS for a in OUTCOMES]
 
 
 class InsufficientDataError(ValueError):
@@ -122,7 +129,6 @@ class Assemblage:
     """Collection of unnormalized conditional states sigma_{a|x} on Bob."""
 
     members: dict[tuple[str, object], np.ndarray]
-    settings: tuple[str, ...] = SETTINGS
 
     def member(self, x: str, a) -> np.ndarray:
         return self.members[(x, a)]
@@ -133,24 +139,15 @@ class Assemblage:
 
     def stacked(self) -> np.ndarray:
         """(n_members, 2, 2) array ordered settings-major, outcomes (0, 1, null)."""
-        return np.array([self.members[(x, a)] for x in self.settings for a in OUTCOMES])
+        return np.array([self.members[key] for key in _MEMBERS])
 
     @classmethod
-    def from_stacked(cls, stack: np.ndarray,
-                     settings: tuple[str, ...] = SETTINGS) -> "Assemblage":
-        members = {}
-        idx = 0
-        for x in settings:
-            for a in OUTCOMES:
-                members[(x, a)] = np.asarray(stack[idx], dtype=complex)
-                idx += 1
-        return cls(members=members, settings=settings)
+    def from_stacked(cls, stack: np.ndarray) -> "Assemblage":
+        return cls(members={key: np.asarray(mat, dtype=complex)
+                            for key, mat in zip(_MEMBERS, stack)})
 
     def scaled(self, factor: float) -> "Assemblage":
-        return Assemblage(
-            members={k: factor * v for k, v in self.members.items()},
-            settings=self.settings,
-        )
+        return Assemblage(members={k: factor * v for k, v in self.members.items()})
 
 
 @dataclass
@@ -198,13 +195,10 @@ def validate_assemblage(assem: Assemblage, tol: float = 1e-9,
         herm = max(herm, float(np.max(np.abs(mat - mat.conj().T))))
         mineig = min(mineig, min_eigenvalue(hermitian_part(mat), tol=np.inf))
     norm_err = max(
-        abs(float(np.real(np.trace(assem.bob_state(x)))) - 1.0) for x in assem.settings
+        abs(float(np.real(np.trace(assem.bob_state(x)))) - 1.0) for x in SETTINGS
     )
-    ref = assem.bob_state(assem.settings[0])
-    sig_err = max(
-        (float(np.max(np.abs(assem.bob_state(x) - ref))) for x in assem.settings[1:]),
-        default=0.0,
-    )
+    ref = assem.bob_state(SETTINGS[0])
+    sig_err = max(float(np.max(np.abs(assem.bob_state(x) - ref))) for x in SETTINGS[1:])
     ok = herm <= tol and mineig >= psd_tol and norm_err <= tol and sig_err <= tol
     return AssemblageReport(
         hermiticity_error=herm,
@@ -215,16 +209,13 @@ def validate_assemblage(assem: Assemblage, tol: float = 1e-9,
     )
 
 
-def born_probabilities(assem: Assemblage) -> dict[tuple, float]:
-    """p(a, beta | x, b) = Tr[Pi_{beta|b} sigma_{a|x}] for Bob's three bases."""
+def born_probabilities(assem: Assemblage) -> np.ndarray:
+    """p(a, beta | x, b) = Tr[Pi_{beta|b} sigma_{a|x}] as a float array of
+    shape ``CELLS``, axes (x, b, a, beta)."""
     projs = bob_projectors()
-    out: dict[tuple, float] = {}
-    for x in assem.settings:
-        for a in OUTCOMES:
-            sig = assem.members[(x, a)]
-            for (b, beta), proj in projs.items():
-                out[(x, a, b, beta)] = float(np.real(np.trace(proj @ sig)))
-    return out
+    return np.array([[[[np.real(np.trace(projs[(b, beta)] @ assem.members[(x, a)]))
+                        for beta in (0, 1)] for a in OUTCOMES] for b in BOB_BASES]
+                     for x in SETTINGS])
 
 
 # ---------------------------------------------------------------------------
@@ -233,39 +224,22 @@ def born_probabilities(assem: Assemblage) -> dict[tuple, float]:
 
 @dataclass
 class TomographyCounts:
-    """Integer counts per (x, a, b, beta); multinomial per (x, b) configuration."""
+    """Integer counts of shape ``CELLS``, axes (x, b, a, beta); each (x, b)
+    slice is one multinomial configuration."""
 
-    entries: dict[tuple, int]
-    totals: dict[tuple[str, str], int] = field(default_factory=dict)
-    settings: tuple[str, ...] = SETTINGS
-    bases: tuple[str, ...] = BOB_BASES
-
-    @classmethod
-    def from_entries(cls, entries: dict[tuple, int],
-                     settings: tuple[str, ...] = SETTINGS,
-                     bases: tuple[str, ...] = BOB_BASES) -> "TomographyCounts":
-        totals: dict[tuple[str, str], int] = {}
-        for (x, _a, b, _beta), n in entries.items():
-            totals[(x, b)] = totals.get((x, b), 0) + int(n)
-        counts = cls(entries=dict(entries), totals=totals, settings=settings, bases=bases)
-        counts.validate()
-        return counts
+    n: np.ndarray
 
     def validate(self) -> None:
-        sums: dict[tuple[str, str], int] = {}
-        for (x, a, b, beta), n in self.entries.items():
-            if int(n) != n or n < 0:
-                raise ValueError(f"count for ({x},{a},{b},{beta}) is not a nonnegative integer")
-            sums[(x, b)] = sums.get((x, b), 0) + int(n)
-        for key, total in self.totals.items():
-            if sums.get(key, 0) != total:
-                raise ValueError(f"totals for configuration {key} do not match entry sums")
+        if np.shape(self.n) != CELLS:
+            raise ValueError(f"counts have shape {np.shape(self.n)}, expected {CELLS}")
+        if not np.issubdtype(self.n.dtype, np.integer):
+            raise ValueError(f"counts have dtype {self.n.dtype}, expected integers")
+        if (self.n < 0).any():
+            raise ValueError("counts must be non-negative")
 
-    def config_total(self, x: str, b: str) -> int:
-        return self.totals.get((x, b), 0)
-
-    def count(self, x: str, a, b: str, beta: int) -> int:
-        return self.entries.get((x, a, b, beta), 0)
+    def totals(self) -> np.ndarray:
+        """Trials per (x, b) configuration."""
+        return self.n.sum(axis=(2, 3))
 
 
 # ---------------------------------------------------------------------------
@@ -294,10 +268,6 @@ class MlReconstruction:
     converged: bool
     start_log_likelihoods: list[float]
     ll_history: list[float]
-
-
-def _member_index(settings: tuple[str, ...]):
-    return [(x, a) for x in settings for a in OUTCOMES]
 
 
 def _pauli_coordinates(stack: np.ndarray) -> np.ndarray:
@@ -371,23 +341,17 @@ class _Likelihood:
     """Multinomial log-likelihoods of one table per fit."""
 
     def __init__(self, tables: list[TomographyCounts]):
-        first = tables[0]
+        n = np.array([counts.n for counts in tables])
+        empty = np.argwhere(n.sum(axis=(3, 4)) == 0)
+        if empty.size:
+            _, x, b = empty[0]
+            raise InsufficientDataError(
+                f"no counts for configuration (x={SETTINGS[x]}, b={BOB_BASES[b]})")
         projs = bob_projectors()
-        keys = [(b, beta) for b in first.bases for beta in (0, 1)]
-        self.settings = first.settings
-        self.proj = _pauli_coordinates(np.array([projs[k] for k in keys]))
-        for counts in tables:
-            if (counts.settings, counts.bases) != (first.settings, first.bases):
-                raise ValueError("tables of one batch must share settings and bases")
-            for x in counts.settings:
-                for b in counts.bases:
-                    if counts.config_total(x, b) == 0:
-                        raise InsufficientDataError(
-                            f"no counts for configuration (x={x}, b={b})"
-                        )
-        self.N = np.array([[[counts.count(x, a, b, beta) for b, beta in keys]
-                            for x, a in _member_index(first.settings)]
-                           for counts in tables], dtype=float)
+        self.proj = _pauli_coordinates(
+            np.array([projs[(b, beta)] for b in BOB_BASES for beta in (0, 1)]))
+        # rows are the members (x, a), columns Bob's cells (b, beta)
+        self.N = n.transpose(0, 1, 3, 2, 4).reshape(len(tables), len(_MEMBERS), -1).astype(float)
         self.total = self.N.sum(axis=(1, 2))
         self.mask = self.N > 0
 
@@ -404,24 +368,22 @@ class _Likelihood:
 
 
 def _flat_start(counts: TomographyCounts) -> np.ndarray:
-    kept = sum(n for (x, a, b, beta), n in counts.entries.items() if a is not None)
-    total = sum(counts.totals.values())
-    eta_hat = float(np.clip(kept / total if total else 0.5, 1e-3, 1.0 - 1e-3))
-    v = np.zeros((len(counts.settings) * len(OUTCOMES), 4))
-    v[:, 0] = [eta_hat / 2.0 if a is not None else 1.0 - eta_hat
-               for _x, a in _member_index(counts.settings)]
+    """Every member maximally mixed, with the detected fraction as the
+    heralding efficiency."""
+    eta_hat = float(np.clip(counts.n[:, :, :2].sum() / counts.n.sum(), 1e-3, 1.0 - 1e-3))
+    v = np.zeros((len(_MEMBERS), 4))
+    v[:, 0] = [eta_hat / 2.0 if a is not None else 1.0 - eta_hat for _x, a in _MEMBERS]
     return v
 
 
 def _linear_inversion_start(counts: TomographyCounts) -> np.ndarray:
     """Per member: the outcome frequency averaged over Bob's bases as the
     trace, the +/- frequency difference per basis as (x, y, z)."""
-    rows = []
-    for x, a in _member_index(counts.settings):
-        freq = np.array([[counts.count(x, a, b, beta) / counts.config_total(x, b)
-                          for beta in (0, 1)] for b in BOB_BASES])
-        rows.append([np.mean(freq.sum(axis=1)), *(freq[:, 0] - freq[:, 1])])
-    projected = _project_feasible(np.array(rows)[None])[0]
+    freq = counts.n / counts.totals()[..., None, None]
+    freq = freq.transpose(0, 2, 1, 3).reshape(len(_MEMBERS), len(BOB_BASES), 2)
+    rows = np.concatenate([freq.sum(axis=2).mean(axis=1)[:, None],
+                           freq[..., 0] - freq[..., 1]], axis=1)
+    projected = _project_feasible(rows[None])[0]
     return 0.95 * projected + 0.05 * _flat_start(counts)
 
 
@@ -518,7 +480,7 @@ def _ascend(like: _Likelihood, v: np.ndarray) -> list[MlReconstruction]:
             break
     return [
         MlReconstruction(
-            assemblage=Assemblage.from_stacked(_from_pauli(v[i]), like.settings),
+            assemblage=Assemblage.from_stacked(_from_pauli(v[i])),
             log_likelihood=float(ll[i]),
             log_likelihood_per_trial=float(ll[i] / like.total[i]),
             iterations=int(iterations[i]),
@@ -534,68 +496,75 @@ def _ascend(like: _Likelihood, v: np.ndarray) -> list[MlReconstruction]:
 # plain-text serialization
 
 
-def save_assemblage(assem: Assemblage, path: str) -> None:
-    """Labeled complex blocks, 17 significant digits (exact float round trip)."""
-    lines = ["format assemblage-v1", "settings " + " ".join(assem.settings)]
-    for x in assem.settings:
-        for a in OUTCOMES:
-            mat = np.asarray(assem.members[(x, a)], dtype=complex)
-            lines.append(f"member {x} {outcome_label(a)}")
-            for row in mat:
-                lines.append(" ".join(f"{v.real:.17g} {v.imag:.17g}" for v in row))
+_ASSEMBLAGE_HEADER = ["format assemblage-v1", "settings " + " ".join(SETTINGS)]
+_COUNTS_HEADER = ["format counts-v1", "settings " + " ".join(SETTINGS),
+                  "bases " + " ".join(BOB_BASES), "columns x a b beta count"]
+# counts.txt rows run over (x, a, b, beta), the table's axes 0, 2, 1, 3
+_COUNT_LABELS = [f"{x} {outcome_label(a)} {b} {beta}"
+                 for x in SETTINGS for a in OUTCOMES for b in BOB_BASES for beta in (0, 1)]
+
+
+def _write_lines(path: str, lines: list[str]) -> None:
     with open(path, "w", encoding="ascii") as fh:
         fh.write("\n".join(lines) + "\n")
+
+
+def _read_body(path: str, header: list[str]) -> list[str]:
+    """The non-blank lines after ``header``, which must open the file as is:
+    a file laid out over other settings or bases is rejected."""
+    with open(path, encoding="ascii") as fh:
+        lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
+    for i, want in enumerate(header):
+        got = lines[i] if i < len(lines) else None
+        if got != want:
+            raise ValueError(f"header line {i + 1} is {got!r}, expected {want!r}")
+    return lines[len(header):]
+
+
+def save_assemblage(assem: Assemblage, path: str) -> None:
+    """Labeled complex blocks, 17 significant digits (exact float round trip)."""
+    lines = list(_ASSEMBLAGE_HEADER)
+    for x, a in _MEMBERS:
+        mat = np.asarray(assem.members[(x, a)], dtype=complex)
+        lines.append(f"member {x} {outcome_label(a)}")
+        for row in mat:
+            lines.append(" ".join(f"{v.real:.17g} {v.imag:.17g}" for v in row))
+    _write_lines(path, lines)
 
 
 def load_assemblage(path: str) -> Assemblage:
-    with open(path, encoding="ascii") as fh:
-        lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
-    if lines[0] != "format assemblage-v1":
-        raise ValueError(f"unrecognized assemblage file header {lines[0]!r}")
-    settings = tuple(lines[1].split()[1:])
-    members: dict[tuple[str, object], np.ndarray] = {}
-    pos = 2
-    while pos < len(lines):
-        _, x, alabel = lines[pos].split()
-        pos += 1
-        mat = np.zeros((2, 2), dtype=complex)
-        for i in range(2):
-            parts = lines[pos].split()
-            pos += 1
-            for j in range(2):
-                mat[i, j] = float(parts[2 * j]) + 1.0j * float(parts[2 * j + 1])
-        members[(x, parse_outcome(alabel))] = mat
-    return Assemblage(members=members, settings=settings)
+    body = _read_body(path, _ASSEMBLAGE_HEADER)
+    if len(body) != 3 * len(_MEMBERS):
+        raise ValueError(f"expected {3 * len(_MEMBERS)} member lines, got {len(body)}")
+    members = {}
+    for k, (x, a) in enumerate(_MEMBERS):
+        label, *rows = body[3 * k:3 * k + 3]
+        if label != f"member {x} {outcome_label(a)}":
+            raise ValueError(f"expected 'member {x} {outcome_label(a)}', got {label!r}")
+        parts = [row.split() for row in rows]
+        members[(x, a)] = np.array([[float(p[2 * j]) + 1.0j * float(p[2 * j + 1])
+                                     for j in range(2)] for p in parts])
+    return Assemblage(members=members)
 
 
 def save_counts(counts: TomographyCounts, path: str) -> None:
-    """One row per (x, a, b, beta, count); totals are recomputed on load."""
+    """One row per (x, a, b, beta, count)."""
     counts.validate()
-    lines = [
-        "format counts-v1",
-        "settings " + " ".join(counts.settings),
-        "bases " + " ".join(counts.bases),
-        "columns x a b beta count",
-    ]
-    for x in counts.settings:
-        for a in OUTCOMES:
-            for b in counts.bases:
-                for beta in (0, 1):
-                    n = counts.count(x, a, b, beta)
-                    lines.append(f"{x} {outcome_label(a)} {b} {beta} {n}")
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("\n".join(lines) + "\n")
+    rows = counts.n.transpose(0, 2, 1, 3).ravel()
+    _write_lines(path, _COUNTS_HEADER + [f"{label} {n}" for label, n in zip(_COUNT_LABELS, rows)])
 
 
 def load_counts(path: str) -> TomographyCounts:
-    with open(path, encoding="ascii") as fh:
-        lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
-    if lines[0] != "format counts-v1":
-        raise ValueError(f"unrecognized counts file header {lines[0]!r}")
-    settings = tuple(lines[1].split()[1:])
-    bases = tuple(lines[2].split()[1:])
-    entries: dict[tuple, int] = {}
-    for line in lines[4:]:
-        x, alabel, b, beta, n = line.split()
-        entries[(x, parse_outcome(alabel), b, int(beta))] = int(n)
-    return TomographyCounts.from_entries(entries, settings=settings, bases=bases)
+    body = _read_body(path, _COUNTS_HEADER)
+    if len(body) != len(_COUNT_LABELS):
+        raise ValueError(f"expected {len(_COUNT_LABELS)} count rows, got {len(body)}")
+    n = []
+    for label, row in zip(_COUNT_LABELS, body):
+        head, _, value = row.rpartition(" ")
+        if head != label:
+            raise ValueError(f"expected a row {label!r}, got {row!r}")
+        n.append(int(value))
+    shape = (len(SETTINGS), len(OUTCOMES), len(BOB_BASES), 2)
+    counts = TomographyCounts(np.array(n).reshape(shape).transpose(0, 2, 1, 3).copy())
+    counts.validate()
+    return counts

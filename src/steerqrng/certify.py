@@ -30,7 +30,9 @@ import numpy as np
 
 from . import sdp
 from .assemblage import (
+    CELLS,
     OUTCOMES,
+    SETTINGS,
     Assemblage,
     TomographyCounts,
     ml_reconstruct,  # unused here; benchmarks/layers.py wraps it at this name
@@ -62,16 +64,17 @@ __all__ = [
 
 SUPPORT_TOL = 1e-11    # eigenvalues above this span an assemblage member's support
 VALIDATE_TOL = 1e-7    # assemblage validation tolerance before any SDP
+MIN_RESAMPLES = 100    # fewest bootstrap resamples that give a usable spread
 
 
 class CertificationError(RuntimeError):
     """SDP trouble during certification (infeasible or not converged)."""
 
 
-def deterministic_strategies(settings: tuple[str, ...]) -> list[dict]:
+def deterministic_strategies() -> list[dict]:
     """All maps setting -> outcome, enumerated outcomes-major per setting."""
-    return [dict(zip(settings, combo))
-            for combo in itertools.product(OUTCOMES, repeat=len(settings))]
+    return [dict(zip(SETTINGS, combo))
+            for combo in itertools.product(OUTCOMES, repeat=len(SETTINGS))]
 
 
 def strategy_response(strategy: dict, a, x: str) -> int:
@@ -172,7 +175,7 @@ class _GuessingProgram:
 
 def _guessing_program(assem: Assemblage, x_star: str) -> _GuessingProgram:
     """Build the guessing-probability SDP (see ``guessing_probability``)."""
-    if x_star not in assem.settings:
+    if x_star not in SETTINGS:
         raise ValueError(f"unknown certification setting {x_star!r}")
     _require_valid(assem)
     supports = _member_supports(assem)
@@ -209,9 +212,9 @@ def _guessing_program(assem: Assemblage, x_star: str) -> _GuessingProgram:
     full_basis = hermitian_basis(2)
     compressed = {key: [v.conj().T @ basis_el @ v for basis_el in full_basis]
                   for key, (v, _w) in supports.items()}
-    x0 = assem.settings[0]
+    x0 = SETTINGS[0]
     for e in guesses:
-        for x in assem.settings[1:]:
+        for x in SETTINGS[1:]:
             for k in range(len(full_basis)):
                 coeffs = {labels[(e, xx, a)]: sign * compressed[(xx, a)][k]
                           for xx, sign in ((x0, 1.0), (x, -1.0))
@@ -305,7 +308,7 @@ def lhs_mu(assem: Assemblage) -> LhsResult:
     dual problem without a strict interior and stalls the solver.
     """
     _require_valid(assem)
-    strategies = deterministic_strategies(assem.settings)
+    strategies = deterministic_strategies()
     basis = hermitian_basis(2)
     mu_span = 4.0  # |mu| of a normalized assemblage is far below this
 
@@ -314,7 +317,7 @@ def lhs_mu(assem: Assemblage) -> LhsResult:
     blocks["mu_neg"] = 1
 
     constraints = []
-    for x in assem.settings:
+    for x in SETTINGS:
         for a in OUTCOMES:
             n_ax = sum(strategy_response(lam, a, x) for lam in strategies)
             target = np.asarray(assem.members[(x, a)], dtype=complex)
@@ -354,7 +357,7 @@ def lhs_mu(assem: Assemblage) -> LhsResult:
     hidden = {}
     for i, lam in enumerate(strategies):
         tau = solution.primal_blocks[f"lam{i}"]
-        hidden[tuple(lam[x] for x in assem.settings)] = tau + mu * np.eye(2)
+        hidden[tuple(lam[x] for x in SETTINGS)] = tau + mu * np.eye(2)
     return LhsResult(mu=mu, hidden_states=hidden, solution=solution)
 
 
@@ -373,7 +376,7 @@ def steering_functional(assem: Assemblage) -> SteeringResult:
     y = lhs.solution.dual_multipliers
     functional: dict[tuple[str, object], np.ndarray] = {}
     idx = 0
-    for x in assem.settings:
+    for x in SETTINGS:
         for a in OUTCOMES:
             f = np.zeros((2, 2), dtype=complex)
             for basis_el in basis:
@@ -382,7 +385,7 @@ def steering_functional(assem: Assemblage) -> SteeringResult:
             functional[(x, a)] = f
     beta = sum(
         float(np.real(np.trace(functional[(x, a)].conj().T @ assem.members[(x, a)])))
-        for x in assem.settings for a in OUTCOMES
+        for x in SETTINGS for a in OUTCOMES
     )
     return SteeringResult(beta=beta, functional=functional, mu=lhs.mu,
                           solution=lhs.solution)
@@ -398,35 +401,26 @@ def bootstrap_uncertainty(
 ) -> UncertaintyResult:
     """Parametric bootstrap of the certified quantities.
 
-    Counts are redrawn multinomially per configuration from the empirical
-    frequencies, all resamples first.  They are refit in one batch
-    (``ml_reconstruct_many``, warm-started from ``point_estimate``, the fit
-    of ``counts``), and the guessing-probability SDPs of the converged fits,
+    All ``resamples`` tables are redrawn in one multinomial call, each
+    (x, b) configuration from its empirical frequencies at its own total;
+    the draws are those of one call per resample and configuration, in that
+    order.  The tables are refit in one batch (``ml_reconstruct_many``,
+    warm-started from ``point_estimate``, the fit of ``counts``), and the
+    guessing-probability SDPs of the converged fits,
     at the same ``x_star``, are solved in one ``sdp.solve_many`` call, in
     lockstep groups; each resample's result is the one it would get alone.
     Resamples whose fit does not converge or whose SDP fails are excluded
     and counted.  Deterministic for a fixed seed.
     """
-    if resamples < 100:
-        raise ValueError("bootstrap needs at least 100 resamples")
+    if resamples < MIN_RESAMPLES:
+        raise ValueError(f"bootstrap needs at least {MIN_RESAMPLES} resamples")
     counts.validate()
     rng = np.random.default_rng(seed)
-
-    configs = []
-    for x in counts.settings:
-        for b in counts.bases:
-            cells = [(x, a, b, beta) for a in OUTCOMES for beta in (0, 1)]
-            weights = np.array([counts.entries.get(c, 0) for c in cells], dtype=float)
-            configs.append((cells, counts.config_total(x, b), weights / weights.sum()))
-
-    tables = []
-    for _ in range(resamples):
-        entries: dict[tuple, int] = {}
-        for cells, total, probs in configs:
-            for cell, n in zip(cells, rng.multinomial(total, probs)):
-                entries[cell] = int(n)
-        tables.append(TomographyCounts.from_entries(
-            entries, settings=counts.settings, bases=counts.bases))
+    totals = counts.totals()
+    weights = counts.n.reshape(*totals.shape, -1).astype(float)
+    probs = weights / weights.sum(axis=-1, keepdims=True)
+    draws = rng.multinomial(totals, probs, size=(resamples, *totals.shape))
+    tables = [TomographyCounts(d.reshape(CELLS)) for d in draws]
     fits = ml_reconstruct_many(tables, initial=point_estimate)
     # only the converged assemblages go on: the tables and the fits, with
     # their likelihood histories, are released before any SDP is built

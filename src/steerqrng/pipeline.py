@@ -21,7 +21,6 @@ timings.json so the deterministic artifacts stay byte-comparable.
 from __future__ import annotations
 
 import json
-import math
 import os
 import time
 from dataclasses import dataclass, field, asdict
@@ -30,7 +29,7 @@ from . import assemblage as asm
 from . import extractor as ext
 from . import simulate as sim
 from .certify import certify as certify_assemblage
-from .certify import load_certification, save_certification
+from .certify import MIN_RESAMPLES, load_certification, save_certification
 
 CONFIG_FORMAT = "steerqrng-config-v1"
 
@@ -65,12 +64,6 @@ class StageInputError(RuntimeError):
     """A stage's declared input artifact is missing or unreadable."""
 
 
-def _require_finite(settings):
-    for name, value in asdict(settings).items():
-        if isinstance(value, float) and not math.isfinite(value):
-            raise ConfigError(f"{name} must be finite, got {value}")
-
-
 @dataclass
 class CertificationSettings:
     # kept for existing configs: "auto" or experiment.rng_setting, and either
@@ -81,9 +74,13 @@ class CertificationSettings:
     min_entropy_floor: float = 1e-6
 
     def validate(self):
-        _require_finite(self)
-        if self.resamples < 0:
-            raise ConfigError("resamples must be non-negative")
+        sim.check_fields(self, ConfigError)
+        if self.resamples < 0 or 0 < self.resamples < MIN_RESAMPLES:
+            raise ConfigError(
+                f"resamples must be 0 (no bootstrap) or at least {MIN_RESAMPLES}, "
+                f"got {self.resamples}")
+        if self.bootstrap_seed < 0:
+            raise ConfigError("bootstrap_seed must be non-negative")
         if self.min_entropy_floor <= 0:
             raise ConfigError("min_entropy_floor must be positive")
         return self
@@ -97,11 +94,13 @@ class ExtractionSettings:
     seed_rng: int = 7
 
     def validate(self):
-        _require_finite(self)
+        sim.check_fields(self, ConfigError)
         if not 0.0 < self.epsilon < 1.0:
             raise ConfigError("epsilon must lie in (0, 1)")
         if self.block_bits < 1:
             raise ConfigError("block_bits must be positive")
+        if self.seed_rng < 0:
+            raise ConfigError("seed_rng must be non-negative")
         return self
 
 
@@ -113,7 +112,10 @@ class PipelineConfig:
     output_dir: str | None = None
 
     def validate(self):
-        self.experiment.validate()
+        try:
+            self.experiment.validate()
+        except ValueError as exc:
+            raise ConfigError(f"experiment section: {exc}") from exc
         self.certification.validate()
         self.extraction.validate()
         rng_setting = self.experiment.rng_setting
@@ -237,7 +239,7 @@ def stage_simulate(config: PipelineConfig, out_dir: str) -> dict:
     bits = sim.raw_bits(pairs)
     ext.save_bits(bits, os.path.join(out_dir, RAW_BITS_FILE))
     return {
-        "counts_total": sum(counts.totals.values()),
+        "counts_total": int(counts.n.sum()),
         "alice_tags": int(len(streams.alice_tags)),
         "bob_tags": int(len(streams.bob_tags)),
         "coincidences": int(len(pairs)),

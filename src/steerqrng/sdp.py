@@ -151,7 +151,9 @@ class SdpProblem:
 class SdpSolution:
     """Solver outcome.  ``gap``, ``pinf`` and ``dinf`` are the relative
     duality gap and the scaled primal and dual residuals of the returned
-    iterate (NaN when the solver produced none)."""
+    iterate (NaN when the solver produced none).  An ``unbounded`` problem
+    has no finite optimum: its ``primal_value`` is +inf for ``max`` and -inf
+    for ``min``, and its ``dual_value`` NaN."""
 
     status: str
     primal_blocks: dict[str, np.ndarray]
@@ -775,6 +777,9 @@ def _finish(
         for label, dim in zip(internal.labels, internal.block_dims):
             is_complex = internal.embedded[label]
             blocks_out[label] = np.zeros((dim, dim), dtype=complex if is_complex else float)
+    if status == UNBOUNDED:
+        # no finite optimum: the objective runs off in the optimizing sense
+        pval, dval = -sense_sign * np.inf, np.nan
 
     return SdpSolution(
         status=status,

@@ -15,13 +15,14 @@ is exact.  All sampling is driven by ``numpy.random.Generator`` seeded from
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, asdict
+import numbers
+from dataclasses import dataclass, asdict, fields
 
 import numpy as np
 
 from .assemblage import (
     BOB_BASES,
-    OUTCOMES,
+    CELLS,
     SETTINGS,
     TomographyCounts,
     born_probabilities,
@@ -53,6 +54,22 @@ _TOMOGRAPHY_LANE = 1
 _STREAM_LANE = 2
 
 _PS_PER_SECOND = 1e12
+
+# the values a config field of each annotated type accepts; bool never counts
+# as a number
+_FIELD_TYPES = {"int": numbers.Integral, "float": numbers.Real, "str": str,
+                "str | None": (str, type(None))}
+
+
+def check_fields(settings, error: type[ValueError] = ValueError) -> None:
+    """Raise ``error`` for a dataclass field whose value has the wrong type
+    or is a non-finite float."""
+    for f in fields(settings):
+        value = getattr(settings, f.name)
+        if isinstance(value, bool) or not isinstance(value, _FIELD_TYPES[f.type]):
+            raise error(f"{f.name} must be of type {f.type}, got {value!r}")
+        if isinstance(value, float) and not math.isfinite(value):
+            raise error(f"{f.name} must be finite, got {value}")
 
 
 @dataclass
@@ -87,9 +104,7 @@ class ExperimentConfig:
     dark_rate: float = 0.0
 
     def validate(self):
-        for name, value in asdict(self).items():
-            if isinstance(value, float) and not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
+        check_fields(self)
         if not 0.0 <= self.visibility <= 1.0:
             raise ValueError(f"visibility must lie in [0, 1], got {self.visibility}")
         if not 0.0 <= self.eta_alice <= 1.0:
@@ -100,6 +115,8 @@ class ExperimentConfig:
             raise ValueError("pair_rate must be positive")
         if self.trials_certification < 0:
             raise ValueError("trials_certification must be non-negative")
+        if self.rng_seed < 0:
+            raise ValueError("rng_seed must be non-negative")
         if self.duration_rng <= 0:
             raise ValueError("duration_rng must be positive")
         if self.coincidence_window <= 0:
@@ -157,30 +174,22 @@ def _source_probabilities(config: ExperimentConfig) -> np.ndarray:
     that order, and each (x, b) row sums to one.
     """
     assem = ideal_assemblage(werner_state(config.visibility), eta=config.eta_alice)
-    probs = born_probabilities(assem)
-    p = np.array([[[probs[(x, a, b, beta)] for a in OUTCOMES for beta in (0, 1)]
-                   for b in BOB_BASES] for x in assem.settings])
-    p = np.clip(p, 0.0, None)
+    p = np.clip(born_probabilities(assem).reshape(len(SETTINGS), len(BOB_BASES), -1), 0.0, None)
     return p / p.sum(axis=-1, keepdims=True)
 
 
 def simulate_tomography(config: ExperimentConfig) -> TomographyCounts:
-    """Sample certification-stage counts.
+    """Sample certification-stage counts as one ``CELLS`` table.
 
     For each of the six (setting, Bob basis) configurations an independent
     multinomial of ``trials_certification`` trials is drawn from the source's
-    Born probabilities.  Bob's detector efficiency drops out here because
-    trials are conditioned on a Bob detection.
+    Born probabilities, all in one call.  Bob's detector efficiency drops out
+    here because trials are conditioned on a Bob detection.
     """
     config.validate()
     rng = np.random.default_rng([config.rng_seed, _TOMOGRAPHY_LANE])
     draws = rng.multinomial(config.trials_certification, _source_probabilities(config))
-    cells = [(a, beta) for a in OUTCOMES for beta in (0, 1)]
-    entries = {(x, a, b, beta): int(n)
-               for x, per_x in zip(SETTINGS, draws)
-               for b, per_b in zip(BOB_BASES, per_x)
-               for (a, beta), n in zip(cells, per_b)}
-    return TomographyCounts.from_entries(entries, settings=SETTINGS)
+    return TomographyCounts(draws.reshape(CELLS))
 
 
 def _party_tags(

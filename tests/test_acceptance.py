@@ -117,9 +117,9 @@ def test_criterion_3_duality_gap_and_functional_feasibility():
         steering = cert.steering_functional(assemblage)
         assert abs(steering.beta - steering.mu) <= 1e-6, name
         trace_total = 0.0
-        for strategy in cert.deterministic_strategies(assemblage.settings):
+        for strategy in cert.deterministic_strategies():
             aggregate = sum(
-                steering.functional[(x, strategy[x])] for x in assemblage.settings
+                steering.functional[(x, strategy[x])] for x in asm.SETTINGS
             )
             assert min_eigenvalue(aggregate) >= -1e-8, name
             trace_total += float(np.real(np.trace(aggregate)))

@@ -14,6 +14,11 @@ def max_member_distance(a, b):
     )
 
 
+def cell(x, a, b, beta):
+    """Index of the (x, a, b, beta) count in a table of shape ``asm.CELLS``."""
+    return asm.SETTINGS.index(x), asm.BOB_BASES.index(b), asm.OUTCOMES.index(a), beta
+
+
 def exact_counts(visibility=0.7, eta=0.6, per_config=100_000):
     """Counts exactly proportional to the Born probabilities.
 
@@ -22,13 +27,9 @@ def exact_counts(visibility=0.7, eta=0.6, per_config=100_000):
     the model exactly: the ML optimum is the true assemblage itself.
     """
     assem = asm.ideal_assemblage(werner_state(visibility), eta=eta)
-    probs = asm.born_probabilities(assem)
-    entries = {}
-    for (x, a, b, beta), p in probs.items():
-        scaled = p * per_config
-        assert abs(scaled - round(scaled)) < 1e-6, (x, a, b, beta, p)
-        entries[(x, a, b, beta)] = int(round(scaled))
-    return asm.TomographyCounts.from_entries(entries), assem
+    scaled = asm.born_probabilities(assem) * per_config
+    assert np.max(np.abs(scaled - np.round(scaled))) < 1e-6
+    return asm.TomographyCounts(np.round(scaled).astype(np.int64)), assem
 
 
 class TestMeasurements:
@@ -93,7 +94,7 @@ class TestIdealAssemblage:
 
     def test_stacked_round_trip(self, assem_singlet_543):
         stack = assem_singlet_543.stacked()
-        back = asm.Assemblage.from_stacked(stack, assem_singlet_543.settings)
+        back = asm.Assemblage.from_stacked(stack)
         assert max_member_distance(assem_singlet_543, back) < 1e-14
 
     def test_scaled(self, assem_singlet_543):
@@ -122,7 +123,7 @@ class TestValidation:
         members = dict(assem_singlet_543.members)
         shift = np.array([[0.02, 0.0], [0.0, -0.02]], dtype=complex)
         members[("X", 0)] = members[("X", 0)] + shift
-        bad = asm.Assemblage(members=members, settings=("X", "Z"))
+        bad = asm.Assemblage(members=members)
         report = asm.validate_assemblage(bad)
         assert not report.ok
         assert report.signaling_error > 0.01
@@ -133,7 +134,7 @@ class TestValidation:
         # restore normalization so only positivity trips
         members[("Z", 0)] = members[("Z", 0)] + 0.25 * ID2
         members[("Z", 1)] = members[("Z", 1)] + 0.25 * ID2
-        bad = asm.Assemblage(members=members, settings=("X", "Z"))
+        bad = asm.Assemblage(members=members)
         report = asm.validate_assemblage(bad)
         assert not report.ok
         assert report.min_eigenvalue < -0.1
@@ -142,10 +143,11 @@ class TestValidation:
 class TestBornProbabilities:
     def test_distributions_normalized(self, assem_singlet_543):
         probs = asm.born_probabilities(assem_singlet_543)
+        assert probs.shape == asm.CELLS
         for x in ("X", "Z"):
             for b in ("X", "Y", "Z"):
                 total = sum(
-                    probs[(x, a, b, beta)] for a in (0, 1, None) for beta in (0, 1)
+                    probs[cell(x, a, b, beta)] for a in (0, 1, None) for beta in (0, 1)
                 )
                 assert total == pytest.approx(1.0, abs=1e-12)
 
@@ -153,69 +155,83 @@ class TestBornProbabilities:
         eta = 0.543
         probs = asm.born_probabilities(asm.ideal_assemblage(singlet, eta=eta))
         # aligned bases never agree
-        assert probs[("Z", 0, "Z", 0)] == pytest.approx(0.0, abs=1e-12)
-        assert probs[("Z", 0, "Z", 1)] == pytest.approx(eta / 2, abs=1e-12)
-        assert probs[("X", 1, "X", 1)] == pytest.approx(0.0, abs=1e-12)
+        assert probs[cell("Z", 0, "Z", 0)] == pytest.approx(0.0, abs=1e-12)
+        assert probs[cell("Z", 0, "Z", 1)] == pytest.approx(eta / 2, abs=1e-12)
+        assert probs[cell("X", 1, "X", 1)] == pytest.approx(0.0, abs=1e-12)
         # unaligned bases are uniform
-        assert probs[("Z", 0, "X", 0)] == pytest.approx(eta / 4, abs=1e-12)
-        assert probs[("X", 0, "Y", 1)] == pytest.approx(eta / 4, abs=1e-12)
+        assert probs[cell("Z", 0, "X", 0)] == pytest.approx(eta / 4, abs=1e-12)
+        assert probs[cell("X", 0, "Y", 1)] == pytest.approx(eta / 4, abs=1e-12)
         # loss events are basis-independent
         for b in ("X", "Y", "Z"):
-            assert probs[("Z", None, b, 0)] == pytest.approx((1 - eta) / 2, abs=1e-12)
+            assert probs[cell("Z", None, b, 0)] == pytest.approx((1 - eta) / 2, abs=1e-12)
 
 
 class TestTomographyCounts:
-    def test_from_entries_builds_totals(self):
+    def test_totals_and_cells(self):
         counts, _ = exact_counts()
-        assert counts.config_total("X", "Y") == 100_000
+        assert counts.totals()[0, 1] == 100_000  # (x, b) = (X, Y)
         # eta (1 -/+ V) / 4 with eta = 0.6, V = 0.7
-        assert counts.count("Z", 0, "Z", 0) == 4500
-        assert counts.count("Z", 0, "Z", 1) == 25500
-        assert counts.count("Z", None, "Z", 0) == 20000
+        assert counts.n[cell("Z", 0, "Z", 0)] == 4500
+        assert counts.n[cell("Z", 0, "Z", 1)] == 25500
+        assert counts.n[cell("Z", None, "Z", 0)] == 20000
 
     def test_validate_rejects_negative(self):
         counts, _ = exact_counts()
-        counts.entries[("X", 0, "X", 0)] = -1
+        counts.n[cell("X", 0, "X", 0)] = -1
         with pytest.raises(ValueError):
             counts.validate()
 
-    def test_validate_rejects_total_mismatch(self):
+    def test_validate_rejects_wrong_shape(self):
         counts, _ = exact_counts()
-        counts.totals[("X", "X")] += 5
-        with pytest.raises(ValueError):
-            counts.validate()
+        with pytest.raises(ValueError, match="shape"):
+            asm.TomographyCounts(counts.n[:, :2]).validate()
+
+    def test_validate_rejects_float_counts(self):
+        counts, _ = exact_counts()
+        with pytest.raises(ValueError, match="dtype"):
+            asm.TomographyCounts(counts.n.astype(float)).validate()
 
     def test_round_trip(self, tmp_path):
         counts, _ = exact_counts()
         path = tmp_path / "counts.txt"
         asm.save_counts(counts, str(path))
         loaded = asm.load_counts(str(path))
-        assert loaded.entries == counts.entries
-        assert loaded.totals == counts.totals
-        assert loaded.settings == counts.settings
-        assert loaded.bases == counts.bases
+        assert np.issubdtype(loaded.n.dtype, np.integer)
+        assert np.array_equal(loaded.n, counts.n)
+
+    def test_save_load_save_byte_identical(self, tmp_path):
+        first, second = tmp_path / "first.txt", tmp_path / "second.txt"
+        asm.save_counts(biased_counts(), str(first))
+        asm.save_counts(asm.load_counts(str(first)), str(second))
+        assert first.read_bytes() == second.read_bytes()
+
+    @pytest.mark.parametrize("old, new", [
+        ("settings X Z", "settings X Q"), ("bases X Y Z", "bases X Y"),
+        ("Z null Z 1 ", "Z none Z 1 "), ("X 0 X 0 ", "Q 0 X 0 "),
+    ], ids=["foreign-settings", "foreign-bases", "unknown-outcome", "unknown-setting"])
+    def test_load_rejects_other_layouts(self, tmp_path, old, new):
+        path = tmp_path / "counts.txt"
+        asm.save_counts(exact_counts()[0], str(path))
+        text = path.read_text()
+        path.write_text(text.replace(old, new, 1))
+        with pytest.raises(ValueError):
+            asm.load_counts(str(path))
 
 
 def resampled_counts(counts, rng, per_config=20_000):
     """Multinomial redraw of every configuration from the frequencies of ``counts``."""
-    entries = {}
-    for x in counts.settings:
-        for b in counts.bases:
-            cells = [(x, a, b, beta) for a in asm.OUTCOMES for beta in (0, 1)]
-            p = np.array([counts.count(*cell) for cell in cells], dtype=float)
-            for cell, n in zip(cells, rng.multinomial(per_config, p / p.sum())):
-                entries[cell] = int(n)
-    return asm.TomographyCounts.from_entries(entries)
+    p = counts.n.reshape(*counts.totals().shape, -1).astype(float)
+    draws = rng.multinomial(per_config, p / p.sum(axis=-1, keepdims=True))
+    return asm.TomographyCounts(draws.reshape(asm.CELLS))
 
 
 def biased_counts():
     """Exact counts doctored to prefer different Bob marginals for X and Z."""
     counts, _ = exact_counts()
-    entries = dict(counts.entries)
     for beta in (0, 1):
-        entries[("Z", 0, "Z", beta)] += 4000 * (1 + beta)
-        entries[("X", 1, "X", beta)] += 1500
-    return asm.TomographyCounts.from_entries(entries)
+        counts.n[cell("Z", 0, "Z", beta)] += 4000 * (1 + beta)
+        counts.n[cell("X", 1, "X", beta)] += 1500
+    return counts
 
 
 def random_hermitian(rng, n):
@@ -297,17 +313,9 @@ class TestMlReconstruction:
 
     def test_noisy_counts_recover_model(self, rng):
         truth = asm.ideal_assemblage(werner_state(0.9), eta=0.7)
-        probs = asm.born_probabilities(truth)
-        entries = {}
-        n = 200_000
-        for x in ("X", "Z"):
-            for b in ("X", "Y", "Z"):
-                cells = [(a, beta) for a in (0, 1, None) for beta in (0, 1)]
-                p = np.array([probs[(x, a, b, beta)] for a, beta in cells])
-                draw = rng.multinomial(n, p / p.sum())
-                for (a, beta), c in zip(cells, draw):
-                    entries[(x, a, b, beta)] = int(c)
-        counts = asm.TomographyCounts.from_entries(entries)
+        p = asm.born_probabilities(truth).reshape(2, 3, 6)
+        draws = rng.multinomial(200_000, p / p.sum(axis=-1, keepdims=True))
+        counts = asm.TomographyCounts(draws.reshape(asm.CELLS))
         rec = asm.ml_reconstruct(counts)
         assert rec.converged
         assert asm.validate_assemblage(rec.assemblage, tol=1e-8).ok
@@ -333,12 +341,9 @@ class TestMlReconstruction:
 
     def test_missing_configuration_rejected(self):
         counts, _ = exact_counts()
-        entries = {
-            key: n for key, n in counts.entries.items() if not (key[0], key[2]) == ("X", "Y")
-        }
-        broken = asm.TomographyCounts.from_entries(entries)
-        with pytest.raises(asm.InsufficientDataError):
-            asm.ml_reconstruct(broken)
+        counts.n[0, 1] = 0  # (x, b) = (X, Y)
+        with pytest.raises(asm.InsufficientDataError, match="x=X, b=Y"):
+            asm.ml_reconstruct(counts)
 
     def test_log_likelihood_is_monotone(self):
         counts, _ = exact_counts()
@@ -397,7 +402,6 @@ class TestAssemblageSerialization:
         path = tmp_path / "assemblage.txt"
         asm.save_assemblage(assem_singlet_543, str(path))
         loaded = asm.load_assemblage(str(path))
-        assert loaded.settings == assem_singlet_543.settings
         assert set(loaded.members) == set(assem_singlet_543.members)
         assert max_member_distance(loaded, assem_singlet_543) < 1e-12
 
@@ -409,8 +413,18 @@ class TestAssemblageSerialization:
             key: np.array([[m[0, 0], m[0, 1] + 0.01j], [m[1, 0] - 0.01j, m[1, 1]]])
             for key, m in assem.members.items()
         }
-        twisted = asm.Assemblage(members=members, settings=assem.settings)
+        twisted = asm.Assemblage(members=members)
         path = tmp_path / "assemblage.txt"
         asm.save_assemblage(twisted, str(path))
         loaded = asm.load_assemblage(str(path))
         assert max_member_distance(loaded, twisted) < 1e-12
+
+    @pytest.mark.parametrize("old, new", [
+        ("settings X Z", "settings X Q"), ("member Z null", "member Q null"),
+    ], ids=["foreign-settings", "unknown-member"])
+    def test_load_rejects_other_layouts(self, tmp_path, assem_singlet_543, old, new):
+        path = tmp_path / "assemblage.txt"
+        asm.save_assemblage(assem_singlet_543, str(path))
+        path.write_text(path.read_text().replace(old, new))
+        with pytest.raises(ValueError):
+            asm.load_assemblage(str(path))

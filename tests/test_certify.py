@@ -137,8 +137,8 @@ class TestLhsRobustness:
         sum_lambda D(a|x,lambda) tau_lambda = sigma_{a|x} - slack."""
         assem = asm.ideal_assemblage(werner_state(0.5), eta=0.8)
         result = cert.lhs_mu(assem)
-        strategies = cert.deterministic_strategies(assem.settings)
-        for x in assem.settings:
+        strategies = cert.deterministic_strategies()
+        for x in asm.SETTINGS:
             for a in (0, 1, None):
                 model = sum(
                     result.hidden_states[key]
@@ -169,12 +169,12 @@ class TestSteeringFunctional:
         deterministic strategies, with unit normalization."""
         assem = singlet_assemblage(0.543)
         steering = cert.steering_functional(assem)
-        strategies = cert.deterministic_strategies(assem.settings)
+        strategies = cert.deterministic_strategies()
         total = 0.0
         for strat in strategies:
             g = sum(
                 steering.functional[(x, a)]
-                for x in assem.settings
+                for x in asm.SETTINGS
                 for a in (0, 1, None)
                 if cert.strategy_response(strat, a, x)
             )
@@ -262,6 +262,35 @@ class TestBootstrap:
         assert repeat.h_min_values == baseline.h_min_values
         assert repeat.h_min_mean == baseline.h_min_mean
         assert repeat.failed == baseline.failed
+
+    def test_resamples_are_per_configuration_draws(self, bootstrap_run, monkeypatch):
+        """The one multinomial call draws exactly the tables of one call per
+        resample and (x, b) configuration, in that order, from the
+        configuration's frequencies at its total."""
+        counts = bootstrap_run.counts
+        tables = []
+
+        class Drawn(Exception):
+            pass
+
+        def capture(drawn, *, initial):
+            tables.extend(drawn)
+            raise Drawn
+
+        monkeypatch.setattr(cert, "ml_reconstruct_many", capture)
+        with pytest.raises(Drawn):
+            cert.bootstrap_uncertainty(counts, "Z", resamples=BOOTSTRAP_RESAMPLES,
+                                       seed=BOOTSTRAP_SEED,
+                                       point_estimate=bootstrap_run.reconstruction.assemblage)
+        assert len(tables) == BOOTSTRAP_RESAMPLES
+        rng = np.random.default_rng(BOOTSTRAP_SEED)
+        for table in tables:
+            assert table.n.shape == asm.CELLS
+            for x in range(len(asm.SETTINGS)):
+                for b in range(len(asm.BOB_BASES)):
+                    cells = counts.n[x, b].ravel().astype(float)
+                    want = rng.multinomial(counts.n[x, b].sum(), cells / cells.sum())
+                    assert np.array_equal(table.n[x, b].ravel(), want)
 
     def test_unconverged_refits_counted_as_failed(self, bootstrap_run, monkeypatch):
         """With the iteration cap below most refits' needs, the slow resamples

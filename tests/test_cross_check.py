@@ -12,7 +12,7 @@ cp = pytest.importorskip("cvxpy")
 
 from steerqrng import assemblage as asm
 from steerqrng import certify as cert
-from steerqrng.assemblage import OUTCOMES
+from steerqrng.assemblage import OUTCOMES, SETTINGS
 from steerqrng.linalg import singlet_state
 
 from conftest import steering_cases
@@ -27,17 +27,17 @@ def external_guessing(assemblage, x_star):
     guesses = list(OUTCOMES)
     parts = {
         (e, x, a): cp.Variable((2, 2), hermitian=True)
-        for e in guesses for x in assemblage.settings for a in OUTCOMES
+        for e in guesses for x in SETTINGS for a in OUTCOMES
     }
     constraints = [var >> 0 for var in parts.values()]
-    for x in assemblage.settings:
+    for x in SETTINGS:
         for a in OUTCOMES:
             total = sum(parts[(e, x, a)] for e in guesses)
             constraints.append(total == assemblage.members[(x, a)])
-    x0 = assemblage.settings[0]
+    x0 = SETTINGS[0]
     for e in guesses:
         reduced = sum(parts[(e, x0, a)] for a in OUTCOMES)
-        for x in assemblage.settings[1:]:
+        for x in SETTINGS[1:]:
             constraints.append(
                 sum(parts[(e, x, a)] for a in OUTCOMES) == reduced)
     objective = cp.Maximize(cp.real(
@@ -51,11 +51,11 @@ def external_guessing(assemblage, x_star):
 def external_lhs_mu(assemblage):
     """Largest mu such that hidden states omega_lambda >= mu * identity
     reproduce the assemblage through deterministic response functions."""
-    strategies = cert.deterministic_strategies(assemblage.settings)
+    strategies = cert.deterministic_strategies()
     omegas = [cp.Variable((2, 2), hermitian=True) for _ in strategies]
     mu = cp.Variable()
     constraints = []
-    for x in assemblage.settings:
+    for x in SETTINGS:
         for a in OUTCOMES:
             total = sum(
                 omega for omega, lam in zip(omegas, strategies)

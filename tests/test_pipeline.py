@@ -93,6 +93,10 @@ class TestConfig:
     def test_non_finite_value_rejected(self, tmp_path, capsys, section, key, value):
         """JSON configs may carry NaN and Infinity; each is a config error,
         reported on one line, before anything is simulated."""
+        self.assert_rejected(tmp_path, capsys, section, key, value)
+
+    @staticmethod
+    def assert_rejected(tmp_path, capsys, section, key, value):
         base = fast_config().to_dict()
         base[section][key] = value
         with pytest.raises(pl.ConfigError, match=key):
@@ -103,6 +107,29 @@ class TestConfig:
         assert cli.main(["simulate", "-c", str(cfg_path), "-o", out]) == pl.EXIT_IO
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:") and key in err[0]
+        assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("experiment", "rng_seed", -1), ("extraction", "seed_rng", -1),
+        ("certification", "bootstrap_seed", -2), ("extraction", "block_bits", 2000.5),
+        ("certification", "resamples", 100.5), ("experiment", "rng_seed", 1.5),
+        ("experiment", "pair_rate", "fast"), ("extraction", "epsilon", "small"),
+        ("experiment", "trials_certification", 10000.5),
+        ("experiment", "trials_certification", True), ("experiment", "visibility", True),
+        ("certification", "resamples", 50), ("certification", "resamples", 1),
+    ], ids=lambda v: str(v))
+    def test_wrong_type_or_sign_rejected(self, tmp_path, capsys, section, key, value):
+        """Integer fields take integers only (no floats, no bools), float
+        fields take numbers, seeds are non-negative, and a bootstrap has at
+        least MIN_RESAMPLES resamples: each violation is a config error
+        reported on one line, before anything is simulated."""
+        self.assert_rejected(tmp_path, capsys, section, key, value)
+
+    def test_negative_seed_option_rejected(self, tmp_path, capsys):
+        out = str(tmp_path / "out")
+        assert cli.main(["simulate", "-o", out, "--seed", "-1"]) == pl.EXIT_IO
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "rng_seed" in err[0]
         assert not os.path.exists(out)
 
     def test_setting_validation(self):
@@ -288,6 +315,16 @@ class TestMalformedArtifacts:
     def test_certification_without_p_guess(self, completed_run, tmp_path, capsys, artifact,
                                            command, reader):
         out = self.spoil(completed_run, tmp_path, artifact, _drop_p_guess)
+        self.check(out, artifact, command, reader, capsys)
+
+    @pytest.mark.parametrize("artifact,command,reader", STAGE_INPUTS[:2],
+                             ids=[f"{a}-{c}" for a, c, _ in STAGE_INPUTS[:2]])
+    def test_foreign_settings(self, completed_run, tmp_path, capsys, artifact, command,
+                              reader):
+        """Counts and assemblages are laid out over the settings X, Z; a file
+        whose header names others is malformed, not reinterpreted."""
+        out = self.spoil(completed_run, tmp_path, artifact,
+                         lambda good: good.replace(b"settings X Z", b"settings X Q"))
         self.check(out, artifact, command, reader, capsys)
 
 

@@ -257,6 +257,8 @@ class TestStatuses:
     def test_unbounded_direction(self):
         sol = sdp.solve(unbounded_problem())
         assert sol.status == sdp.UNBOUNDED
+        # decided before iterating: no finite optimum, in the sense's direction
+        assert sol.primal_value == np.inf and np.isnan(sol.dual_value)
 
     def test_unbounded_along_feasible_ray(self):
         # the residual's rounding grows with the diverging iterate; the
@@ -265,6 +267,14 @@ class TestStatuses:
             warnings.simplefilter("error")
             sol = sdp.solve(feasible_ray_problem())
         assert sol.status == sdp.UNBOUNDED
+        # not the best iterate's finite values
+        assert sol.primal_value == np.inf and np.isnan(sol.dual_value)
+        minimized = feasible_ray_problem()
+        minimized.sense = "min"
+        minimized.objective = {"u": -minimized.objective["u"]}
+        sol = sdp.solve(minimized)
+        assert sol.status == sdp.UNBOUNDED
+        assert sol.primal_value == -np.inf and np.isnan(sol.dual_value)
 
     def test_redundant_rows_still_optimal(self, rng):
         a = rng.normal(size=(3, 3))
@@ -329,7 +339,7 @@ class TestRealForm:
         )
         assert sdp._InternalProblem(problem).dims == [1]
         for _name, assem in steering_cases():
-            for x_star in assem.settings:
+            for x_star in asm.SETTINGS:
                 internal = sdp._InternalProblem(cert._guessing_program(assem, x_star).problem)
                 assert [d for user, d in zip(internal.block_dims, internal.dims)
                         if user == 1] == [1] * internal.block_dims.count(1)
