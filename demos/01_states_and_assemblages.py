@@ -23,17 +23,22 @@ werner = sim.werner_state(0.99)
 print("singlet overlap of the V=0.99 Werner state:",
       round(float(np.trace(werner @ singlet).real), 4))
 
-# steering measurements on the untrusted side: conjugate X and Z
+# steering measurements on the untrusted side: conjugate X and Z, one
+# projector per setting and detected outcome
 measurements = asm.default_measurements()
-print("settings:", list(measurements))
+print("settings:", asm.SETTINGS, "effects array:", measurements.shape)
 
-# the ideal assemblage at heralding efficiency 0.543: each member is the
-# trusted party's unnormalized conditional state for one remote outcome
+# the ideal assemblage at heralding efficiency 0.543: one array of shape
+# (settings, outcomes, 2, 2), whose member sigma[x, a] is the trusted
+# party's unnormalized conditional state for one remote outcome
 assemblage = asm.ideal_assemblage(singlet, eta=0.543)
-for (x, a), member in assemblage.members.items():
-    label = "null" if a is None else a
-    print(f"\nsigma(a={label} | x={x}), trace {np.trace(member).real:.4f}")
-    print(member)
+print("assemblage array:", assemblage.sigma.shape)
+for x, setting in enumerate(asm.SETTINGS):
+    for a, outcome in enumerate(asm.OUTCOMES):
+        member = assemblage.sigma[x, a]
+        print(f"\nsigma(a={asm.outcome_label(outcome)} | x={setting}), "
+              f"trace {np.trace(member).real:.4f}")
+        print(member)
 
 # the null member carries the undetected weight: (1 - eta) times the
 # trusted party's reduced state, independent of the setting
@@ -43,6 +48,8 @@ print(0.457 * rho_b)
 
 # whatever the remote setting, the members sum to the same reduced state:
 # steering cannot be used to signal
+print("\nsum over outcomes, per setting:")
+print(assemblage.sigma.sum(axis=1))
 report = asm.validate_assemblage(assemblage)
 print("\nvalidation:", "ok" if report.ok else "FAILED")
 print("  hermiticity error ", f"{report.hermiticity_error:.2e}")

@@ -31,10 +31,11 @@ print("\nlossless singlet:",
       f"h_min = {cert.min_entropy(result.p_guess):.6f} bits per trial")
 
 # the optimum comes with a certificate: an explicit decomposition of the
-# assemblage into one branch per guess, whose correct-guess weight is p_guess
+# assemblage into one branch per guess e, parts[e] laid out like the
+# assemblage, whose correct-guess weight is p_guess
 dec = result.decomposition
-recovered = sum(
-    float(part[(dec.x_star, guess)].trace().real)
-    for guess, part in dec.parts.items()
-)
+x_star = asm.SETTINGS.index(dec.x_star)
+recovered = sum(float(part[x_star, guess].trace().real) for guess, part in enumerate(dec.parts))
 print("decomposition recovers p_guess:", f"{recovered:.6f}")
+print("branches sum back to the assemblage:",
+      bool(abs(dec.parts.sum(axis=0) - assemblage.sigma).max() < 1e-6))

@@ -41,11 +41,9 @@ print(f"\nboundary visibility: {boundary:.4f}",
       f"(1/sqrt(2) = {1 / math.sqrt(2):.4f})")
 
 # the functional taken from a steered point also certifies steering of any
-# other steered assemblage it happens to detect, with no new optimization
+# other steered assemblage it happens to detect, with no new optimization:
+# it is laid out like the assemblage, and beta = sum_{x,a} Tr F[x, a] sigma[x, a]
 steering = cert.steering_functional(assemblage_at(0.75))
 probe = assemblage_at(0.78)
-value = sum(
-    float(np.real(np.trace(steering.functional[key] @ probe.members[key])))
-    for key in steering.functional
-)
+value = float(np.real(np.einsum("xaij,xaji->", steering.functional, probe.sigma)))
 print(f"functional from V=0.75 evaluated on V=0.78: {value:+.2e} (< 0)")

@@ -14,12 +14,13 @@ sum over outcomes is independent of the setting).
 The measurement layout is fixed: Alice's settings ``SETTINGS`` (X, Z), her
 outcomes ``OUTCOMES`` and Bob's tomography bases ``BOB_BASES`` (X, Y, Z).
 Every table and assemblage is laid out over these constants, and no object
-carries its own copy.  Tomography counts are one integer array of shape
-``CELLS``, axes (x, b, a, beta) with b Bob's basis and beta his outcome;
-each (x, b) slice is one multinomial.  ``ml_reconstruct`` maximizes the
-multinomial likelihood over the set of valid assemblages by projected
-gradient ascent, with feasibility enforced by Dykstra's alternating
-projections at every step.
+carries its own copy.  An assemblage is one complex array of shape
+``MEMBERS``, axes (x, a) and then Bob's 2x2 matrix.  Tomography counts are
+one integer array of shape ``CELLS``, axes (x, b, a, beta) with b Bob's
+basis and beta his outcome; each (x, b) slice is one multinomial.
+``ml_reconstruct`` maximizes the multinomial likelihood over the set of
+valid assemblages by projected gradient ascent, with feasibility enforced
+by Dykstra's alternating projections at every step.
 The fit holds each member as its four real Pauli coordinates, where both
 projections are closed-form, and runs several fits as one lockstep batch:
 the two starts of a cold fit, or the many tables of ``ml_reconstruct_many``.
@@ -41,7 +42,6 @@ from .linalg import (
     ket,
     ket_minus,
     ket_plus,
-    min_eigenvalue,
     partial_trace_A,
     projector,
     tensor,
@@ -51,6 +51,7 @@ __all__ = [
     "SETTINGS",
     "OUTCOMES",
     "BOB_BASES",
+    "MEMBERS",
     "CELLS",
     "Assemblage",
     "AssemblageReport",
@@ -76,12 +77,14 @@ __all__ = [
 SETTINGS: tuple[str, ...] = ("X", "Z")
 OUTCOMES: tuple[object, ...] = (0, 1, None)
 BOB_BASES: tuple[str, ...] = ("X", "Y", "Z")
+#: Shape of an assemblage: axes (x, a) over SETTINGS and OUTCOMES, then the
+#: 2x2 matrix of one member sigma_{a|x}.
+MEMBERS = (len(SETTINGS), len(OUTCOMES), 2, 2)
 #: Shape of a tomography table: axes (x, b, a, beta) over SETTINGS, BOB_BASES,
 #: OUTCOMES and Bob's two outcomes; each (x, b) slice is one multinomial.
 CELLS = (len(SETTINGS), len(BOB_BASES), len(OUTCOMES), 2)
 
 _PAULI = {"X": PAULI_X, "Y": PAULI_Y, "Z": PAULI_Z}
-_MEMBERS = [(x, a) for x in SETTINGS for a in OUTCOMES]
 
 
 class InsufficientDataError(ValueError):
@@ -102,52 +105,32 @@ def parse_outcome(label: str):
     return int(label)
 
 
-def default_measurements() -> dict[str, dict[int, np.ndarray]]:
-    """Alice's effects ``[x][a]``: projective Pauli-X and Pauli-Z measurements
-    (outcome 0 = +1 eigenspace).
+def default_measurements() -> np.ndarray:
+    """Alice's effects as an (x, a, 2, 2) array over SETTINGS and the detected
+    outcomes (0, 1): projective Pauli-X and Pauli-Z measurements (outcome 0 =
+    +1 eigenspace).
 
     The null outcome has no effect; loss is applied when building assemblages.
     """
-    return {
-        "X": {0: projector(ket_plus()), 1: projector(ket_minus())},
-        "Z": {0: projector(ket(1, 0)), 1: projector(ket(0, 1))},
-    }
+    return np.array([[projector(ket_plus()), projector(ket_minus())],
+                     [projector(ket(1, 0)), projector(ket(0, 1))]])
 
 
-def bob_projectors() -> dict[tuple[str, int], np.ndarray]:
-    """Bob's tomography projectors: beta = 0 is the +1 eigenspace of the Pauli."""
-    out = {}
-    for b in BOB_BASES:
-        pauli = _PAULI[b]
-        out[(b, 0)] = 0.5 * (ID2 + pauli)
-        out[(b, 1)] = 0.5 * (ID2 - pauli)
-    return out
+def bob_projectors() -> np.ndarray:
+    """Bob's tomography projectors as a (b, beta, 2, 2) array over BOB_BASES
+    and his two outcomes: beta = 0 is the +1 eigenspace of the Pauli."""
+    paulis = np.array([_PAULI[b] for b in BOB_BASES])
+    return 0.5 * np.stack([ID2 + paulis, ID2 - paulis], axis=1)
 
 
 @dataclass
 class Assemblage:
-    """Collection of unnormalized conditional states sigma_{a|x} on Bob."""
+    """Unnormalized conditional states on Bob: ``sigma[x, a]`` is the 2x2
+    member sigma_{a|x}, a complex array of shape ``MEMBERS`` with axes over
+    SETTINGS and OUTCOMES; ``sigma.sum(axis=1)`` is Bob's reduced state per
+    setting."""
 
-    members: dict[tuple[str, object], np.ndarray]
-
-    def member(self, x: str, a) -> np.ndarray:
-        return self.members[(x, a)]
-
-    def bob_state(self, x: str) -> np.ndarray:
-        """Sum over outcomes for one setting (Bob's reduced state)."""
-        return sum(self.members[(x, a)] for a in OUTCOMES)
-
-    def stacked(self) -> np.ndarray:
-        """(n_members, 2, 2) array ordered settings-major, outcomes (0, 1, null)."""
-        return np.array([self.members[key] for key in _MEMBERS])
-
-    @classmethod
-    def from_stacked(cls, stack: np.ndarray) -> "Assemblage":
-        return cls(members={key: np.asarray(mat, dtype=complex)
-                            for key, mat in zip(_MEMBERS, stack)})
-
-    def scaled(self, factor: float) -> "Assemblage":
-        return Assemblage(members={k: factor * v for k, v in self.members.items()})
+    sigma: np.ndarray
 
 
 @dataclass
@@ -169,14 +152,11 @@ def ideal_assemblage(rho: np.ndarray, eta: float = 1.0) -> Assemblage:
         raise ValueError(f"heralding efficiency {eta} outside [0, 1]")
     effects = default_measurements()
     rho = assert_density_matrix(rho, name="rho")
-    rho_b = partial_trace_A(rho, 2, 2)
-    members: dict[tuple[str, object], np.ndarray] = {}
-    for x in SETTINGS:
-        for a in (0, 1):
-            op = tensor(effects[x][a], ID2)
-            members[(x, a)] = eta * partial_trace_A(op @ rho, 2, 2)
-        members[(x, None)] = (1.0 - eta) * rho_b
-    return Assemblage(members=members)
+    sigma = np.empty(MEMBERS, dtype=complex)
+    for x, a in np.ndindex(effects.shape[:2]):
+        sigma[x, a] = eta * partial_trace_A(tensor(effects[x, a], ID2) @ rho, 2, 2)
+    sigma[:, OUTCOMES.index(None)] = (1.0 - eta) * partial_trace_A(rho, 2, 2)
+    return Assemblage(sigma)
 
 
 def validate_assemblage(assem: Assemblage, tol: float = 1e-9,
@@ -184,25 +164,20 @@ def validate_assemblage(assem: Assemblage, tol: float = 1e-9,
     """Check Hermiticity, positivity, normalization and non-signaling.
 
     Returns a report rather than raising, so callers can decide how strict to
-    be; malformed shapes still raise.
+    be; an array of another shape than ``MEMBERS`` still raises.
     """
-    herm = 0.0
-    mineig = np.inf
-    for (x, a), mat in assem.members.items():
-        mat = np.asarray(mat)
-        if mat.shape != (2, 2):
-            raise ValueError(f"member {x},{outcome_label(a)} has shape {mat.shape}")
-        herm = max(herm, float(np.max(np.abs(mat - mat.conj().T))))
-        mineig = min(mineig, min_eigenvalue(hermitian_part(mat), tol=np.inf))
-    norm_err = max(
-        abs(float(np.real(np.trace(assem.bob_state(x)))) - 1.0) for x in SETTINGS
-    )
-    ref = assem.bob_state(SETTINGS[0])
-    sig_err = max(float(np.max(np.abs(assem.bob_state(x) - ref))) for x in SETTINGS[1:])
+    sigma = np.asarray(assem.sigma)
+    if sigma.shape != MEMBERS:
+        raise ValueError(f"assemblage has shape {sigma.shape}, expected {MEMBERS}")
+    herm = float(np.max(np.abs(sigma - sigma.conj().swapaxes(-1, -2))))
+    mineig = float(np.linalg.eigvalsh(hermitian_part(sigma)).min())
+    bob = sigma.sum(axis=1)
+    norm_err = float(np.max(np.abs(np.real(np.trace(bob, axis1=-2, axis2=-1)) - 1.0)))
+    sig_err = float(np.max(np.abs(bob[1:] - bob[0])))
     ok = herm <= tol and mineig >= psd_tol and norm_err <= tol and sig_err <= tol
     return AssemblageReport(
         hermiticity_error=herm,
-        min_eigenvalue=float(mineig),
+        min_eigenvalue=mineig,
         normalization_error=norm_err,
         signaling_error=sig_err,
         ok=ok,
@@ -213,9 +188,8 @@ def born_probabilities(assem: Assemblage) -> np.ndarray:
     """p(a, beta | x, b) = Tr[Pi_{beta|b} sigma_{a|x}] as a float array of
     shape ``CELLS``, axes (x, b, a, beta)."""
     projs = bob_projectors()
-    return np.array([[[[np.real(np.trace(projs[(b, beta)] @ assem.members[(x, a)]))
-                        for beta in (0, 1)] for a in OUTCOMES] for b in BOB_BASES]
-                     for x in SETTINGS])
+    return np.array([np.real(np.trace(projs[b, beta] @ assem.sigma[x, a]))
+                     for x, b, a, beta in np.ndindex(CELLS)]).reshape(CELLS)
 
 
 # ---------------------------------------------------------------------------
@@ -347,11 +321,10 @@ class _Likelihood:
             _, x, b = empty[0]
             raise InsufficientDataError(
                 f"no counts for configuration (x={SETTINGS[x]}, b={BOB_BASES[b]})")
-        projs = bob_projectors()
-        self.proj = _pauli_coordinates(
-            np.array([projs[(b, beta)] for b in BOB_BASES for beta in (0, 1)]))
+        self.proj = _pauli_coordinates(bob_projectors().reshape(-1, 2, 2))
         # rows are the members (x, a), columns Bob's cells (b, beta)
-        self.N = n.transpose(0, 1, 3, 2, 4).reshape(len(tables), len(_MEMBERS), -1).astype(float)
+        self.N = n.transpose(0, 1, 3, 2, 4).reshape(
+            len(tables), -1, len(self.proj)).astype(float)
         self.total = self.N.sum(axis=(1, 2))
         self.mask = self.N > 0
 
@@ -371,16 +344,16 @@ def _flat_start(counts: TomographyCounts) -> np.ndarray:
     """Every member maximally mixed, with the detected fraction as the
     heralding efficiency."""
     eta_hat = float(np.clip(counts.n[:, :, :2].sum() / counts.n.sum(), 1e-3, 1.0 - 1e-3))
-    v = np.zeros((len(_MEMBERS), 4))
-    v[:, 0] = [eta_hat / 2.0 if a is not None else 1.0 - eta_hat for _x, a in _MEMBERS]
-    return v
+    v = np.zeros((len(SETTINGS), len(OUTCOMES), 4))
+    v[..., 0] = [eta_hat / 2.0 if a is not None else 1.0 - eta_hat for a in OUTCOMES]
+    return v.reshape(-1, 4)
 
 
 def _linear_inversion_start(counts: TomographyCounts) -> np.ndarray:
     """Per member: the outcome frequency averaged over Bob's bases as the
     trace, the +/- frequency difference per basis as (x, y, z)."""
     freq = counts.n / counts.totals()[..., None, None]
-    freq = freq.transpose(0, 2, 1, 3).reshape(len(_MEMBERS), len(BOB_BASES), 2)
+    freq = freq.transpose(0, 2, 1, 3).reshape(-1, len(BOB_BASES), 2)
     rows = np.concatenate([freq.sum(axis=2).mean(axis=1)[:, None],
                            freq[..., 0] - freq[..., 1]], axis=1)
     projected = _project_feasible(rows[None])[0]
@@ -431,7 +404,7 @@ def ml_reconstruct_many(
     for counts in tables:
         counts.validate()
     like = _Likelihood(tables)
-    start = _project_feasible(_pauli_coordinates(initial.stacked())[None])
+    start = _project_feasible(_pauli_coordinates(initial.sigma.reshape(-1, 2, 2))[None])
     return _ascend(like, np.repeat(start, len(tables), axis=0))
 
 
@@ -480,7 +453,7 @@ def _ascend(like: _Likelihood, v: np.ndarray) -> list[MlReconstruction]:
             break
     return [
         MlReconstruction(
-            assemblage=Assemblage.from_stacked(_from_pauli(v[i])),
+            assemblage=Assemblage(_from_pauli(v[i]).reshape(MEMBERS)),
             log_likelihood=float(ll[i]),
             log_likelihood_per_trial=float(ll[i] / like.total[i]),
             iterations=int(iterations[i]),
@@ -497,6 +470,8 @@ def _ascend(like: _Likelihood, v: np.ndarray) -> list[MlReconstruction]:
 
 
 _ASSEMBLAGE_HEADER = ["format assemblage-v1", "settings " + " ".join(SETTINGS)]
+# assemblage.txt blocks run over (x, a), the array's axes 0, 1
+_MEMBER_LABELS = [f"member {x} {outcome_label(a)}" for x in SETTINGS for a in OUTCOMES]
 _COUNTS_HEADER = ["format counts-v1", "settings " + " ".join(SETTINGS),
                   "bases " + " ".join(BOB_BASES), "columns x a b beta count"]
 # counts.txt rows run over (x, a, b, beta), the table's axes 0, 2, 1, 3
@@ -522,29 +497,37 @@ def _read_body(path: str, header: list[str]) -> list[str]:
 
 
 def save_assemblage(assem: Assemblage, path: str) -> None:
-    """Labeled complex blocks, 17 significant digits (exact float round trip)."""
+    """One labeled complex block per member, in (x, a) order."""
     lines = list(_ASSEMBLAGE_HEADER)
-    for x, a in _MEMBERS:
-        mat = np.asarray(assem.members[(x, a)], dtype=complex)
-        lines.append(f"member {x} {outcome_label(a)}")
-        for row in mat:
-            lines.append(" ".join(f"{v.real:.17g} {v.imag:.17g}" for v in row))
+    for label, mat in zip(_MEMBER_LABELS, assem.sigma.reshape(-1, 2, 2)):
+        lines.append(label)
+        lines += format_block(mat)
     _write_lines(path, lines)
+
+
+def format_block(mat: np.ndarray) -> list[str]:
+    """A complex 2x2 block as two lines of real and imaginary parts, 17
+    significant digits each (an exact float round trip)."""
+    return [" ".join(f"{v.real:.17g} {v.imag:.17g}" for v in row) for row in mat]
+
+
+def parse_block(rows: list[str]) -> list[list[complex]]:
+    """The complex 2x2 block that ``format_block`` wrote."""
+    parts = [row.split() for row in rows]
+    return [[float(p[2 * j]) + 1.0j * float(p[2 * j + 1]) for j in range(2)] for p in parts]
 
 
 def load_assemblage(path: str) -> Assemblage:
     body = _read_body(path, _ASSEMBLAGE_HEADER)
-    if len(body) != 3 * len(_MEMBERS):
-        raise ValueError(f"expected {3 * len(_MEMBERS)} member lines, got {len(body)}")
-    members = {}
-    for k, (x, a) in enumerate(_MEMBERS):
+    if len(body) != 3 * len(_MEMBER_LABELS):
+        raise ValueError(f"expected {3 * len(_MEMBER_LABELS)} member lines, got {len(body)}")
+    sigma = np.empty((len(_MEMBER_LABELS), 2, 2), dtype=complex)
+    for k, want in enumerate(_MEMBER_LABELS):
         label, *rows = body[3 * k:3 * k + 3]
-        if label != f"member {x} {outcome_label(a)}":
-            raise ValueError(f"expected 'member {x} {outcome_label(a)}', got {label!r}")
-        parts = [row.split() for row in rows]
-        members[(x, a)] = np.array([[float(p[2 * j]) + 1.0j * float(p[2 * j + 1])
-                                     for j in range(2)] for p in parts])
-    return Assemblage(members=members)
+        if label != want:
+            raise ValueError(f"expected {want!r}, got {label!r}")
+        sigma[k] = parse_block(rows)
+    return Assemblage(sigma.reshape(MEMBERS))
 
 
 def save_counts(counts: TomographyCounts, path: str) -> None:

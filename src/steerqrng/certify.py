@@ -18,7 +18,9 @@ Two SDPs drive everything here:
   assemblages and nonnegative on every unsteerable one.
 
 Deterministic response strategies map each setting to an outcome in
-``{0, 1, null}``; with two settings there are nine of them.
+``{0, 1, null}``; with two settings there are nine of them, the rows of
+``STRATEGIES``.  Assemblages, Eve's parts, the functional and the hidden
+states are arrays laid out over ``SETTINGS`` and ``OUTCOMES``.
 """
 
 from __future__ import annotations
@@ -31,13 +33,17 @@ import numpy as np
 from . import sdp
 from .assemblage import (
     CELLS,
+    MEMBERS,
     OUTCOMES,
     SETTINGS,
     Assemblage,
     TomographyCounts,
+    format_block,
     ml_reconstruct,  # unused here; benchmarks/layers.py wraps it at this name
     ml_reconstruct_many,
     outcome_label,
+    parse_block,
+    parse_outcome,
     validate_assemblage,
 )
 from .linalg import hermitian_basis, hermitian_part
@@ -50,8 +56,7 @@ __all__ = [
     "SteeringResult",
     "UncertaintyResult",
     "CertificationResult",
-    "deterministic_strategies",
-    "strategy_response",
+    "STRATEGIES",
     "guessing_probability",
     "min_entropy",
     "lhs_mu",
@@ -71,26 +76,21 @@ class CertificationError(RuntimeError):
     """SDP trouble during certification (infeasible or not converged)."""
 
 
-def deterministic_strategies() -> list[dict]:
-    """All maps setting -> outcome, enumerated outcomes-major per setting."""
-    return [dict(zip(SETTINGS, combo))
-            for combo in itertools.product(OUTCOMES, repeat=len(SETTINGS))]
-
-
-def strategy_response(strategy: dict, a, x: str) -> int:
-    """D(a|x,lambda): 1 when the strategy answers ``a`` on setting ``x``."""
-    return 1 if strategy[x] == a else 0
+#: The deterministic strategies, one per row: the index into OUTCOMES that
+#: strategy lambda answers on each setting, so D(a|x,lambda) = 1 exactly when
+#: STRATEGIES[lambda, x] == a.  Enumerated outcomes-major per setting.
+STRATEGIES = np.array(list(itertools.product(range(len(OUTCOMES)), repeat=len(SETTINGS))))
 
 
 @dataclass
 class EveDecomposition:
-    """Assemblage split by the eavesdropper's guess ``e``."""
+    """Assemblage split by the eavesdropper's guess ``e``: ``parts[e]`` is a
+    sub-assemblage of shape ``MEMBERS``, so ``parts`` has axes (e, x, a) over
+    OUTCOMES, SETTINGS and OUTCOMES, and ``parts.sum(axis=0)`` is the
+    assemblage."""
 
-    parts: dict[object, dict[tuple[str, object], np.ndarray]]
+    parts: np.ndarray
     x_star: str
-
-    def part_sum(self, x: str, a) -> np.ndarray:
-        return sum(p[(x, a)] for p in self.parts.values())
 
 
 @dataclass
@@ -104,14 +104,14 @@ class GuessingResult:
 @dataclass
 class LhsResult:
     mu: float
-    hidden_states: dict[tuple, np.ndarray]
+    hidden_states: np.ndarray   # (strategies, 2, 2), in the order of STRATEGIES
     solution: sdp.SdpSolution
 
 
 @dataclass
 class SteeringResult:
     beta: float
-    functional: dict[tuple[str, object], np.ndarray]
+    functional: np.ndarray   # shape MEMBERS
     mu: float
     solution: sdp.SdpSolution
 
@@ -135,7 +135,7 @@ class CertificationResult:
     mu: float
     beta: float
     decomposition: EveDecomposition | None = None
-    functional: dict[tuple[str, object], np.ndarray] | None = None
+    functional: np.ndarray | None = None   # shape MEMBERS
     uncertainty: UncertaintyResult | None = None
     diagnostics: dict = field(default_factory=dict)
 
@@ -152,25 +152,25 @@ def _require_valid(assem: Assemblage) -> None:
         )
 
 
-def _member_supports(assem: Assemblage):
-    """Eigenbasis support data per member: (isometry V, eigenvalues on support)."""
-    supports = {}
-    for key, mat in assem.members.items():
-        w, v = np.linalg.eigh(hermitian_part(np.asarray(mat, dtype=complex)))
-        keep = w > SUPPORT_TOL
-        supports[key] = (v[:, keep], np.clip(w[keep], 0.0, None))
-    return supports
+def _member_supports(assem: Assemblage) -> dict[tuple[int, int], tuple]:
+    """(isometry V, eigenvalues on the support) of every member of nonzero
+    rank, keyed by its (x, a) index, in (x, a) order."""
+    w, v = np.linalg.eigh(hermitian_part(assem.sigma))
+    keep = w > SUPPORT_TOL
+    return {idx: (v[idx][:, keep[idx]], np.clip(w[idx][keep[idx]], 0.0, None))
+            for idx in np.ndindex(keep.shape[:2]) if keep[idx].any()}
 
 
 @dataclass
 class _GuessingProgram:
     """The guessing-probability SDP of one assemblage, with the member
-    supports and block labels that read its solution back."""
+    supports and the block labels, keyed by (e, x, a) index, that read its
+    solution back."""
 
     problem: sdp.SdpProblem
     x_star: str
     supports: dict
-    labels: dict[tuple, str]
+    labels: dict[tuple[int, int, int], str]
 
 
 def _guessing_program(assem: Assemblage, x_star: str) -> _GuessingProgram:
@@ -179,55 +179,46 @@ def _guessing_program(assem: Assemblage, x_star: str) -> _GuessingProgram:
         raise ValueError(f"unknown certification setting {x_star!r}")
     _require_valid(assem)
     supports = _member_supports(assem)
-    guesses = list(OUTCOMES)
+    guesses = range(len(OUTCOMES))
+    names = [outcome_label(a) for a in OUTCOMES]
 
     blocks: dict[str, int] = {}
-    labels: dict[tuple, str] = {}
+    labels: dict[tuple[int, int, int], str] = {}
     for e in guesses:
-        for (x, a), (v, w) in supports.items():
-            rank = v.shape[1]
-            if rank == 0:
-                continue
-            label = f"e{outcome_label(e)}_x{x}_a{outcome_label(a)}"
-            labels[(e, x, a)] = label
-            blocks[label] = rank
+        for (x, a), (v, _w) in supports.items():
+            label = f"e{names[e]}_x{SETTINGS[x]}_a{names[a]}"
+            labels[e, x, a] = label
+            blocks[label] = v.shape[1]
 
     constraints: list[sdp.SdpConstraint] = []
     # each member splits across the guesses
     for (x, a), (v, w) in supports.items():
-        rank = v.shape[1]
-        if rank == 0:
-            continue
         target = np.diag(w).astype(complex)
-        for k, basis_el in enumerate(hermitian_basis(rank)):
-            coeffs = {}
-            for e in guesses:
-                coeffs[labels[(e, x, a)]] = basis_el
+        for k, basis_el in enumerate(hermitian_basis(v.shape[1])):
             rhs = float(np.real(np.trace(basis_el.conj().T @ target)))
             constraints.append(sdp.SdpConstraint(
-                coeffs=coeffs, rhs=rhs,
-                name=f"split_{x}_{outcome_label(a)}_{k}"))
+                coeffs={labels[e, x, a]: basis_el for e in guesses}, rhs=rhs,
+                name=f"split_{SETTINGS[x]}_{names[a]}_{k}"))
     # every part is non-signaling on its own; the basis is compressed to
     # each member's support once, not once per guess
     full_basis = hermitian_basis(2)
     compressed = {key: [v.conj().T @ basis_el @ v for basis_el in full_basis]
                   for key, (v, _w) in supports.items()}
-    x0 = SETTINGS[0]
     for e in guesses:
-        for x in SETTINGS[1:]:
+        for x in range(1, len(SETTINGS)):
             for k in range(len(full_basis)):
-                coeffs = {labels[(e, xx, a)]: sign * compressed[(xx, a)][k]
-                          for xx, sign in ((x0, 1.0), (x, -1.0))
-                          for a in OUTCOMES if (e, xx, a) in labels}
+                coeffs = {labels[e, xx, a]: sign * compressed[xx, a][k]
+                          for xx, sign in ((0, 1.0), (x, -1.0))
+                          for a in range(len(OUTCOMES)) if (e, xx, a) in labels}
                 constraints.append(sdp.SdpConstraint(
                     coeffs=coeffs, rhs=0.0,
-                    name=f"nosig_e{outcome_label(e)}_{x}_{k}"))
+                    name=f"nosig_e{names[e]}_{SETTINGS[x]}_{k}"))
 
     objective: dict[str, np.ndarray] = {}
     for e in guesses:
-        key = (e, x_star, e)
-        if key in labels:
-            objective[labels[key]] = np.eye(blocks[labels[key]], dtype=complex)
+        label = labels.get((e, SETTINGS.index(x_star), e))
+        if label is not None:
+            objective[label] = np.eye(blocks[label], dtype=complex)
 
     problem = sdp.SdpProblem(blocks=blocks, objective=objective,
                              constraints=constraints, sense="max")
@@ -251,17 +242,10 @@ def _guess_value(solution: sdp.SdpSolution) -> float:
 def _read_guess(program: _GuessingProgram, solution: sdp.SdpSolution) -> GuessingResult:
     """Guessing probability and Eve's decomposition from a solved program."""
     p_guess = _guess_value(solution)
-    parts: dict[object, dict[tuple[str, object], np.ndarray]] = {}
-    for e in OUTCOMES:
-        part: dict[tuple[str, object], np.ndarray] = {}
-        for (x, a), (v, _w) in program.supports.items():
-            key = (e, x, a)
-            if key in program.labels:
-                reduced = solution.primal_blocks[program.labels[key]]
-                part[(x, a)] = v @ reduced @ v.conj().T
-            else:
-                part[(x, a)] = np.zeros((2, 2), dtype=complex)
-        parts[e] = part
+    parts = np.zeros((len(OUTCOMES), *MEMBERS), dtype=complex)
+    for (e, x, a), label in program.labels.items():
+        v = program.supports[x, a][0]
+        parts[e, x, a] = v @ solution.primal_blocks[label] @ v.conj().T
     decomposition = EveDecomposition(parts=parts, x_star=program.x_star)
     return GuessingResult(
         p_guess=p_guess,
@@ -300,6 +284,8 @@ def lhs_mu(assem: Assemblage) -> LhsResult:
     """Largest mu with sigma_{a|x} = sum_lambda D(a|x,lambda) sigma_lambda,
     sigma_lambda >= mu * identity.
 
+    lambda runs over the rows of ``STRATEGIES``, and the hidden states
+    sigma_lambda come back as one (strategies, 2, 2) array in that order.
     mu >= 0 exactly when a local-hidden-state model exists; the sign change
     locates the steering boundary.  The free scalar mu is encoded as the
     difference of two nonnegative 1x1 blocks whose sum is pinned to a
@@ -308,32 +294,27 @@ def lhs_mu(assem: Assemblage) -> LhsResult:
     dual problem without a strict interior and stalls the solver.
     """
     _require_valid(assem)
-    strategies = deterministic_strategies()
     basis = hermitian_basis(2)
     mu_span = 4.0  # |mu| of a normalized assemblage is far below this
 
-    blocks: dict[str, int] = {f"lam{i}": 2 for i in range(len(strategies))}
+    blocks: dict[str, int] = {f"lam{i}": 2 for i in range(len(STRATEGIES))}
     blocks["mu_pos"] = 1
     blocks["mu_neg"] = 1
 
     constraints = []
-    for x in SETTINGS:
-        for a in OUTCOMES:
-            n_ax = sum(strategy_response(lam, a, x) for lam in strategies)
-            target = np.asarray(assem.members[(x, a)], dtype=complex)
-            for k, basis_el in enumerate(basis):
-                coeffs: dict[str, np.ndarray] = {}
-                for i, lam in enumerate(strategies):
-                    if strategy_response(lam, a, x):
-                        coeffs[f"lam{i}"] = basis_el
-                tr_b = float(np.real(np.trace(basis_el)))
-                if tr_b != 0.0:
-                    coeffs["mu_pos"] = np.array([[n_ax * tr_b]])
-                    coeffs["mu_neg"] = np.array([[-n_ax * tr_b]])
-                rhs = float(np.real(np.trace(basis_el.conj().T @ target)))
-                constraints.append(sdp.SdpConstraint(
-                    coeffs=coeffs, rhs=rhs,
-                    name=f"lhs_{x}_{outcome_label(a)}_{k}"))
+    for x, a in np.ndindex(MEMBERS[:2]):
+        answering = np.flatnonzero(STRATEGIES[:, x] == a)
+        target = assem.sigma[x, a]
+        for k, basis_el in enumerate(basis):
+            coeffs: dict[str, np.ndarray] = {f"lam{i}": basis_el for i in answering}
+            tr_b = float(np.real(np.trace(basis_el)))
+            if tr_b != 0.0:
+                coeffs["mu_pos"] = np.array([[len(answering) * tr_b]])
+                coeffs["mu_neg"] = np.array([[-len(answering) * tr_b]])
+            rhs = float(np.real(np.trace(basis_el.conj().T @ target)))
+            constraints.append(sdp.SdpConstraint(
+                coeffs=coeffs, rhs=rhs,
+                name=f"lhs_{SETTINGS[x]}_{outcome_label(OUTCOMES[a])}_{k}"))
     constraints.append(sdp.SdpConstraint(
         coeffs={"mu_pos": np.array([[1.0]]), "mu_neg": np.array([[1.0]])},
         rhs=mu_span, name="lhs_mu_span"))
@@ -354,39 +335,33 @@ def lhs_mu(assem: Assemblage) -> LhsResult:
         raise CertificationError(
             f"mu = {mu} saturates the encoding span {mu_span}; "
             "the assemblage is far outside the normalized regime")
-    hidden = {}
-    for i, lam in enumerate(strategies):
-        tau = solution.primal_blocks[f"lam{i}"]
-        hidden[tuple(lam[x] for x in SETTINGS)] = tau + mu * np.eye(2)
+    hidden = np.array([solution.primal_blocks[f"lam{i}"] + mu * np.eye(2)
+                       for i in range(len(STRATEGIES))])
     return LhsResult(mu=mu, hidden_states=hidden, solution=solution)
 
 
 def steering_functional(assem: Assemblage) -> SteeringResult:
     """Steering functional from the dual of the LHS program.
 
-    The returned coefficients ``F_{a|x}`` satisfy
-    ``sum_{a,x} F_{a|x} D(a|x,lambda) >= 0`` for every deterministic strategy
-    (so ``beta = sum Tr(F sigma)`` is nonnegative on every unsteerable
-    assemblage, whatever assemblage that is) together with the normalization
-    ``Tr sum_{a,x,lambda} F_{a|x} D(a|x,lambda) = 1``; strong duality makes
-    ``beta`` equal ``mu`` on the probed assemblage.
+    The returned coefficients ``F_{a|x}``, an array of shape ``MEMBERS``
+    laid out like the assemblage, satisfy
+    ``sum_x F_{lambda(x)|x} >= 0`` for every deterministic strategy lambda
+    (a row of ``STRATEGIES``; so ``beta = sum Tr(F sigma)`` is nonnegative on
+    every unsteerable assemblage, whatever assemblage that is) together with
+    the normalization ``Tr sum_{lambda,x} F_{lambda(x)|x} = 1``; strong
+    duality makes ``beta`` equal ``mu`` on the probed assemblage.
     """
     lhs = lhs_mu(assem)
     basis = hermitian_basis(2)
-    y = lhs.solution.dual_multipliers
-    functional: dict[tuple[str, object], np.ndarray] = {}
-    idx = 0
-    for x in SETTINGS:
-        for a in OUTCOMES:
-            f = np.zeros((2, 2), dtype=complex)
-            for basis_el in basis:
-                f += y[idx] * basis_el
-                idx += 1
-            functional[(x, a)] = f
-    beta = sum(
-        float(np.real(np.trace(functional[(x, a)].conj().T @ assem.members[(x, a)])))
-        for x in SETTINGS for a in OUTCOMES
-    )
+    members = assem.sigma.reshape(-1, 2, 2)
+    # the first multipliers belong to the member constraints, in (x, a) order
+    y = lhs.solution.dual_multipliers[:len(members) * len(basis)].reshape(len(members), -1)
+    functional = np.zeros(MEMBERS, dtype=complex)
+    for f, coeffs in zip(functional.reshape(-1, 2, 2), y):
+        for c, basis_el in zip(coeffs, basis):
+            f += c * basis_el
+    beta = sum(float(np.real(np.trace(f.conj().T @ s)))
+               for f, s in zip(functional.reshape(-1, 2, 2), members))
     return SteeringResult(beta=beta, functional=functional, mu=lhs.mu,
                           solution=lhs.solution)
 
@@ -544,10 +519,9 @@ def save_certification(result: CertificationResult, path: str) -> None:
     else:
         lines.append("uncertainty_resamples 0")
     if result.functional is not None:
-        for (x, a), mat in result.functional.items():
-            lines.append(f"functional {x} {outcome_label(a)}")
-            for row in np.asarray(mat, dtype=complex):
-                lines.append(" ".join(f"{v.real:.17g} {v.imag:.17g}" for v in row))
+        for x, a in np.ndindex(MEMBERS[:2]):
+            lines.append(f"functional {SETTINGS[x]} {outcome_label(OUTCOMES[a])}")
+            lines += format_block(result.functional[x, a])
     with open(path, "w", encoding="ascii") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -558,21 +532,16 @@ def load_certification(path: str) -> CertificationResult:
     if lines[0] != "format certification-v1":
         raise ValueError(f"unrecognized certification file header {lines[0]!r}")
     kv: dict[str, str] = {}
-    functional: dict[tuple[str, object], np.ndarray] = {}
+    functional = None
     pos = 1
     while pos < len(lines):
         parts = lines[pos].split()
         if parts[0] == "functional":
-            x, alabel = parts[1], parts[2]
-            mat = np.zeros((2, 2), dtype=complex)
-            for i in range(2):
-                pos += 1
-                vals = lines[pos].split()
-                for j in range(2):
-                    mat[i, j] = float(vals[2 * j]) + 1.0j * float(vals[2 * j + 1])
-            from .assemblage import parse_outcome
-
-            functional[(x, parse_outcome(alabel))] = mat
+            if functional is None:
+                functional = np.zeros(MEMBERS, dtype=complex)
+            x, a = SETTINGS.index(parts[1]), OUTCOMES.index(parse_outcome(parts[2]))
+            functional[x, a] = parse_block(lines[pos + 1:pos + 3])
+            pos += 2
         else:
             kv[parts[0]] = parts[1]
         pos += 1
@@ -599,7 +568,7 @@ def load_certification(path: str) -> CertificationResult:
         h_min=float(kv["h_min"]),
         mu=float(kv["mu"]),
         beta=float(kv["beta"]),
-        functional=functional or None,
+        functional=functional,
         uncertainty=uncertainty,
         diagnostics=diagnostics,
     )

@@ -103,9 +103,9 @@ def partial_trace_A(rho: np.ndarray, dim_a: int, dim_b: int) -> np.ndarray:
 
 
 def hermitian_part(a: np.ndarray) -> np.ndarray:
-    """(A + A^dagger)/2."""
+    """(A + A^dagger)/2, of every matrix along the last two axes."""
     a = np.asarray(a, dtype=complex)
-    return 0.5 * (a + a.conj().T)
+    return 0.5 * (a + a.conj().swapaxes(-1, -2))
 
 
 def assert_hermitian(a: np.ndarray, tol: float = HERMITIAN_TOL, name: str = "matrix") -> np.ndarray:

@@ -118,6 +118,8 @@ class PipelineConfig:
             raise ConfigError(f"experiment section: {exc}") from exc
         self.certification.validate()
         self.extraction.validate()
+        if not isinstance(self.output_dir, (str, type(None))):
+            raise ConfigError(f"output_dir must be a string or null, got {self.output_dir!r}")
         rng_setting = self.experiment.rng_setting
         if self.certification.x_star not in ("auto", rng_setting):
             raise ConfigError(
@@ -303,7 +305,15 @@ def stage_extract(config: PipelineConfig, out_dir: str) -> dict:
     Expects the protocol gate to have been checked by the caller; still
     refuses to extract when the parameter arithmetic yields no output bits.
     """
-    result = _load(os.path.join(out_dir, CERTIFICATION_FILE), "extract", load_certification)
+    cert_path = os.path.join(out_dir, CERTIFICATION_FILE)
+    result = _load(cert_path, "extract", load_certification)
+    # a certificate at another setting bounds a variable the extractor never reads
+    if result.x_star != config.experiment.rng_setting:
+        raise StageInputError(
+            f"extract: {cert_path} certifies setting {result.x_star!r}, but the raw "
+            f"stream measures {config.experiment.rng_setting!r}")
+    if not 0.0 <= result.h_min <= 1.0:
+        raise StageInputError(f"extract: {cert_path} has h_min {result.h_min!r} outside [0, 1]")
     raw = _load(os.path.join(out_dir, RAW_BITS_FILE), "extract", ext.load_bits)
     settings = config.extraction
 
@@ -322,7 +332,7 @@ def stage_extract(config: PipelineConfig, out_dir: str) -> dict:
         )
 
     if settings.seed_file is not None:
-        seed = ext.ingest_seed(settings.seed_file, params.d)
+        seed = _load(settings.seed_file, "extract", lambda path: ext.ingest_seed(path, params.d))
     else:
         seed = ext.generate_seed(params.d, settings.seed_rng)
         ext.save_bits(seed, os.path.join(out_dir, SEED_FILE))

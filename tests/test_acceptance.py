@@ -117,10 +117,8 @@ def test_criterion_3_duality_gap_and_functional_feasibility():
         steering = cert.steering_functional(assemblage)
         assert abs(steering.beta - steering.mu) <= 1e-6, name
         trace_total = 0.0
-        for strategy in cert.deterministic_strategies():
-            aggregate = sum(
-                steering.functional[(x, strategy[x])] for x in asm.SETTINGS
-            )
+        for strategy in cert.STRATEGIES:
+            aggregate = sum(steering.functional[x, a] for x, a in enumerate(strategy))
             assert min_eigenvalue(aggregate) >= -1e-8, name
             trace_total += float(np.real(np.trace(aggregate)))
         assert abs(trace_total - 1.0) <= 1e-8, name

@@ -9,9 +9,12 @@ from steerqrng.simulate import werner_state
 
 
 def max_member_distance(a, b):
-    return max(
-        float(np.max(np.abs(a.members[key] - b.members[key]))) for key in a.members
-    )
+    return float(np.max(np.abs(a.sigma - b.sigma)))
+
+
+def member(x, a):
+    """Index of sigma_{a|x} in an assemblage array of shape ``asm.MEMBERS``."""
+    return asm.SETTINGS.index(x), asm.OUTCOMES.index(a)
 
 
 def cell(x, a, b, beta):
@@ -34,21 +37,22 @@ def exact_counts(visibility=0.7, eta=0.6, per_config=100_000):
 
 class TestMeasurements:
     def test_default_measurements_are_projective(self, measurements):
-        assert set(measurements) == set(asm.SETTINGS)
-        for x in asm.SETTINGS:
+        assert measurements.shape == (len(asm.SETTINGS), 2, 2, 2)
+        for x in range(len(asm.SETTINGS)):
             for a in (0, 1):
-                e = measurements[x][a]
+                e = measurements[x, a]
                 assert np.allclose(e, e.conj().T, atol=1e-12)
                 assert np.allclose(e @ e, e, atol=1e-12)
-            total = measurements[x][0] + measurements[x][1]
+            total = measurements[x, 0] + measurements[x, 1]
             assert np.allclose(total, ID2, atol=1e-12)
 
     def test_bob_projectors_cover_three_bases(self):
         projs = asm.bob_projectors()
-        assert set(b for b, _ in projs) == {"X", "Y", "Z"}
-        for b in ("X", "Y", "Z"):
-            assert np.allclose(projs[(b, 0)] + projs[(b, 1)], ID2, atol=1e-12)
-            assert np.allclose(projs[(b, 0)] @ projs[(b, 1)], 0.0, atol=1e-12)
+        assert asm.BOB_BASES == ("X", "Y", "Z")
+        assert projs.shape == (len(asm.BOB_BASES), 2, 2, 2)
+        for b in range(len(asm.BOB_BASES)):
+            assert np.allclose(projs[b, 0] + projs[b, 1], ID2, atol=1e-12)
+            assert np.allclose(projs[b, 0] @ projs[b, 1], 0.0, atol=1e-12)
 
 
 class TestIdealAssemblage:
@@ -57,34 +61,33 @@ class TestIdealAssemblage:
         assem = asm.ideal_assemblage(singlet, eta=eta)
         # Alice's Z outcome 0 steers Bob to |1>
         assert np.allclose(
-            assem.member("Z", 0), (eta / 2) * projector(ket(0, 1)), atol=1e-12
+            assem.sigma[member("Z", 0)], (eta / 2) * projector(ket(0, 1)), atol=1e-12
         )
         # Alice's X outcome 0 steers Bob to |->
         assert np.allclose(
-            assem.member("X", 0), (eta / 2) * projector(ket_minus()), atol=1e-12
+            assem.sigma[member("X", 0)], (eta / 2) * projector(ket_minus()), atol=1e-12
         )
         # no-detection member carries the undisturbed marginal
-        assert np.allclose(assem.member("Z", None), (1 - eta) * ID2 / 2, atol=1e-12)
+        assert np.allclose(assem.sigma[member("Z", None)], (1 - eta) * ID2 / 2, atol=1e-12)
 
     def test_detected_members_have_equal_weight(self, singlet):
         assem = asm.ideal_assemblage(singlet, eta=0.543)
         for x in ("X", "Z"):
             for a in (0, 1):
-                tr = float(np.real(np.trace(assem.member(x, a))))
+                tr = float(np.real(np.trace(assem.sigma[member(x, a)])))
                 assert tr == pytest.approx(0.543 / 2, abs=1e-12)
 
     def test_non_signaling_by_construction(self, singlet):
         assem = asm.ideal_assemblage(singlet, eta=0.7)
-        for x in ("X", "Z"):
-            assert np.allclose(assem.bob_state(x), ID2 / 2, atol=1e-12)
+        for bob_state in assem.sigma.sum(axis=1):  # one per setting
+            assert np.allclose(bob_state, ID2 / 2, atol=1e-12)
 
     def test_linear_in_visibility(self):
         v = 0.37
         mixed = asm.ideal_assemblage(werner_state(v), eta=0.9)
         ends = [asm.ideal_assemblage(werner_state(x), eta=0.9) for x in (1.0, 0.0)]
-        for key in mixed.members:
-            combo = v * ends[0].members[key] + (1 - v) * ends[1].members[key]
-            assert np.allclose(mixed.members[key], combo, atol=1e-12)
+        combo = v * ends[0].sigma + (1 - v) * ends[1].sigma
+        assert np.allclose(mixed.sigma, combo, atol=1e-12)
 
     def test_eta_range_checked(self, singlet):
         with pytest.raises(ValueError):
@@ -92,17 +95,14 @@ class TestIdealAssemblage:
         with pytest.raises(ValueError):
             asm.ideal_assemblage(singlet, eta=-0.1)
 
-    def test_stacked_round_trip(self, assem_singlet_543):
-        stack = assem_singlet_543.stacked()
-        back = asm.Assemblage.from_stacked(stack)
-        assert max_member_distance(assem_singlet_543, back) < 1e-14
-
-    def test_scaled(self, assem_singlet_543):
-        double = assem_singlet_543.scaled(2.0)
-        key = ("Z", 0)
-        assert np.allclose(
-            double.members[key], 2.0 * assem_singlet_543.members[key], atol=1e-14
-        )
+    def test_array_layout(self, assem_singlet_543):
+        sigma = assem_singlet_543.sigma
+        assert asm.MEMBERS == (2, 3, 2, 2)
+        assert sigma.shape == asm.MEMBERS and sigma.dtype == complex
+        # settings-major, outcomes (0, 1, null): the order of assemblage.txt
+        flat = sigma.reshape(-1, 2, 2)
+        assert np.array_equal(flat[4], sigma[member("Z", 1)])
+        assert np.array_equal(flat[5], sigma[member("Z", None)])
 
 
 class TestValidation:
@@ -114,30 +114,36 @@ class TestValidation:
         assert report.signaling_error < 1e-12
 
     def test_normalization_violation_flagged(self, assem_singlet_543):
-        bad = assem_singlet_543.scaled(1.01)
+        bad = asm.Assemblage(1.01 * assem_singlet_543.sigma)
         report = asm.validate_assemblage(bad)
         assert not report.ok
         assert report.normalization_error == pytest.approx(0.01, abs=1e-9)
 
     def test_signaling_violation_flagged(self, assem_singlet_543):
-        members = dict(assem_singlet_543.members)
-        shift = np.array([[0.02, 0.0], [0.0, -0.02]], dtype=complex)
-        members[("X", 0)] = members[("X", 0)] + shift
-        bad = asm.Assemblage(members=members)
+        sigma = assem_singlet_543.sigma.copy()
+        sigma[member("X", 0)] += np.array([[0.02, 0.0], [0.0, -0.02]], dtype=complex)
+        bad = asm.Assemblage(sigma)
         report = asm.validate_assemblage(bad)
         assert not report.ok
         assert report.signaling_error > 0.01
 
     def test_negative_member_flagged(self, assem_singlet_543):
-        members = dict(assem_singlet_543.members)
-        members[("Z", None)] = members[("Z", None)] - 0.5 * ID2
+        sigma = assem_singlet_543.sigma.copy()
+        sigma[member("Z", None)] -= 0.5 * ID2
         # restore normalization so only positivity trips
-        members[("Z", 0)] = members[("Z", 0)] + 0.25 * ID2
-        members[("Z", 1)] = members[("Z", 1)] + 0.25 * ID2
-        bad = asm.Assemblage(members=members)
+        sigma[member("Z", 0)] += 0.25 * ID2
+        sigma[member("Z", 1)] += 0.25 * ID2
+        bad = asm.Assemblage(sigma)
         report = asm.validate_assemblage(bad)
         assert not report.ok
         assert report.min_eigenvalue < -0.1
+
+    @pytest.mark.parametrize("shape", [(2, 2, 2, 2), (6, 2, 2), (2, 3, 2)],
+                             ids=["two-outcomes", "flat", "not-matrices"])
+    def test_wrong_shape_rejected(self, assem_singlet_543, shape):
+        sigma = assem_singlet_543.sigma.reshape(-1)[:int(np.prod(shape))].reshape(shape)
+        with pytest.raises(ValueError, match="shape"):
+            asm.validate_assemblage(asm.Assemblage(sigma))
 
 
 class TestBornProbabilities:
@@ -367,8 +373,7 @@ class TestMlReconstruction:
         assert got.converged == want.converged
         assert got.log_likelihood == want.log_likelihood
         assert got.ll_history == want.ll_history
-        for key, member in want.assemblage.members.items():
-            assert np.array_equal(got.assemblage.members[key], member)
+        assert np.array_equal(got.assemblage.sigma, want.assemblage.sigma)
 
     def test_many_equals_solo_fits(self, rng):
         """Each fit of the batch is bit-identical to the same fit run alone."""
@@ -402,18 +407,17 @@ class TestAssemblageSerialization:
         path = tmp_path / "assemblage.txt"
         asm.save_assemblage(assem_singlet_543, str(path))
         loaded = asm.load_assemblage(str(path))
-        assert set(loaded.members) == set(assem_singlet_543.members)
+        assert loaded.sigma.shape == asm.MEMBERS
         assert max_member_distance(loaded, assem_singlet_543) < 1e-12
 
     def test_round_trip_preserves_complex_parts(self, tmp_path):
         rho = werner_state(0.8)
         # rotate to get nonzero imaginary parts in the steered states
         assem = asm.ideal_assemblage(rho, eta=0.9)
-        members = {
-            key: np.array([[m[0, 0], m[0, 1] + 0.01j], [m[1, 0] - 0.01j, m[1, 1]]])
-            for key, m in assem.members.items()
-        }
-        twisted = asm.Assemblage(members=members)
+        sigma = assem.sigma.copy()
+        sigma[..., 0, 1] += 0.01j
+        sigma[..., 1, 0] -= 0.01j
+        twisted = asm.Assemblage(sigma)
         path = tmp_path / "assemblage.txt"
         asm.save_assemblage(twisted, str(path))
         loaded = asm.load_assemblage(str(path))

@@ -25,22 +25,22 @@ def verify_decomposition(result, assem, tol=1e-6):
     reported guessing probability is achievable.
     """
     dec = result.decomposition
-    for key, member in assem.members.items():
-        total = dec.part_sum(*key)
-        assert np.max(np.abs(total - member)) < tol, key
+    assert dec.parts.shape == (len(asm.OUTCOMES), *asm.MEMBERS)
+    assert np.max(np.abs(dec.parts.sum(axis=0) - assem.sigma)) < tol
+    x_star = asm.SETTINGS.index(result.x_star)
     recomputed = 0.0
-    for e, part in dec.parts.items():
-        for mat in part.values():
-            assert min_eigenvalue(hermitian_part(np.asarray(mat, dtype=complex))) > -tol
-        recomputed += float(np.real(np.trace(part[(result.x_star, e)])))
+    for e, part in enumerate(dec.parts):
+        for mat in part.reshape(-1, 2, 2):
+            assert min_eigenvalue(hermitian_part(mat)) > -tol
+        recomputed += float(np.real(np.trace(part[x_star, e])))
     assert recomputed == pytest.approx(result.p_guess, abs=10 * tol)
 
 
 def evaluate_functional(functional, assem):
     """beta = sum_ax Tr F_{a|x} sigma_{a|x} for a given assemblage."""
     return sum(
-        float(np.real(np.trace(functional[key] @ assem.members[key])))
-        for key in functional
+        float(np.real(np.trace(f @ sigma)))
+        for f, sigma in zip(functional.reshape(-1, 2, 2), assem.sigma.reshape(-1, 2, 2))
     )
 
 
@@ -81,7 +81,8 @@ class TestGuessingProbability:
         assem = singlet_assemblage(0.543)
         result = cert.guessing_probability(assem, "X")
         trivial = max(
-            float(np.real(np.trace(assem.member("X", a)))) for a in (0, 1, None)
+            float(np.real(np.trace(assem.sigma[asm.SETTINGS.index("X"), a])))
+            for a in range(len(asm.OUTCOMES))
         )
         assert result.p_guess >= trivial - 1e-9
 
@@ -96,7 +97,7 @@ class TestGuessingProbability:
 
     def test_invalid_assemblage_rejected(self, assem_singlet_543):
         with pytest.raises(cert.CertificationError):
-            cert.guessing_probability(assem_singlet_543.scaled(1.1), "X")
+            cert.guessing_probability(asm.Assemblage(1.1 * assem_singlet_543.sigma), "X")
 
 
 class TestMinEntropy:
@@ -137,17 +138,13 @@ class TestLhsRobustness:
         sum_lambda D(a|x,lambda) tau_lambda = sigma_{a|x} - slack."""
         assem = asm.ideal_assemblage(werner_state(0.5), eta=0.8)
         result = cert.lhs_mu(assem)
-        strategies = cert.deterministic_strategies()
-        for x in asm.SETTINGS:
-            for a in (0, 1, None):
-                model = sum(
-                    result.hidden_states[key]
-                    for key, strat in zip(result.hidden_states, strategies)
-                    if cert.strategy_response(strat, a, x)
-                )
-                assert np.max(np.abs(model - assem.member(x, a))) < 1e-6
-        for mat in result.hidden_states.values():
-            slack = hermitian_part(np.asarray(mat)) - result.mu * ID2
+        assert result.hidden_states.shape == (len(cert.STRATEGIES), 2, 2)
+        for x in range(len(asm.SETTINGS)):
+            for a in range(len(asm.OUTCOMES)):
+                model = result.hidden_states[cert.STRATEGIES[:, x] == a].sum(axis=0)
+                assert np.max(np.abs(model - assem.sigma[x, a])) < 1e-6
+        for mat in result.hidden_states:
+            slack = hermitian_part(mat) - result.mu * ID2
             assert min_eigenvalue(slack) > -1e-7
 
 
@@ -169,16 +166,11 @@ class TestSteeringFunctional:
         deterministic strategies, with unit normalization."""
         assem = singlet_assemblage(0.543)
         steering = cert.steering_functional(assem)
-        strategies = cert.deterministic_strategies()
+        assert len(cert.STRATEGIES) == 9
         total = 0.0
-        for strat in strategies:
-            g = sum(
-                steering.functional[(x, a)]
-                for x in asm.SETTINGS
-                for a in (0, 1, None)
-                if cert.strategy_response(strat, a, x)
-            )
-            assert min_eigenvalue(hermitian_part(np.asarray(g))) > -1e-8
+        for strat in cert.STRATEGIES:
+            g = sum(steering.functional[x, a] for x, a in enumerate(strat))
+            assert min_eigenvalue(hermitian_part(g)) > -1e-8
             total += float(np.real(np.trace(g)))
         assert total == pytest.approx(1.0, abs=1e-6)
 
@@ -329,8 +321,8 @@ class TestSerialization:
         assert loaded.uncertainty.h_min_mean == \
             bootstrap_run.result.uncertainty.h_min_mean
         assert loaded.uncertainty.resamples == BOOTSTRAP_RESAMPLES
-        for key, mat in bootstrap_run.result.functional.items():
-            assert np.allclose(loaded.functional[key], mat, atol=1e-15)
+        assert loaded.functional.shape == asm.MEMBERS
+        assert np.allclose(loaded.functional, bootstrap_run.result.functional, atol=1e-15)
 
     def test_round_trip_without_uncertainty(self, tmp_path, assem_singlet_543):
         result = cert.certify(assem_singlet_543, x_star="Z")

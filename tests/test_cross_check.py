@@ -12,7 +12,7 @@ cp = pytest.importorskip("cvxpy")
 
 from steerqrng import assemblage as asm
 from steerqrng import certify as cert
-from steerqrng.assemblage import OUTCOMES, SETTINGS
+from steerqrng.assemblage import MEMBERS, OUTCOMES, SETTINGS
 from steerqrng.linalg import singlet_state
 
 from conftest import steering_cases
@@ -24,22 +24,21 @@ def external_guessing(assemblage, x_star):
     """Guessing probability via cvxpy: split the assemblage into one branch
     per possible guess, each branch a valid (PSD, non-signaling)
     subassemblage, and maximize the weight on correct guesses."""
-    guesses = list(OUTCOMES)
+    guesses = range(len(OUTCOMES))
     parts = {
         (e, x, a): cp.Variable((2, 2), hermitian=True)
-        for e in guesses for x in SETTINGS for a in OUTCOMES
+        for e in guesses for x, a in np.ndindex(MEMBERS[:2])
     }
     constraints = [var >> 0 for var in parts.values()]
-    for x in SETTINGS:
-        for a in OUTCOMES:
-            total = sum(parts[(e, x, a)] for e in guesses)
-            constraints.append(total == assemblage.members[(x, a)])
-    x0 = SETTINGS[0]
+    for x, a in np.ndindex(MEMBERS[:2]):
+        total = sum(parts[(e, x, a)] for e in guesses)
+        constraints.append(total == assemblage.sigma[x, a])
     for e in guesses:
-        reduced = sum(parts[(e, x0, a)] for a in OUTCOMES)
-        for x in SETTINGS[1:]:
+        reduced = sum(parts[(e, 0, a)] for a in range(len(OUTCOMES)))
+        for x in range(1, len(SETTINGS)):
             constraints.append(
-                sum(parts[(e, x, a)] for a in OUTCOMES) == reduced)
+                sum(parts[(e, x, a)] for a in range(len(OUTCOMES))) == reduced)
+    x_star = SETTINGS.index(x_star)
     objective = cp.Maximize(cp.real(
         sum(cp.trace(parts[(e, x_star, e)]) for e in guesses)))
     problem = cp.Problem(objective, constraints)
@@ -51,16 +50,13 @@ def external_guessing(assemblage, x_star):
 def external_lhs_mu(assemblage):
     """Largest mu such that hidden states omega_lambda >= mu * identity
     reproduce the assemblage through deterministic response functions."""
-    strategies = cert.deterministic_strategies()
-    omegas = [cp.Variable((2, 2), hermitian=True) for _ in strategies]
+    omegas = [cp.Variable((2, 2), hermitian=True) for _ in cert.STRATEGIES]
     mu = cp.Variable()
     constraints = []
-    for x in SETTINGS:
-        for a in OUTCOMES:
-            total = sum(
-                omega for omega, lam in zip(omegas, strategies)
-                if cert.strategy_response(lam, a, x))
-            constraints.append(total == assemblage.members[(x, a)])
+    for x, a in np.ndindex(MEMBERS[:2]):
+        total = sum(
+            omega for omega, lam in zip(omegas, cert.STRATEGIES) if lam[x] == a)
+        constraints.append(total == assemblage.sigma[x, a])
     constraints += [omega - mu * np.eye(2) >> 0 for omega in omegas]
     problem = cp.Problem(cp.Maximize(mu), constraints)
     problem.solve(solver=cp.CLARABEL)

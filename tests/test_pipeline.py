@@ -328,6 +328,74 @@ class TestMalformedArtifacts:
         self.check(out, artifact, command, reader, capsys)
 
 
+def _edit_certification(old: bytes, new: bytes):
+    def edit(out):
+        path = os.path.join(out, pl.CERTIFICATION_FILE)
+        good = read(path)
+        assert old in good
+        with open(path, "wb") as fh:
+            fh.write(good.replace(old, new))
+        return ["extract", "-o", out]
+    return edit
+
+
+def _seed_file(payload: bytes):
+    def use(out):
+        seed = os.path.join(out, "external_seed.bin")
+        with open(seed, "wb") as fh:
+            fh.write(payload)
+        config = fast_config().to_dict()
+        config["extraction"]["seed_file"] = seed
+        path = os.path.join(out, "config.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(config, fh)
+        return ["extract", "-c", path, "-o", out]
+    return use
+
+
+def _output_dir_number(out):
+    path = os.path.join(out, "config.json")
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump({"format": pl.CONFIG_FORMAT, "output_dir": 5}, fh)
+    return ["run", "-c", path]
+
+
+#: case -> (set-up on a copy of a completed run returning the CLI arguments,
+#:          a fragment of the one error line)
+REFUSED = {
+    "x_star-Q": (_edit_certification(b"x_star Z", b"x_star Q"), "'Q'"),
+    "h_min-2": (_edit_certification(b"\nh_min ", b"\nh_min 2.0\nold_h_min "), "h_min 2.0"),
+    "h_min-nan": (_edit_certification(b"\nh_min ", b"\nh_min nan\nold_h_min "), "h_min nan"),
+    "seed_file-3-bits": (_seed_file((3).to_bytes(8, "little") + b"\xa0"),
+                         "seed file holds 3 bits"),
+    "seed_file-1-byte": (_seed_file(b"\x00"), "truncated bit-count header"),
+    "output_dir-5": (_output_dir_number, "output_dir"),
+}
+
+
+class TestRefusedInputs:
+    """Inputs a command cannot use exit 4 with one error line, before the
+    command writes anything."""
+
+    @pytest.mark.parametrize("case", sorted(REFUSED))
+    def test_exit_io(self, completed_run, tmp_path, monkeypatch, capsys, case):
+        _, src, _ = completed_run
+        out = str(tmp_path / "run")
+        shutil.copytree(src, out)
+        written = (pl.EXTRACTED_FILE, pl.SEED_FILE, pl.EXTRACTOR_REPORT_FILE)
+        for name in written:
+            os.remove(os.path.join(out, name))
+        set_up, fragment = REFUSED[case]
+        argv = set_up(out)
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(argv) == pl.EXIT_IO
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert fragment in err
+        assert not any(os.path.exists(os.path.join(out, name)) for name in written[:2])
+        assert os.listdir(tmp_path) == ["run"]
+
+
 class TestGate:
     def test_low_efficiency_fails_certification(self, tmp_path):
         out = str(tmp_path / "fail")

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from steerqrng import assemblage as asm
+from steerqrng import certify as cert
 from steerqrng import simulate as sim
 from steerqrng.linalg import singlet_state
 
@@ -201,6 +202,21 @@ class TestTomographySampling:
             sim.ExperimentConfig(trials_certification=10_000, rng_seed=1)), str(path))
         assert hashlib.sha256(path.read_bytes()).hexdigest() == (
             "ec4d4b5e8f991ff0819288eaa7567849f10db600eb2ba6e9f9a04f19cc9b7254")
+
+    def test_fit_and_certificate_files_pinned(self, tmp_path):
+        """assemblage.txt and certification.txt of the same run, byte for
+        byte: the pins hold the ML fit, both SDPs and both file layouts
+        fixed."""
+        config = sim.ExperimentConfig(trials_certification=10_000, rng_seed=1)
+        fit = asm.ml_reconstruct(sim.simulate_tomography(config))
+        assemblage, certification = tmp_path / "assemblage.txt", tmp_path / "certification.txt"
+        asm.save_assemblage(fit.assemblage, str(assemblage))
+        cert.save_certification(cert.certify(fit.assemblage, x_star=config.rng_setting),
+                                str(certification))
+        assert hashlib.sha256(assemblage.read_bytes()).hexdigest() == (
+            "e3efb921295cd644c82a1e5d4d23582fab90b5f0ddc10970e2777f40f680e647")
+        assert hashlib.sha256(certification.read_bytes()).hexdigest() == (
+            "b8e9428bc928b89e38fa051ad0d63014ee07826ad1aa997a5a612c5abcc30adf")
 
 
 class TestStreams:
