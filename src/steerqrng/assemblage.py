@@ -229,6 +229,9 @@ class TomographyCounts:
 # raises ReconstructionError.
 ML_MAX_ITERATIONS = 5000
 ML_REL_TOL = 1e-10
+# Backtracking projects about this many candidate rows per call: a small
+# batch costs no more than one row, a large one costs per row.
+_BATCH_ROWS = 8
 
 _PAULI_BASIS = np.array([ID2, PAULI_X, PAULI_Y, PAULI_Z])
 
@@ -370,6 +373,8 @@ def ml_reconstruct(
     Projected gradient ascent with backtracking; every accepted step keeps
     the iterate exactly on the normalization/non-signaling subspace and PSD
     up to projection tolerance, and the log-likelihood never decreases.
+    Each step projects and scores several step halvings at once and takes
+    the longest acceptable one, the step halving one at a time would take.
     The ascent runs from two starting points (flat and linear inversion),
     as one batch, and keeps the best, which also serves as a convergence
     cross-check.  ``initial`` replaces both with one warm start.
@@ -412,45 +417,68 @@ def _ascend(like: _Likelihood, v: np.ndarray) -> list[MlReconstruction]:
     """Lockstep projected-gradient ascent, one fit per row of ``v`` (B, n, 4).
 
     Every fit keeps its own step, flat-step counter and iteration count and
-    leaves the batch when it converges.
+    leaves the batch when it converges.  Backtracking tries the next
+    k = max(1, _BATCH_ROWS // number of fits trying) halvings of every
+    trying fit's step, fewer where one would fall below the 1e-14 floor, in
+    one projection and one likelihood call; each fit takes the first it
+    accepts.  Rows of both
+    calls are independent and halving is exact, so every iterate is the one
+    a one-halving-at-a-time loop reaches.  The batch saves per-call overhead
+    on the few fits of a cold fit and stays at k = 1 for many warm fits.
     """
     n_fits = len(v)
     v = _project_feasible(v)
     ll = like.value(v, np.arange(n_fits))
-    history = [[value] for value in ll.tolist()]
+    # the start and every accepted step as (fits, log-likelihoods), split
+    # into per-fit histories at the end
+    accepted = [(np.arange(n_fits), ll.copy())]
     step = np.full(n_fits, 0.5)
     flat = np.zeros(n_fits, dtype=int)
     iterations = np.zeros(n_fits, dtype=int)
     converged = np.zeros(n_fits, dtype=bool)
     active = np.arange(n_fits)
+    halvings = 0.5 ** np.arange(max(1, _BATCH_ROWS))
     for it in range(1, ML_MAX_ITERATIONS + 1):
         iterations[active] = it
         improved = np.zeros(n_fits, dtype=bool)
         trying, grad = active, like.gradient(v[active], active)
         while trying.size:
-            cand = _project_feasible(v[trying] + step[trying, None, None] * grad)
-            ll_cand = like.value(cand, trying)
+            # the next k halvings of every trying fit's step, as far as every
+            # one stays at or above the floor, in (fit, halving) order
+            k = max(1, _BATCH_ROWS // len(trying))
+            while k > 1 and step[trying].min() * 0.5 ** (k - 1) < 1e-14:
+                k -= 1
+            steps = step[trying, None] * halvings[:k]
+            cand = _project_feasible(
+                (v[trying, None] + steps[..., None, None] * grad[:, None]).reshape(-1, *v.shape[1:]))
+            ll_cand = like.value(cand, np.repeat(trying, k))
             ll_old = ll[trying]
-            ok = ll_cand >= ll_old - 1e-13 * (1.0 + np.abs(ll_old))
-            hit, new, old = trying[ok], ll_cand[ok], ll_old[ok]
+            ok = ll_cand.reshape(-1, k) >= (ll_old - 1e-13 * (1.0 + np.abs(ll_old)))[:, None]
+            # each fit takes its first acceptable halving
+            taken = ok.any(axis=1)
+            pick = (ok.argmax(axis=1) + np.arange(0, ok.size, k))[taken]
+            hit, new, old = trying[taken], ll_cand[pick], ll_old[taken]
             improved[hit] = new > old
-            v[hit] = cand[ok]
+            v[hit] = cand[pick]
             ll[hit] = np.maximum(new, old)
-            for i, value in zip(hit.tolist(), ll[hit].tolist()):
-                history[i].append(value)
-            step[hit] = np.minimum(step[hit] * 1.5, 1e6)
+            accepted.append((hit, ll[hit]))
+            step[hit] = np.minimum(steps.ravel()[pick] * 1.5, 1e6)
             rel_change = np.abs(new - old) / (1.0 + np.abs(old))
             flat[hit] = np.where(rel_change <= ML_REL_TOL, flat[hit] + 1, 0)
-            missed = trying[~ok]
-            step[missed] *= 0.5
+            # a fit that missed them all halves its last candidate's step
+            missed = trying[~taken]
+            step[missed] *= 0.5 ** k
             retry = step[missed] >= 1e-14
-            trying, grad = missed[retry], grad[~ok][retry]
+            trying, grad = missed[retry], grad[~taken][retry]
         done = ((step[active] < 1e-14) | (flat[active] >= 3)
                 | (~improved[active] & (flat[active] >= 1)))
         converged[active[done]] = True
         active = active[~done]
         if not active.size:
             break
+    fits, values = (np.concatenate(parts) for parts in zip(*accepted))
+    order = np.argsort(fits, kind="stable")
+    history = np.split(values[order], np.cumsum(np.bincount(fits, minlength=n_fits))[:-1])
     return [
         MlReconstruction(
             assemblage=Assemblage(_from_pauli(v[i]).reshape(MEMBERS)),
@@ -459,7 +487,7 @@ def _ascend(like: _Likelihood, v: np.ndarray) -> list[MlReconstruction]:
             iterations=int(iterations[i]),
             converged=bool(converged[i]),
             start_log_likelihoods=[float(ll[i])],
-            ll_history=history[i],
+            ll_history=history[i].tolist(),
         )
         for i in range(n_fits)
     ]

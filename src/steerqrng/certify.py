@@ -532,19 +532,25 @@ def load_certification(path: str) -> CertificationResult:
     if lines[0] != "format certification-v1":
         raise ValueError(f"unrecognized certification file header {lines[0]!r}")
     kv: dict[str, str] = {}
-    functional = None
+    functional = np.zeros(MEMBERS, dtype=complex)
+    blocks: set[tuple[int, int]] = set()
     pos = 1
     while pos < len(lines):
         parts = lines[pos].split()
         if parts[0] == "functional":
-            if functional is None:
-                functional = np.zeros(MEMBERS, dtype=complex)
             x, a = SETTINGS.index(parts[1]), OUTCOMES.index(parse_outcome(parts[2]))
+            if (x, a) in blocks:
+                raise ValueError(f"repeated functional block {parts[1]} {parts[2]}")
+            blocks.add((x, a))
             functional[x, a] = parse_block(lines[pos + 1:pos + 3])
             pos += 2
         else:
             kv[parts[0]] = parts[1]
         pos += 1
+    # a functional is all of its members or none
+    n_members = MEMBERS[0] * MEMBERS[1]
+    if blocks and len(blocks) != n_members:
+        raise ValueError(f"functional has {len(blocks)} of {n_members} member blocks")
 
     uncertainty = None
     if int(kv.get("uncertainty_resamples", "0")) > 0:
@@ -568,7 +574,7 @@ def load_certification(path: str) -> CertificationResult:
         h_min=float(kv["h_min"]),
         mu=float(kv["mu"]),
         beta=float(kv["beta"]),
-        functional=functional,
+        functional=functional if blocks else None,
         uncertainty=uncertainty,
         diagnostics=diagnostics,
     )

@@ -213,19 +213,18 @@ def weak_design(m: int, t: int) -> WeakDesign:
     width = t.bit_length() - 1  # t = 2^width, GF(t) elements are 0..t-1
     sizes = _design_group_sizes(m, t)
     e = np.arange(t, dtype=np.uint64)
-    rows = []
-    for group, g in enumerate(sizes):
-        offset = group * t * t
-        q = np.arange(g, dtype=np.int64)
-        slopes = (q // t).astype(np.uint64)
-        consts = (q % t).astype(np.uint64)
-        if width:
-            values = gf2.gf_mul_vec(slopes[:, None, None], e[None, :, None], width)[..., 0]
-        else:
-            values = np.zeros((g, t), dtype=np.uint64)
-        values ^= consts[:, None]
-        rows.append(offset + (e[None, :] * np.uint64(t) + values).astype(np.int64))
-    sets = np.concatenate(rows, axis=0)
+    # products[b, e] = b*e in GF(t), shared by every group
+    if width:
+        products = gf2.gf_mul_vec(e[:, None, None], e[None, :, None], width)[..., 0]
+    else:
+        products = np.zeros((t, t), dtype=np.uint64)
+    q = np.concatenate([np.arange(g, dtype=np.int64) for g in sizes])
+    # built in place in one (m, t) array: every index is below d < 2^63
+    sets = products[q // t]
+    sets ^= (q % t).astype(np.uint64)[:, None]
+    sets += e * np.uint64(t)
+    sets = sets.view(np.int64)
+    sets += np.repeat(np.arange(len(sizes), dtype=np.int64) * t * t, sizes)[:, None]
     d = len(sizes) * t * t
     return WeakDesign(sets=sets, m=m, t=t, d=d, group_sizes=tuple(sizes))
 

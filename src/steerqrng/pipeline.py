@@ -318,6 +318,10 @@ def stage_extract(config: PipelineConfig, out_dir: str) -> dict:
     settings = config.extraction
 
     params = ext.ExtractorParams.for_source(settings.block_bits, result.h_min, settings.epsilon)
+    # a refused seed file, like a refused certificate, stops before any write
+    seed = None
+    if params.passes and settings.seed_file is not None:
+        seed = _load(settings.seed_file, "extract", lambda path: ext.ingest_seed(path, params.d))
     with open(os.path.join(out_dir, EXTRACTOR_REPORT_FILE), "w", encoding="ascii") as fh:
         fh.write(ext.params_report(params))
     if not params.passes:
@@ -331,9 +335,7 @@ def stage_extract(config: PipelineConfig, out_dir: str) -> dict:
             f"{settings.block_bits}-bit block"
         )
 
-    if settings.seed_file is not None:
-        seed = _load(settings.seed_file, "extract", lambda path: ext.ingest_seed(path, params.d))
-    else:
+    if seed is None:
         seed = ext.generate_seed(params.d, settings.seed_rng)
         ext.save_bits(seed, os.path.join(out_dir, SEED_FILE))
 

@@ -385,6 +385,58 @@ class TestMlReconstruction:
             self.assert_same_fit(fit, asm.ml_reconstruct(table, initial=truth))
         assert len({fit.iterations for fit in fits}) > 1
 
+    @pytest.mark.parametrize("rows", [1, 64])
+    def test_batched_halvings_equal_one_at_a_time(self, rng, monkeypatch, rows):
+        """Backtracking over k step halvings per projection takes the steps
+        that halving one at a time (_BATCH_ROWS = 1, k = 1) takes, for cold
+        and warm fits: every fit is bit-identical whatever the batch."""
+        tables, truth = self.batch_tables(rng)
+        cold = [exact_counts()[0], biased_counts()]
+        want_cold = [asm.ml_reconstruct(counts) for counts in cold]
+        want_many = asm.ml_reconstruct_many(tables, initial=truth)
+        monkeypatch.setattr(asm, "_BATCH_ROWS", rows)
+        for counts, want in zip(cold, want_cold):
+            got = asm.ml_reconstruct(counts)
+            self.assert_same_fit(got, want)
+            assert got.start_log_likelihoods == want.start_log_likelihoods
+        for got, want in zip(asm.ml_reconstruct_many(tables, initial=truth), want_many):
+            self.assert_same_fit(got, want)
+
+    def test_refused_steps_stop_at_the_floor(self, monkeypatch):
+        """A likelihood that refuses every step: each fit tries every halving
+        of its step from 0.5 down to the 1e-14 floor once, none below it,
+        and ends converged after one iteration at any batch size."""
+        class Refusing(asm._Likelihood):
+            """Scores the starting points, then refuses every candidate."""
+            tried = None
+
+            def value(self, v, fits):
+                if self.tried is None:
+                    self.tried = []
+                    return super().value(v, fits)
+                self.tried += fits.tolist()
+                return np.full(len(fits), -np.inf)
+
+        counts, truth = exact_counts()
+        tables = [counts, biased_counts(), counts]
+        floor_steps = sum(0.5 ** (j + 1) >= 1e-14 for j in range(100))
+        runs = {}
+        for rows in (1, asm._BATCH_ROWS, 64):
+            monkeypatch.setattr(asm, "_BATCH_ROWS", rows)
+            for n_fits in (1, 2, 3):
+                like = Refusing(tables[:n_fits])
+                start = np.repeat(asm._pauli_coordinates(truth.sigma.reshape(-1, 2, 2))[None],
+                                  n_fits, axis=0)
+                fits = asm._ascend(like, start)
+                assert sorted(like.tried) == sorted(list(range(n_fits)) * floor_steps)
+                runs[rows, n_fits] = fits
+                for fit in fits:
+                    assert fit.converged and fit.iterations == 1
+                    assert len(fit.ll_history) == 1
+        for (rows, n_fits), fits in runs.items():
+            for got, want in zip(fits, runs[1, n_fits]):
+                self.assert_same_fit(got, want)
+
     def test_many_reports_slow_fit_unconverged(self, rng, monkeypatch):
         tables, truth = self.batch_tables(rng)
         full = asm.ml_reconstruct_many(tables, initial=truth)

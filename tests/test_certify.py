@@ -332,6 +332,29 @@ class TestSerialization:
         assert loaded.uncertainty is None
         assert loaded.p_guess == result.p_guess
 
+    @staticmethod
+    def edited_functional(tmp_path, result, edit):
+        """A saved certificate whose lines from the ``functional X null``
+        block on are replaced by ``edit(block, rest)``."""
+        path = tmp_path / "certification.txt"
+        cert.save_certification(result, str(path))
+        lines = path.read_text().splitlines()
+        at = lines.index("functional X null")
+        path.write_text("\n".join(lines[:at] + edit(lines[at:at + 3], lines[at + 3:])) + "\n")
+        return str(path)
+
+    def test_missing_functional_block_rejected(self, tmp_path, assem_singlet_543):
+        result = cert.certify(assem_singlet_543, x_star="Z")
+        path = self.edited_functional(tmp_path, result, lambda block, rest: rest)
+        with pytest.raises(ValueError, match="5 of 6"):
+            cert.load_certification(path)
+
+    def test_repeated_functional_block_rejected(self, tmp_path, assem_singlet_543):
+        result = cert.certify(assem_singlet_543, x_star="Z")
+        path = self.edited_functional(tmp_path, result, lambda block, rest: block + block + rest)
+        with pytest.raises(ValueError, match="repeated functional block X null"):
+            cert.load_certification(path)
+
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("format something-else\n")

@@ -392,7 +392,7 @@ class TestRefusedInputs:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, err
         assert fragment in err
-        assert not any(os.path.exists(os.path.join(out, name)) for name in written[:2])
+        assert not any(os.path.exists(os.path.join(out, name)) for name in written)
         assert os.listdir(tmp_path) == ["run"]
 
 
@@ -421,6 +421,20 @@ class TestGate:
         # the parameter report records why nothing could be extracted
         text = read(os.path.join(out, pl.EXTRACTOR_REPORT_FILE)).decode()
         assert "m 0" in text and "passes no" in text
+
+    def test_infeasible_parameters_skip_the_seed_file(self, tmp_path):
+        """At m = 0 the seed file is never read: a run with an unusable one
+        still writes the parameter report and exits 3, not 4."""
+        seed = tmp_path / "seed.bin"
+        seed.write_bytes((3).to_bytes(8, "little") + b"\xa0")
+        config = fast_config()
+        config.extraction.epsilon = 1e-30
+        config.extraction.block_bits = 512
+        config.extraction.seed_file = str(seed)
+        out = str(tmp_path / "params")
+        assert pl.run(config, out).exit_code == pl.EXIT_PARAMETERS
+        text = read(os.path.join(out, pl.EXTRACTOR_REPORT_FILE)).decode()
+        assert "passes no" in text
 
 
 class TestReports:
