@@ -329,8 +329,8 @@ def lhs_mu(assem: Assemblage) -> LhsResult:
         raise CertificationError(
             f"LHS SDP did not converge: {solution.status} ({solution.message})")
 
-    mu = float(solution.primal_blocks["mu_pos"][0, 0]
-               - solution.primal_blocks["mu_neg"][0, 0])
+    mu = float(solution.primal_blocks["mu_pos"][0, 0].real
+               - solution.primal_blocks["mu_neg"][0, 0].real)
     if abs(mu) > 0.9 * mu_span:
         raise CertificationError(
             f"mu = {mu} saturates the encoding span {mu_span}; "

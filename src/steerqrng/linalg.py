@@ -32,8 +32,6 @@ __all__ = [
     "assert_hermitian",
     "assert_density_matrix",
     "hermitian_basis",
-    "real_embedding",
-    "from_real_embedding",
 ]
 
 HERMITIAN_TOL = 1e-10
@@ -167,31 +165,3 @@ def hermitian_basis(dim: int) -> list[np.ndarray]:
             t[j, i] = 1.0j * inv_sqrt2
             basis.append(t)
     return basis
-
-
-def real_embedding(a: np.ndarray) -> np.ndarray:
-    """Real symmetric 2d x 2d image [[Re A, -Im A], [Im A, Re A]] of Hermitian A.
-
-    Leading axes of a stack of matrices are kept.
-    """
-    a = np.asarray(a, dtype=complex)
-    re, im = a.real, a.imag
-    top = np.concatenate([re, -im], axis=-1)
-    bot = np.concatenate([im, re], axis=-1)
-    return np.concatenate([top, bot], axis=-2)
-
-
-def from_real_embedding(y: np.ndarray) -> np.ndarray:
-    """Recover the Hermitian matrix whose embedding averages to ``y``.
-
-    Works for any symmetric ``y``: the result is the projection of ``y`` onto
-    the embedded subspace, read back as a complex matrix.
-    """
-    y = np.asarray(y, dtype=float)
-    d2 = y.shape[0]
-    if d2 % 2:
-        raise ValueError("embedded matrix must have even dimension")
-    d = d2 // 2
-    re = 0.5 * (y[:d, :d] + y[d:, d:])
-    im = 0.5 * (y[d:, :d] - y[:d, d:])
-    return re + 1.0j * im

@@ -3,10 +3,8 @@
 The solver is a self-contained primal-dual path-following interior-point
 method (HKM search direction, Mehrotra predictor-corrector) specialised for
 the tiny instances that show up in steering certification: a handful of
-Hermitian 2x2 blocks and a few dozen equality constraints.  Complex Hermitian
-blocks are handled through the real-symmetric embedding
-``H -> [[Re H, -Im H], [Im H, Re H]]`` so the core iteration only ever sees
-real symmetric matrices.
+Hermitian 2x2 blocks and a few dozen equality constraints.  Every block is
+kept a complex Hermitian D x D matrix from the problem to the solution.
 
 Problem form (user facing)::
 
@@ -21,20 +19,24 @@ problem (added scalar slack block) decides between ``infeasible`` and
 ``numerical-failure``.
 
 The iteration is batched twice over.  Every block's constraint coefficients
-are flattened once into one dense (m x sum D^2) row matrix, so ``A(X)`` and
-``A^T y`` are single matrix-vector products, and same-size blocks are
-stacked as (nb, D, D) arrays, with no Python loop over constraints.  On top
-of that every array carries a leading problem axis: ``solve_many`` advances
-up to ``GROUP_SIZE`` problems of one structure (stack shapes and kept rows)
-in lockstep, so the Cholesky factorizations, ``S^-1``, the Schur complement
-(one Kronecker product per block) and the step length are one numpy call
-per stack for the whole group.  Each problem keeps its own scales, step
-lengths, best iterate and stopping rule and leaves the group when it stops,
-so its result does not depend on the other problems; ``solve`` is
-``solve_many`` of one problem.  With BLAS on one thread of a 2-vCPU VM, the
-guessing-probability SDP of a fitted assemblage (36 rows, 18 blocks, 14-15
-iterations) takes 15-20 ms of CPU alone, setup included, and 9-11 ms per
-problem in groups of 10, against about 0.35 s for a per-constraint loop.
+are flattened once into one dense (m x sum 2 D^2) row matrix of float views
+of their complex entries, and the iterates are float vectors laid out the
+same way, so ``A(X)`` and ``A^T y`` are single real matrix-vector products
+(the dot product of two views is the trace inner product of the Hermitian
+matrices), with no Python loop over constraints.  Same-size blocks are
+viewed as complex (nb, D, D) stacks.  On top of that every array carries a
+leading problem axis: ``solve_many`` advances up to ``GROUP_SIZE`` problems
+of one structure (stack shapes and kept rows) in lockstep, so the Cholesky
+factorizations, ``S^-1``, the search-direction products, the Schur
+complement (one Kronecker product per block) and the step length are one
+numpy call per stack for the whole group.  Each problem keeps its own
+scales, step lengths, best iterate and stopping rule and leaves the group
+when it stops, so its result does not depend on the other problems;
+``solve`` is ``solve_many`` of one problem.  With BLAS on one thread of a
+2-vCPU VM, the guessing-probability SDP of a fitted assemblage (32
+independent rows, 18 2x2 blocks, 12-15 iterations) takes 20-25 ms of CPU
+alone, setup included, and 10-12 ms per problem in groups of 10, against
+about 0.35 s for a per-constraint loop.
 
 Determinism: the solver uses no randomness; a fixed problem always produces
 the same iterates.
@@ -47,13 +49,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (
-    HERMITIAN_TOL,
-    from_real_embedding,
-    hermitian_part,
-    min_eigenvalue,
-    real_embedding,
-)
+from .linalg import HERMITIAN_TOL, hermitian_part, min_eigenvalue
 
 __all__ = [
     "SdpProblem",
@@ -149,11 +145,12 @@ class SdpProblem:
 
 @dataclass
 class SdpSolution:
-    """Solver outcome.  ``gap``, ``pinf`` and ``dinf`` are the relative
-    duality gap and the scaled primal and dual residuals of the returned
-    iterate (NaN when the solver produced none).  An ``unbounded`` problem
-    has no finite optimum: its ``primal_value`` is +inf for ``max`` and -inf
-    for ``min``, and its ``dual_value`` NaN."""
+    """Solver outcome.  ``primal_blocks`` are complex Hermitian, whatever
+    the dtype of the coefficients.  ``gap``, ``pinf`` and ``dinf`` are the
+    relative duality gap and the scaled primal and dual residuals of the
+    returned iterate (NaN when the solver produced none).  An ``unbounded``
+    problem has no finite optimum: its ``primal_value`` is +inf for ``max``
+    and -inf for ``min``, and its ``dual_value`` NaN."""
 
     status: str
     primal_blocks: dict[str, np.ndarray]
@@ -187,21 +184,22 @@ class CertificateReport:
 
 
 # ---------------------------------------------------------------------------
-# internal real-symmetric form
+# internal form
 
 
 class _InternalProblem:
-    """Real symmetric block problem in canonical min form."""
+    """Complex Hermitian block problem in canonical min form, each block's
+    coefficients stored as float views of their complex entries."""
 
     def __init__(self, problem: SdpProblem):
         problem.validate()
         self.sense_sign = -1.0 if problem.sense == "max" else 1.0
         self.labels = list(problem.blocks.keys())
-        self.block_dims = list(problem.blocks.values())
+        self.dims = list(problem.blocks.values())
         self.m_orig = len(problem.constraints)
         self.b = np.array([con.rhs for con in problem.constraints], dtype=float)
-        # per block: the objective and a (m, D*D) row block whose row j is the
-        # row-major flatten of the block's coefficient in constraint j; the
+        # per block: the objective and a (m, 2*D*D) row block whose row j is
+        # the float view of the block's coefficient in constraint j; the
         # coefficients are gathered in one pass over the constraints
         index = {label: k for k, label in enumerate(self.labels)}
         used: list[list[int]] = [[] for _ in self.labels]
@@ -211,37 +209,21 @@ class _InternalProblem:
             for label, mat in con.coeffs.items():
                 used[index[label]].append(j)
                 coeffs[index[label]].append(mat)
-        self.embedded: dict[str, bool] = {}
-        self.dims: list[int] = []
         self.A: list[np.ndarray] = []
         self.C: list[np.ndarray] = []
-        for label, rows_used, mats in zip(self.labels, used, coeffs):
-            # the embedding is decided on the Hermitian part, whose 1x1
-            # blocks are real whatever rounding the raw coefficients carry
-            mats = np.array(mats, dtype=complex)
-            mats = 0.5 * (mats + mats.conj().swapaxes(-1, -2))
-            is_complex = bool(np.max(np.abs(mats.imag)) > 0.0)
-            mats = 0.5 * real_embedding(mats) if is_complex else mats.real
-            d = mats.shape[-1]
-            rows = np.zeros((self.m_orig, d * d))
-            rows[rows_used] = mats[1:].reshape(len(rows_used), d * d)
-            self.embedded[label] = is_complex
-            self.dims.append(d)
+        for rows_used, mats, d in zip(used, coeffs, self.dims):
+            mats = hermitian_part(np.array(mats, dtype=complex))
+            rows = np.zeros((self.m_orig, 2 * d * d))
+            rows[rows_used] = mats[1:].view(float).reshape(len(rows_used), 2 * d * d)
             self.A.append(rows)
             self.C.append(self.sense_sign * mats[0])
-
-    def recover_block(self, k: int, x_int: np.ndarray) -> np.ndarray:
-        label = self.labels[k]
-        if self.embedded[label]:
-            return from_real_embedding(x_int)
-        return 0.5 * (x_int + x_int.T)
 
 
 def _select_rows(rows: np.ndarray, rank_tol: float) -> tuple[list[int], list[int]]:
     """Greedy rank-revealing row selection (largest remaining norm first).
 
-    Rows are flattened symmetric coefficients, whose dot products are the
-    trace inner products of the matrices.
+    Rows are float views of Hermitian coefficients, whose dot products are
+    the trace inner products of the matrices.
     """
     m = rows.shape[0]
     scale = max(1.0, float(np.max(np.abs(rows)))) if rows.size else 1.0
@@ -263,25 +245,24 @@ def _select_rows(rows: np.ndarray, rank_tol: float) -> tuple[list[int], list[int
 
 
 def _stacks(vec: np.ndarray, shapes: list[tuple[int, int]]) -> list[np.ndarray]:
-    """Views of (P, n) flat vectors as (P, nb, D, D) stacks of same-size blocks."""
+    """Complex views of (P, n) flat float vectors as (P, nb, D, D) stacks of
+    same-size blocks."""
     out, lo = [], 0
     for nb, d in shapes:
-        out.append(vec[:, lo:lo + nb * d * d].reshape(-1, nb, d, d))
-        lo += nb * d * d
+        out.append(vec[:, lo:lo + 2 * nb * d * d].view(complex).reshape(-1, nb, d, d))
+        lo += 2 * nb * d * d
     return out
 
 
 def _flat(stacks: list[np.ndarray]) -> np.ndarray:
-    return np.concatenate([s.reshape(len(s), -1) for s in stacks], axis=1)
+    """(P, n) float views of complex (P, nb, D, D) stacks, concatenated."""
+    return np.concatenate([np.ascontiguousarray(s).view(float).reshape(len(s), -1)
+                           for s in stacks], axis=1)
 
 
 def _identity(shapes: list[tuple[int, int]]) -> np.ndarray:
-    return np.concatenate([np.broadcast_to(np.eye(d), (nb, d, d)).ravel()
-                           for nb, d in shapes])
-
-
-def _sym(stack: np.ndarray) -> np.ndarray:
-    return 0.5 * (stack + stack.swapaxes(-1, -2))
+    return _flat([np.broadcast_to(np.eye(d, dtype=complex), (1, nb, d, d))
+                  for nb, d in shapes])[0]
 
 
 def _dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -305,10 +286,11 @@ def _max_steps(linv_x: list[np.ndarray], linv_s: list[np.ndarray],
     block + alpha*direction PSD, in one eigenvalue call per stack.
 
     ``linv_x`` and ``linv_s`` are the inverses of the blocks' Cholesky
-    factors L, so a block stays PSD while I + alpha L^-1 D L^-T does.
+    factors L, so a block stays PSD while I + alpha L^-1 D L^-H does.
     """
     lam = np.min([
-        np.linalg.eigvalsh(_sym(li @ d @ li.swapaxes(-1, -2)))[..., 0].min(axis=-1)
+        np.linalg.eigvalsh(hermitian_part(li @ d @ li.conj().swapaxes(-1, -2)))[..., 0]
+        .min(axis=-1)
         for li, d in zip(map(np.concatenate, zip(linv_x, linv_s)),
                          map(np.concatenate, zip(dX, dS)))], axis=0)
     step = np.full(lam.shape, 1e8)
@@ -338,25 +320,30 @@ def _schur_complement(R: list[np.ndarray], AT: list[np.ndarray], X: list[np.ndar
                       Sinv: list[np.ndarray]) -> np.ndarray:
     """M_ij = sum_k Tr(A_ik X_k A_jk S_k^-1) per problem.
 
-    With row-major flattens of the symmetric A this is
-    vec(A_ik) . kron(S_k^-1, X_k) vec(A_jk): one (D^2, D^2) matrix per
-    block, not one product per block and row.  ``R`` holds each stack's
-    rows, (P, m, nb*D*D), and ``AT`` the same coefficients as
-    (P, nb, D*D, m).
+    With row-major flattens of the Hermitian A this is
+    Re(conj(vec A_ik) . kron(S_k^-1, conj X_k) vec A_jk): one (D^2, D^2)
+    matrix per block, not one product per block and row.  ``R`` holds the
+    conjugates of each stack's complex rows, (P, m, nb*D*D), and ``AT`` the
+    coefficients themselves as (P, nb, D*D, m).
     """
     M = 0
     for r, at, xk, sinv in zip(R, AT, X, Sinv):
         P, nb, d = xk.shape[:3]
-        kron = (sinv[..., :, None, :, None] * xk[..., None, :, None, :]).reshape(
+        kron = (sinv[..., :, None, :, None] * xk.conj()[..., None, :, None, :]).reshape(
             P, nb, d * d, d * d)
-        M = M + r @ (kron @ at).reshape(P, nb * d * d, -1)
+        M = M + (r @ (kron @ at).reshape(P, nb * d * d, -1)).real
     return 0.5 * (M + M.swapaxes(-1, -2))
 
 
 def _schur_jitter(M: np.ndarray) -> np.ndarray:
-    """Per problem, the diagonal shift with which the Schur complement
-    factors: 0 when it factors as it is, NaN when no shift up to about 1e-6
-    relative helps."""
+    """Per problem, the relative shift of its diagonal with which the Schur
+    complement factors: 0 when it factors as it is, NaN when no shift up to
+    1e-6 helps.
+
+    The shift is relative to each row's own diagonal entry: near the optimum
+    of a degenerate problem the diagonal spans five orders or more, and a
+    shift scaled to the largest entry would swamp the small rows and spoil
+    the step's primal feasibility."""
     jitters = np.zeros(len(M))
     if _try_cholesky(M) is not None:
         return jitters
@@ -364,8 +351,8 @@ def _schur_jitter(M: np.ndarray) -> np.ndarray:
         jitter = 0.0
         chol = _try_cholesky(mp)
         while chol is None and jitter < 1e-6:
-            jitter = max(jitter * 10.0, 1e-14) * (1.0 + float(np.max(np.abs(mp))))
-            chol = _try_cholesky(mp + jitter * np.eye(len(mp)))
+            jitter = max(jitter * 10.0, 1e-14)
+            chol = _try_cholesky(mp + jitter * np.diag(np.diag(mp)))
         jitters[p] = np.nan if chol is None else jitter
     return jitters
 
@@ -422,11 +409,12 @@ def _ipm(
     every problem p of a lockstep group.
 
     The P problems share their block structure: ``rows`` is (P, m, n), ``b``
-    is (P, m) and ``c`` is (P, n).  ``x`` is the concatenated row-major
-    flatten of the blocks, laid out as the (nb, D, D) stacks listed in
-    ``shapes``, so every per-block operation is one batched call per stack
-    for the whole group.  All blocks are real symmetric; the rows of each
-    problem must be linearly independent.
+    is (P, m) and ``c`` is (P, n).  ``x`` is the float view of the
+    concatenated row-major complex entries of the Hermitian blocks, laid out
+    as the (nb, D, D) stacks listed in ``shapes``, so the dot product of two
+    such vectors is the trace inner product and every per-block operation
+    is one batched call per complex stack for the whole group.  The rows of
+    each problem must be linearly independent.
 
     Each problem keeps its own scales, step lengths, centring, best iterate,
     stall count, Schur jitter and stopping rule, and leaves the group when
@@ -440,14 +428,14 @@ def _ipm(
     g = _Group()
     g.live = np.arange(P)
     g.rows, g.b, g.c = rows, b, c
-    # per stack, its columns of the rows and a transposed copy of them, for
-    # the Schur complement
+    # per stack, the conjugates of its complex rows and a transposed copy of
+    # them, for the Schur complement
     g.R, g.AT, lo = [], [], 0
     for nb, d in shapes:
-        r = np.ascontiguousarray(rows[:, :, lo:lo + nb * d * d])
-        g.R.append(r)
+        r = np.ascontiguousarray(rows[:, :, lo:lo + 2 * nb * d * d]).view(complex)
+        g.R.append(r.conj())
         g.AT.append(np.ascontiguousarray(r.reshape(P, m, nb, d * d).transpose(0, 2, 3, 1)))
-        lo += nb * d * d
+        lo += 2 * nb * d * d
     b_max = np.abs(b).max(axis=1, initial=0.0)
     c_max = np.abs(c).max(axis=1, initial=0.0)
     g.scale_b = 1.0 + b_max
@@ -467,12 +455,20 @@ def _ipm(
     results: list[dict] = [{}] * P
     it = 0
 
+    def acceptable() -> np.ndarray:
+        """Per live problem, whether its best iterate is within the
+        acceptable tolerances."""
+        pinf, dinf, relgap = g.best[:, 2:].T
+        return (np.isfinite(g.best_score) & (pinf <= feasibility_acceptable)
+                & (dinf <= feasibility_acceptable) & (relgap <= gap_acceptable))
+
     def leave(*outcomes: tuple[np.ndarray, str, str]) -> bool:
         """Record the problems of each (disjoint) mask with its status and
         message, drop them, and tell whether any problem is left."""
         stopped = np.any([mask for mask, _, _ in outcomes], axis=0)
         if not stopped.any():
             return True
+        ok = acceptable()
         for mask, status, message in outcomes:
             for j in np.flatnonzero(mask):
                 result = {"status": status, "message": message, "iterations": it}
@@ -480,14 +476,9 @@ def _ipm(
                     pobj, dobj, pinf, dinf, relgap = (float(v) for v in g.best[j])
                     result.update(x=g.best_x[j], y=g.best_y[j], pobj=pobj, dobj=dobj,
                                   pinf=pinf, dinf=dinf, relgap=relgap)
-                    if (
-                        status != OPTIMAL
-                        and pinf <= feasibility_acceptable
-                        and dinf <= feasibility_acceptable
-                        and relgap <= gap_acceptable
-                    ):
-                        result["status"] = OPTIMAL
-                        result["message"] = "converged within acceptable tolerance"
+                if status != OPTIMAL and ok[j]:
+                    result["status"] = OPTIMAL
+                    result["message"] = "converged within acceptable tolerance"
                 results[g.live[j]] = result
         g.keep(~stopped)
         return bool(g.live.size)
@@ -506,8 +497,10 @@ def _ipm(
                 gk = gk - Ecorr[k] @ sinv
             G.append(gk)
         dy = _solve_schur(g.M, g.pres - _matvec(g.rows, _flat(G)))
-        adj = _rmatvec(dy, g.rows)
-        dX = [_sym(gk + xk @ ak @ sinv)
+        # an infinite dy would meet the zero columns of the rows (the
+        # imaginary parts of the diagonals); the caller drops its problem
+        adj = _rmatvec(np.where(np.isfinite(dy), dy, 0.0), g.rows)
+        dX = [hermitian_part(gk + xk @ ak @ sinv)
               for gk, xk, ak, sinv in zip(G, X, _stacks(adj, shapes), g.Sinv)]
         return _flat(dX), dy, g.rd - adj
 
@@ -536,7 +529,10 @@ def _ipm(
         ray_pinf = (np.abs(g.pres).max(axis=1, initial=0.0)
                     / (g.scale_b + g.a_max * np.abs(g.x).max(axis=1)))
         unbounded = ~optimal & (ray_pinf <= feasibility_acceptable) & (pobj < -1e10 * g.scale_c)
-        stalled = ~optimal & ~unbounded & ((g.mu < 1e-17) | (g.stall > 40))
+        # a best iterate within the acceptable tolerances stops its problem
+        # after 2 iterations that do not improve on it
+        stalled = ~optimal & ~unbounded & (
+            (g.mu < 1e-17) | (g.stall > 40) | (acceptable() & (g.stall >= 2)))
         if not leave((optimal, OPTIMAL, "converged to target tolerance"),
                      (unbounded, UNBOUNDED, "objective diverging with feasible iterate"),
                      (stalled, NUMERICAL_FAILURE, "progress stalled")):
@@ -552,13 +548,13 @@ def _ipm(
                     for a in _stacks(g.x, shapes) + _stacks(g.s, shapes)]
         linv = [np.linalg.inv(factor) for factor in chol]
         g.linv_x, g.linv_s = linv[:len(shapes)], linv[len(shapes):]
-        g.Sinv = [li.swapaxes(-1, -2) @ li for li in g.linv_s]
+        g.Sinv = [li.conj().swapaxes(-1, -2) @ li for li in g.linv_s]
 
         M = _schur_complement(g.R, g.AT, _stacks(g.x, shapes), g.Sinv)
         jitter = _schur_jitter(M)
         shifted = jitter > 0.0
         if shifted.any():
-            M[shifted] += jitter[shifted, None, None] * np.eye(m)
+            M[shifted] += jitter[shifted, None, None] * np.eye(m) * M[shifted]
         g.M = M
         if not leave((np.isnan(jitter), NUMERICAL_FAILURE,
                       "Schur complement factorization failed")):
@@ -581,8 +577,8 @@ def _ipm(
         gamma = np.where(g.mu > 1e-7, STEP_FRACTION, 0.99)
         alpha_p, alpha_d = np.minimum(1.0, gamma * _max_steps(
             g.linv_x, g.linv_s, _stacks(g.dx, shapes), _stacks(g.ds, shapes)))
-        g.x = _flat([_sym(v) for v in _stacks(g.x + alpha_p[:, None] * g.dx, shapes)])
-        g.s = _flat([_sym(v) for v in _stacks(g.s + alpha_d[:, None] * g.ds, shapes)])
+        g.x = _flat([hermitian_part(v) for v in _stacks(g.x + alpha_p[:, None] * g.dx, shapes)])
+        g.s = _flat([hermitian_part(v) for v in _stacks(g.s + alpha_d[:, None] * g.ds, shapes)])
         g.y = g.y + alpha_d[:, None] * g.dy
     else:
         leave((np.ones(len(g.live), dtype=bool), NUMERICAL_FAILURE, "max iterations reached"))
@@ -695,7 +691,7 @@ def _reduce(internal: _InternalProblem) -> SdpSolution | _Reduced:
         return _finish(internal, sol, OPTIMAL, "trivial problem", 0,
                        order=order, shapes=shapes, kept=kept)
 
-    c = np.concatenate([internal.C[k].ravel() for k in order])
+    c = np.concatenate([internal.C[k].ravel().view(float) for k in order])
     return _Reduced(order=order, shapes=shapes, kept=kept,
                     rows=rows[kept], b=internal.b[kept], c=c)
 
@@ -729,13 +725,15 @@ def _solve_group(
 
 def _phase1_feasible(reduced: list[_Reduced]) -> list[bool | None]:
     """Explicit Phase I, one lockstep group: per problem, min t subject to
-    A(X) + t*(b - A(I)) = b, X, t >= 0."""
+    A(X) + t*(b - A(I)) = b, X, t >= 0, with t a 1x1 block (whose float
+    view is its real and its zero imaginary part)."""
     shapes = reduced[0].shapes
     eye = _identity(shapes)
-    rows = np.stack([np.hstack([r.rows, (r.b - r.rows @ eye)[:, None]]) for r in reduced])
+    rows = np.stack([np.hstack([r.rows, (r.b - r.rows @ eye)[:, None], np.zeros((len(r.b), 1))])
+                     for r in reduced])
     b = np.stack([r.b for r in reduced])
-    c = np.zeros((len(reduced), eye.size + 1))
-    c[:, -1] = 1.0
+    c = np.zeros((len(reduced), eye.size + 2))
+    c[:, -2] = 1.0
     results = _ipm(rows, b, c, shapes + [(1, 1)],
                    gap_acceptable=1e-6, feasibility_acceptable=1e-7)
     return [None if res["status"] != OPTIMAL
@@ -755,17 +753,15 @@ def _finish(
     kept: list[int] | None = None,
 ) -> SdpSolution:
     sense_sign = internal.sense_sign
-    blocks_out: dict[str, np.ndarray] = {}
+    blocks_out = {label: np.zeros((d, d), dtype=complex)
+                  for label, d in zip(internal.labels, internal.dims)}
     y_user = np.zeros(internal.m_orig)
     pval = dval = gap = pinf = dinf = np.nan
 
     if result is not None and "x" in result and order is not None:
-        x_internal = [np.zeros((d, d)) for d in internal.dims]
         solved_blocks = (xk for stack in _stacks(result["x"][None], shapes) for xk in stack[0])
         for k, xk in zip(order, solved_blocks):
-            x_internal[k] = xk
-        for k, label in enumerate(internal.labels):
-            blocks_out[label] = internal.recover_block(k, x_internal[k])
+            blocks_out[internal.labels[k]] = xk.copy()
         y_int = np.zeros(internal.m_orig)
         if kept:
             y_int[np.asarray(kept, dtype=int)] = result["y"]
@@ -773,10 +769,6 @@ def _finish(
         pval = sense_sign * result["pobj"]
         dval = sense_sign * result["dobj"]
         gap, pinf, dinf = result["relgap"], result["pinf"], result["dinf"]
-    else:
-        for label, dim in zip(internal.labels, internal.block_dims):
-            is_complex = internal.embedded[label]
-            blocks_out[label] = np.zeros((dim, dim), dtype=complex if is_complex else float)
     if status == UNBOUNDED:
         # no finite optimum: the objective runs off in the optimizing sense
         pval, dval = -sense_sign * np.inf, np.nan

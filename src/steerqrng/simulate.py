@@ -113,8 +113,8 @@ class ExperimentConfig:
             raise ValueError(f"eta_bob must lie in (0, 1], got {self.eta_bob}")
         if self.pair_rate <= 0:
             raise ValueError("pair_rate must be positive")
-        if self.trials_certification < 0:
-            raise ValueError("trials_certification must be non-negative")
+        if self.trials_certification < 1:
+            raise ValueError("trials_certification must be at least 1")
         if self.rng_seed < 0:
             raise ValueError("rng_seed must be non-negative")
         if self.duration_rng <= 0:

@@ -174,15 +174,3 @@ class TestBasesAndEmbedding:
         assert max(abs(c.imag) for c in coeffs) < 1e-12
         recon = sum(c.real * b for c, b in zip(coeffs, basis))
         assert np.allclose(recon, a, atol=1e-12)
-
-    def test_real_embedding_round_trip(self, rng):
-        a = random_hermitian(rng, 3)
-        y = la.real_embedding(a)
-        assert np.allclose(y, y.T, atol=1e-12)
-        assert np.allclose(la.from_real_embedding(y), a, atol=1e-13)
-
-    def test_real_embedding_doubles_spectrum(self, rng):
-        a = random_hermitian(rng, 3)
-        eigs_a = np.sort(np.linalg.eigvalsh(a))
-        eigs_y = np.sort(np.linalg.eigvalsh(la.real_embedding(a)))
-        assert np.allclose(eigs_y, np.sort(np.repeat(eigs_a, 2)), atol=1e-10)

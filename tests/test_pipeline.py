@@ -116,6 +116,7 @@ class TestConfig:
         ("experiment", "pair_rate", "fast"), ("extraction", "epsilon", "small"),
         ("experiment", "trials_certification", 10000.5),
         ("experiment", "trials_certification", True), ("experiment", "visibility", True),
+        ("experiment", "trials_certification", 0),
         ("certification", "resamples", 50), ("certification", "resamples", 1),
     ], ids=lambda v: str(v))
     def test_wrong_type_or_sign_rejected(self, tmp_path, capsys, section, key, value):

@@ -172,8 +172,8 @@ class TestKnownOptima:
         assert np.trace(sol.primal_blocks["q"]).real == pytest.approx(0.0, abs=1e-5)
 
     def test_mixed_block_sizes(self, rng):
-        # a 1x1, two real 2x2 (not adjacent) and a complex 3x3 block (6x6
-        # once embedded); coupled trace rows fix Tr p = 0.3, t = 0.1,
+        # a 1x1, two real 2x2 (not adjacent) and a complex 3x3 block;
+        # coupled trace rows fix Tr p = 0.3, t = 0.1,
         # Tr h = 0.5 and Tr q = 0.2, so each block takes its top eigenvalue
         p_obj, q_obj = (0.5 * (m + m.T) for m in rng.normal(size=(2, 2, 2)))
         h_obj = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
@@ -282,6 +282,30 @@ class TestStatuses:
         sol = solved(redundant_rows_problem(a))
         assert sol.primal_value == pytest.approx(np.linalg.eigvalsh(a)[-1], abs=1e-7)
 
+    def test_acceptable_best_stops_after_two_idle_iterations(self, monkeypatch):
+        """Steps frozen at zero from iteration 3 on: once the best iterate is
+        within the acceptable tolerances, two iterations that do not improve
+        on it stop the problem; one that is not yet acceptable runs on to
+        the 40-iteration stall limit."""
+        reduced = sdp._reduce(sdp._InternalProblem(lam_max_problem(np.diag([1.0, 2.0]))))
+        args = reduced.rows[None], reduced.b[None], reduced.c[None], reduced.shapes
+        max_steps, calls = sdp._max_steps, []
+
+        def frozen(*step_args):
+            calls.append(None)  # two calls, predictor and corrector, per iteration
+            steps = max_steps(*step_args)
+            return steps if len(calls) <= 4 else np.zeros_like(steps)
+
+        monkeypatch.setattr(sdp, "_max_steps", frozen)
+        [acceptable] = sdp._ipm(*args, gap_acceptable=np.inf, feasibility_acceptable=np.inf)
+        assert acceptable["status"] == sdp.OPTIMAL
+        assert acceptable["message"] == "converged within acceptable tolerance"
+        assert acceptable["iterations"] == 3 + 2
+        calls.clear()
+        [stuck] = sdp._ipm(*args)
+        assert stuck["status"] == sdp.NUMERICAL_FAILURE
+        assert stuck["iterations"] == 3 + 41
+
     def test_zero_dimensional_block_rejected(self):
         problem = sdp.SdpProblem(blocks={"x": 0}, objective={}, constraints=[])
         with pytest.raises(ValueError):
@@ -325,27 +349,40 @@ class TestValidation:
             problem.validate()
 
 
-class TestRealForm:
-    def test_one_by_one_blocks_stay_real(self):
-        """A 1x1 block's Hermitian part is real, so the block is never
-        embedded as 2x2, whatever imaginary rounding its raw coefficients
-        carry: 12 of the 18 blocks of the singlet guessing SDP at eta 0.543
-        are 1x1, and their compressed coefficients v^H B v carry such
-        rounding."""
-        problem = sdp.SdpProblem(
+class TestComplexForm:
+    def test_blocks_solved_as_declared(self, monkeypatch):
+        """Every block is solved as the complex Hermitian matrix it is
+        declared as, with rows of 2*D*D floats (the float view of its
+        entries), and comes back complex and Hermitian: a 1x1 block whose
+        coefficients carry 1e-17 imaginary rounding, and every guessing and
+        LHS program of the steering cases."""
+        solve, solved = sdp.solve, []
+
+        def recording(problem):
+            solved.append((problem, solve(problem)))
+            return solved[-1][1]
+
+        monkeypatch.setattr(sdp, "solve", recording)
+        recording(sdp.SdpProblem(
             blocks={"x": 1},
             objective={"x": np.array([[1.0 + 1e-17j]])},
             constraints=[sdp.SdpConstraint(coeffs={"x": np.array([[1.0 - 1e-17j]])}, rhs=1.0)],
-        )
-        assert sdp._InternalProblem(problem).dims == [1]
+        ))
         for _name, assem in steering_cases():
             for x_star in asm.SETTINGS:
-                internal = sdp._InternalProblem(cert._guessing_program(assem, x_star).problem)
-                assert [d for user, d in zip(internal.block_dims, internal.dims)
-                        if user == 1] == [1] * internal.block_dims.count(1)
-        singlet = asm.ideal_assemblage(sim.werner_state(1.0), eta=0.543)
-        internal = sdp._InternalProblem(cert._guessing_program(singlet, "X").problem)
-        assert sorted(internal.dims) == [1] * 12 + [4] * 6
+                cert.guessing_probability(assem, x_star)
+            cert.lhs_mu(assem)
+        assert len(solved) == 1 + 6 * (len(asm.SETTINGS) + 1)
+        for problem, solution in solved:
+            dims = list(problem.blocks.values())
+            internal = sdp._InternalProblem(problem)
+            assert internal.dims == dims
+            assert [rows.shape[1] for rows in internal.A] == [2 * d * d for d in dims]
+            assert solution.status == sdp.OPTIMAL
+            for label, block in solution.primal_blocks.items():
+                assert block.dtype == complex
+                assert block.shape == (problem.blocks[label],) * 2
+                assert np.array_equal(block, block.conj().T), label
 
 
 class TestRobustness:

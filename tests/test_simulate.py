@@ -216,7 +216,7 @@ class TestTomographySampling:
         assert hashlib.sha256(assemblage.read_bytes()).hexdigest() == (
             "e3efb921295cd644c82a1e5d4d23582fab90b5f0ddc10970e2777f40f680e647")
         assert hashlib.sha256(certification.read_bytes()).hexdigest() == (
-            "b8e9428bc928b89e38fa051ad0d63014ee07826ad1aa997a5a612c5abcc30adf")
+            "360ed86a74254f62800d9ba62c5ee04e255e8f9d4d9dc07536d17f4c753f4d67")
 
 
 class TestStreams:
