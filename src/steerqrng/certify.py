@@ -163,14 +163,13 @@ def _member_supports(assem: Assemblage) -> dict[tuple[int, int], tuple]:
 
 @dataclass
 class _GuessingProgram:
-    """The guessing-probability SDP of one assemblage, with the member
-    supports and the block labels, keyed by (e, x, a) index, that read its
+    """The guessing-probability SDP of one assemblage, whose blocks are keyed
+    by their (e, x, a) index, with the member supports that read its
     solution back."""
 
     problem: sdp.SdpProblem
     x_star: str
     supports: dict
-    labels: dict[tuple[int, int, int], str]
 
 
 def _guessing_program(assem: Assemblage, x_star: str) -> _GuessingProgram:
@@ -180,25 +179,17 @@ def _guessing_program(assem: Assemblage, x_star: str) -> _GuessingProgram:
     _require_valid(assem)
     supports = _member_supports(assem)
     guesses = range(len(OUTCOMES))
-    names = [outcome_label(a) for a in OUTCOMES]
 
-    blocks: dict[str, int] = {}
-    labels: dict[tuple[int, int, int], str] = {}
-    for e in guesses:
-        for (x, a), (v, _w) in supports.items():
-            label = f"e{names[e]}_x{SETTINGS[x]}_a{names[a]}"
-            labels[e, x, a] = label
-            blocks[label] = v.shape[1]
+    blocks = {(e, x, a): v.shape[1] for e in guesses for (x, a), (v, _w) in supports.items()}
 
     constraints: list[sdp.SdpConstraint] = []
     # each member splits across the guesses
     for (x, a), (v, w) in supports.items():
         target = np.diag(w).astype(complex)
-        for k, basis_el in enumerate(hermitian_basis(v.shape[1])):
+        for basis_el in hermitian_basis(v.shape[1]):
             rhs = float(np.real(np.trace(basis_el.conj().T @ target)))
             constraints.append(sdp.SdpConstraint(
-                coeffs={labels[e, x, a]: basis_el for e in guesses}, rhs=rhs,
-                name=f"split_{SETTINGS[x]}_{names[a]}_{k}"))
+                coeffs={(e, x, a): basis_el for e in guesses}, rhs=rhs))
     # every part is non-signaling on its own; the basis is compressed to
     # each member's support once, not once per guess
     full_basis = hermitian_basis(2)
@@ -207,23 +198,17 @@ def _guessing_program(assem: Assemblage, x_star: str) -> _GuessingProgram:
     for e in guesses:
         for x in range(1, len(SETTINGS)):
             for k in range(len(full_basis)):
-                coeffs = {labels[e, xx, a]: sign * compressed[xx, a][k]
+                coeffs = {(e, xx, a): sign * compressed[xx, a][k]
                           for xx, sign in ((0, 1.0), (x, -1.0))
-                          for a in range(len(OUTCOMES)) if (e, xx, a) in labels}
-                constraints.append(sdp.SdpConstraint(
-                    coeffs=coeffs, rhs=0.0,
-                    name=f"nosig_e{names[e]}_{SETTINGS[x]}_{k}"))
+                          for a in range(len(OUTCOMES)) if (e, xx, a) in blocks}
+                constraints.append(sdp.SdpConstraint(coeffs=coeffs, rhs=0.0))
 
-    objective: dict[str, np.ndarray] = {}
-    for e in guesses:
-        label = labels.get((e, SETTINGS.index(x_star), e))
-        if label is not None:
-            objective[label] = np.eye(blocks[label], dtype=complex)
+    guessed = [(e, SETTINGS.index(x_star), e) for e in guesses]
+    objective = {key: np.eye(blocks[key], dtype=complex) for key in guessed if key in blocks}
 
     problem = sdp.SdpProblem(blocks=blocks, objective=objective,
                              constraints=constraints, sense="max")
-    return _GuessingProgram(problem=problem, x_star=x_star, supports=supports,
-                            labels=labels)
+    return _GuessingProgram(problem=problem, x_star=x_star, supports=supports)
 
 
 def _guess_value(solution: sdp.SdpSolution) -> float:
@@ -243,9 +228,9 @@ def _read_guess(program: _GuessingProgram, solution: sdp.SdpSolution) -> Guessin
     """Guessing probability and Eve's decomposition from a solved program."""
     p_guess = _guess_value(solution)
     parts = np.zeros((len(OUTCOMES), *MEMBERS), dtype=complex)
-    for (e, x, a), label in program.labels.items():
+    for e, x, a in program.problem.blocks:
         v = program.supports[x, a][0]
-        parts[e, x, a] = v @ solution.primal_blocks[label] @ v.conj().T
+        parts[e, x, a] = v @ solution.primal_blocks[e, x, a] @ v.conj().T
     decomposition = EveDecomposition(parts=parts, x_star=program.x_star)
     return GuessingResult(
         p_guess=p_guess,
@@ -305,19 +290,16 @@ def lhs_mu(assem: Assemblage) -> LhsResult:
     for x, a in np.ndindex(MEMBERS[:2]):
         answering = np.flatnonzero(STRATEGIES[:, x] == a)
         target = assem.sigma[x, a]
-        for k, basis_el in enumerate(basis):
+        for basis_el in basis:
             coeffs: dict[str, np.ndarray] = {f"lam{i}": basis_el for i in answering}
             tr_b = float(np.real(np.trace(basis_el)))
             if tr_b != 0.0:
                 coeffs["mu_pos"] = np.array([[len(answering) * tr_b]])
                 coeffs["mu_neg"] = np.array([[-len(answering) * tr_b]])
             rhs = float(np.real(np.trace(basis_el.conj().T @ target)))
-            constraints.append(sdp.SdpConstraint(
-                coeffs=coeffs, rhs=rhs,
-                name=f"lhs_{SETTINGS[x]}_{outcome_label(OUTCOMES[a])}_{k}"))
+            constraints.append(sdp.SdpConstraint(coeffs=coeffs, rhs=rhs))
     constraints.append(sdp.SdpConstraint(
-        coeffs={"mu_pos": np.array([[1.0]]), "mu_neg": np.array([[1.0]])},
-        rhs=mu_span, name="lhs_mu_span"))
+        coeffs={"mu_pos": np.array([[1.0]]), "mu_neg": np.array([[1.0]])}, rhs=mu_span))
 
     objective = {"mu_pos": np.array([[1.0]]), "mu_neg": np.array([[-1.0]])}
     problem = sdp.SdpProblem(blocks=blocks, objective=objective,

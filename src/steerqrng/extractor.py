@@ -286,8 +286,21 @@ def _extract(sources: np.ndarray, seed_bits: np.ndarray, params: ExtractorParams
     padded = np.pad(sources, ((0, 0), (0, n_chunks * s - n)))  # zero-pad the last chunk
     coeffs = gf2.pack_bits(padded.reshape(n_blocks, n_chunks, s))  # (blocks, chunks, words)
     acc = coeffs[:, 0, None] & u
+    # each step's products, their xor over words and their parities go to
+    # buffers allocated once; with one word the xor is the products' view
+    words = rows.shape[-1]
+    anded = np.empty(rows.shape, dtype=np.uint64)
+    folded = anded[..., 0] if words == 1 else np.empty(rows.shape[:2], dtype=np.uint64)
+    parities = np.empty(rows.shape[:2], dtype=np.uint8)
     for j in range(1, n_chunks):
-        u = gf2.pack_bits(gf2.parity(u[:, None] & rows))
+        np.bitwise_and(u[:, None], rows, out=anded)
+        if words > 1:
+            np.bitwise_xor(anded[..., 0], anded[..., 1], out=folded)
+            for w in range(2, words):
+                folded ^= anded[..., w]
+        np.bitwise_count(folded, out=parities)
+        parities &= np.uint8(1)
+        u = gf2.pack_bits(parities)
         acc ^= coeffs[:, j, None] & u
     return gf2.parity(acc)
 

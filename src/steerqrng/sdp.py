@@ -12,11 +12,14 @@ Problem form (user facing)::
     subject to  sum_k  Tr(A_jk X_k) = b_j     for each constraint j
                 X_k >= 0                      (PSD, Hermitian)
 
-Redundant equality rows are removed by a rank-revealing sweep before the
-iteration starts; inconsistent rows are reported as infeasibility.  When the
-main iteration cannot classify a failure, an explicit Phase-I feasibility
-problem (added scalar slack block) decides between ``infeasible`` and
-``numerical-failure``.
+Before the iteration starts, one SVD of the (m x n) row matrix gives its
+rank r and its left singular basis U_r: a rhs with a component outside U_r
+makes the rows inconsistent, which is reported as infeasibility, and the
+iteration runs on the r independent rows U_r^T A(X) = U_r^T b.  The
+multipliers U_r y it maps back are the minimum-norm split of the dual over
+dependent rows.  When the main iteration cannot classify a failure, an
+explicit Phase-I feasibility problem (added scalar slack block) decides
+between ``infeasible`` and ``numerical-failure``.
 
 The iteration is batched twice over.  Every block's constraint coefficients
 are flattened once into one dense (m x sum 2 D^2) row matrix of float views
@@ -26,7 +29,7 @@ same way, so ``A(X)`` and ``A^T y`` are single real matrix-vector products
 matrices), with no Python loop over constraints.  Same-size blocks are
 viewed as complex (nb, D, D) stacks.  On top of that every array carries a
 leading problem axis: ``solve_many`` advances up to ``GROUP_SIZE`` problems
-of one structure (stack shapes and kept rows) in lockstep, so the Cholesky
+of one structure (stack shapes and rank) in lockstep, so the Cholesky
 factorizations, ``S^-1``, the search-direction products, the Schur
 complement (one Kronecker product per block) and the step length are one
 numpy call per stack for the whole group.  Each problem keeps its own
@@ -44,7 +47,7 @@ the same iterates.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Hashable, Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,71 +92,45 @@ GROUP_SIZE = 10
 class SdpConstraint:
     """One equality constraint: sum_k Tr(coeffs[label] X_label) = rhs."""
 
-    coeffs: dict[str, np.ndarray]
+    coeffs: dict[Hashable, np.ndarray]
     rhs: float
-    name: str = ""
 
 
 @dataclass
 class SdpProblem:
     """Block SDP with labelled PSD variables.
 
-    ``blocks`` maps label -> dimension.  ``objective`` maps label -> Hermitian
-    coefficient matrix (absent labels contribute nothing).  ``sense`` is
-    ``"max"`` or ``"min"``.
+    ``blocks`` maps label (any hashable) -> dimension.  ``objective`` maps
+    label -> Hermitian coefficient matrix (absent labels contribute
+    nothing).  ``sense`` is ``"max"`` or ``"min"``.
     """
 
-    blocks: dict[str, int]
-    objective: dict[str, np.ndarray]
+    blocks: dict[Hashable, int]
+    objective: dict[Hashable, np.ndarray]
     constraints: list[SdpConstraint]
     sense: str = "max"
 
     def validate(self) -> None:
-        if self.sense not in ("max", "min"):
-            raise ValueError(f"unknown sense {self.sense!r}")
-        for label, dim in self.blocks.items():
-            if dim < 1:
-                raise ValueError(f"block {label!r} has non-positive dimension")
-        coeffs = [("objective", label, mat) for label, mat in self.objective.items()]
-        for j, con in enumerate(self.constraints):
-            if not np.isfinite(con.rhs):
-                raise ValueError(f"constraint {j} has non-finite rhs")
-            coeffs += [(f"constraint {j}", label, mat) for label, mat in con.coeffs.items()]
-        # shapes one coefficient at a time, Hermiticity in one batch per size
-        by_dim: dict[int, list[tuple]] = {}
-        for where, label, mat in coeffs:
-            if label not in self.blocks:
-                raise ValueError(f"{where} references unknown block {label!r}")
-            dim = self.blocks[label]
-            if np.shape(mat) != (dim, dim):
-                raise ValueError(
-                    f"{where} coefficient for block {label!r} has shape "
-                    f"{np.shape(mat)}, expected ({dim}, {dim})"
-                )
-            by_dim.setdefault(dim, []).append((where, label, mat))
-        for entries in by_dim.values():
-            stack = np.array([mat for _, _, mat in entries], dtype=complex)
-            dev = np.abs(stack - stack.conj().swapaxes(-1, -2)).max(axis=(1, 2))
-            bad = np.flatnonzero(dev > HERMITIAN_TOL)
-            if bad.size:
-                where, label, _ = entries[bad[0]]
-                raise ValueError(
-                    f"{where} coefficient for {label!r} is not Hermitian: "
-                    f"max deviation {dev[bad[0]]:.3e} > {HERMITIAN_TOL:.1e}"
-                )
+        """Raise ValueError unless the sense is known, every block dimension
+        positive, every rhs finite and every coefficient a Hermitian matrix
+        of its declared block's shape."""
+        _setup(self)
 
 
 @dataclass
 class SdpSolution:
     """Solver outcome.  ``primal_blocks`` are complex Hermitian, whatever
-    the dtype of the coefficients.  ``gap``, ``pinf`` and ``dinf`` are the
-    relative duality gap and the scaled primal and dual residuals of the
-    returned iterate (NaN when the solver produced none).  An ``unbounded``
-    problem has no finite optimum: its ``primal_value`` is +inf for ``max``
-    and -inf for ``min``, and its ``dual_value`` NaN."""
+    the dtype of the coefficients.  ``dual_multipliers`` has one entry per
+    constraint; over linearly dependent constraints it is the minimum-norm
+    split of the dual.  ``gap``, ``pinf`` and ``dinf`` are the relative
+    duality gap and the scaled primal and dual residuals of the returned
+    iterate (NaN when the solver produced none); ``pinf`` is measured on the
+    reduced rows U_r^T A(X) = U_r^T b.  An ``unbounded`` problem has no
+    finite optimum: its ``primal_value`` is +inf for ``max`` and -inf for
+    ``min``, and its ``dual_value`` NaN."""
 
     status: str
-    primal_blocks: dict[str, np.ndarray]
+    primal_blocks: dict[Hashable, np.ndarray]
     primal_value: float
     dual_value: float
     dual_multipliers: np.ndarray
@@ -184,64 +161,125 @@ class CertificateReport:
 
 
 # ---------------------------------------------------------------------------
-# internal form
+# setup
 
 
-class _InternalProblem:
-    """Complex Hermitian block problem in canonical min form, each block's
-    coefficients stored as float views of their complex entries."""
+@dataclass
+class _Reduced:
+    """A problem ready for the iteration: its constrained blocks in stack
+    order, the left singular basis U_r (m, r) of their row matrix, and the
+    reduced rows U_r^T rows, rhs U_r^T b and min-form objective."""
 
-    def __init__(self, problem: SdpProblem):
-        problem.validate()
-        self.sense_sign = -1.0 if problem.sense == "max" else 1.0
-        self.labels = list(problem.blocks.keys())
-        self.dims = list(problem.blocks.values())
-        self.m_orig = len(problem.constraints)
-        self.b = np.array([con.rhs for con in problem.constraints], dtype=float)
-        # per block: the objective and a (m, 2*D*D) row block whose row j is
-        # the float view of the block's coefficient in constraint j; the
-        # coefficients are gathered in one pass over the constraints
-        index = {label: k for k, label in enumerate(self.labels)}
-        used: list[list[int]] = [[] for _ in self.labels]
-        coeffs: list[list] = [[problem.objective.get(label, np.zeros((dim, dim)))]
-                              for label, dim in problem.blocks.items()]
-        for j, con in enumerate(problem.constraints):
-            for label, mat in con.coeffs.items():
-                used[index[label]].append(j)
-                coeffs[index[label]].append(mat)
-        self.A: list[np.ndarray] = []
-        self.C: list[np.ndarray] = []
-        for rows_used, mats, d in zip(used, coeffs, self.dims):
-            mats = hermitian_part(np.array(mats, dtype=complex))
-            rows = np.zeros((self.m_orig, 2 * d * d))
-            rows[rows_used] = mats[1:].view(float).reshape(len(rows_used), 2 * d * d)
-            self.A.append(rows)
-            self.C.append(self.sense_sign * mats[0])
+    order: list[int]
+    shapes: list[tuple[int, int]]
+    basis: np.ndarray
+    rows: np.ndarray
+    b: np.ndarray
+    c: np.ndarray
 
 
-def _select_rows(rows: np.ndarray, rank_tol: float) -> tuple[list[int], list[int]]:
-    """Greedy rank-revealing row selection (largest remaining norm first).
+def _where(j: int) -> str:
+    return "objective" if j < 0 else f"constraint {j}"
 
-    Rows are float views of Hermitian coefficients, whose dot products are
-    the trace inner products of the matrices.
+
+def _setup(problem: SdpProblem) -> SdpSolution | _Reduced:
+    """Validate a problem and turn it into the iteration's arrays, or into
+    its solution when that is decided without iterating.
+
+    One pass over the coefficients checks each one (known block, shape) and
+    gathers it by block size; the Hermiticity check and the Hermitian part
+    are one batch per size.  The blocks some constraint touches become the
+    (nb, D) stacks, and one SVD of their (m x n) row matrix of float views
+    gives the rank, the consistency of the rhs and the reduced system.
+    Raises ValueError on an invalid problem.
     """
-    m = rows.shape[0]
-    scale = max(1.0, float(np.max(np.abs(rows)))) if rows.size else 1.0
-    threshold = rank_tol * scale
-    kept: list[int] = []
-    alive = list(range(m))
-    work = rows.astype(float)  # the rows in ``alive``, orthogonalized against the kept ones
-    while alive:
-        norms = np.sqrt(np.add.reduce(work * work, axis=1))
-        best = int(np.argmax(norms))
-        if norms[best] <= threshold:
-            break
-        kept.append(alive.pop(best))
-        q = work[best] / np.sqrt(work[best] @ work[best])
-        work = np.delete(work, best, axis=0)
-        work -= np.outer(work @ q, q)
-    dropped = [i for i in range(m) if i not in kept]
-    return kept, dropped
+    if problem.sense not in ("max", "min"):
+        raise ValueError(f"unknown sense {problem.sense!r}")
+    for label, dim in problem.blocks.items():
+        if dim < 1:
+            raise ValueError(f"block {label!r} has non-positive dimension")
+    labels, dims = list(problem.blocks), list(problem.blocks.values())
+    index = {label: k for k, label in enumerate(labels)}
+    b = np.array([con.rhs for con in problem.constraints], dtype=float)
+    nonfinite = np.flatnonzero(~np.isfinite(b))
+    if nonfinite.size:
+        raise ValueError(f"constraint {nonfinite[0]} has non-finite rhs")
+    # per block size, the (row, block, coefficient) of every coefficient;
+    # row -1 is the objective
+    gathered: dict[int, list[tuple]] = {}
+    coefficients = [problem.objective] + [con.coeffs for con in problem.constraints]
+    for j, coeffs in enumerate(coefficients, start=-1):
+        for label, mat in coeffs.items():
+            k = index.get(label)
+            if k is None:
+                raise ValueError(f"{_where(j)} references unknown block {label!r}")
+            if np.shape(mat) != (dims[k], dims[k]):
+                raise ValueError(
+                    f"{_where(j)} coefficient for block {label!r} has shape "
+                    f"{np.shape(mat)}, expected ({dims[k]}, {dims[k]})"
+                )
+            gathered.setdefault(dims[k], []).append((j, k, mat))
+    touched = np.zeros(len(dims), dtype=bool)
+    by_size: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+    for d, entries in gathered.items():
+        rows_j, blocks_k, mats = zip(*entries)
+        stack = np.array(mats, dtype=complex)
+        dev = np.abs(stack - stack.conj().swapaxes(-1, -2)).max(axis=(1, 2))
+        bad = np.flatnonzero(dev > HERMITIAN_TOL)
+        if bad.size:
+            raise ValueError(
+                f"{_where(rows_j[bad[0]])} coefficient for {labels[blocks_k[bad[0]]]!r} "
+                f"is not Hermitian: max deviation {dev[bad[0]]:.3e} > {HERMITIAN_TOL:.1e}"
+            )
+        j, k, stack = np.array(rows_j), np.array(blocks_k), hermitian_part(stack)
+        touched[k[(j >= 0) & stack.reshape(len(stack), -1).any(axis=1)]] = True
+        by_size[d] = j, k, stack
+
+    sign = -1.0 if problem.sense == "max" else 1.0
+    unbounded: list[int] = []
+    for j, k, stack in by_size.values():
+        free = (j < 0) & ~touched[k]  # objectives of blocks no constraint touches
+        lam = np.linalg.eigvalsh(sign * stack[free])[:, 0]
+        unbounded += k[free][lam < -1e-12].tolist()
+    if unbounded:
+        # min <C, X> over X >= 0 with no constraints: unbounded below
+        return _finish(problem, None, UNBOUNDED,
+                       f"block {labels[min(unbounded)]!r} is unconstrained with "
+                       "indefinite objective", 0)
+
+    # constrained blocks grouped into same-size stacks, in first-seen order,
+    # each a run of 2*D*D columns
+    stacks: dict[int, list[int]] = {}
+    for k in np.flatnonzero(touched).tolist():
+        stacks.setdefault(dims[k], []).append(k)
+    order = [k for ks in stacks.values() for k in ks]
+    shapes = [(len(ks), d) for d, ks in stacks.items()]
+    width = np.array([2 * dims[k] ** 2 for k in order], dtype=int)
+    offset = np.zeros(len(dims), dtype=int)
+    offset[order] = np.cumsum(width) - width
+    rows, c = np.zeros((len(b), width.sum())), np.zeros(width.sum())
+    for d, (j, k, stack) in by_size.items():
+        keep = touched[k]
+        cols = offset[k[keep], None] + np.arange(2 * d * d)
+        flat = stack[keep].view(float).reshape(-1, 2 * d * d)
+        con = j[keep] >= 0
+        rows[j[keep][con, None], cols[con]] = flat[con]
+        c[cols[~con]] = sign * flat[~con]
+
+    # rank, consistency and the reduced system from one SVD
+    u, sv, _ = np.linalg.svd(rows, full_matrices=False)
+    basis = u[:, sv > RANK_TOLERANCE * max(1.0, float(np.abs(rows).max(initial=0.0)))]
+    residual = np.abs(b - basis @ (basis.T @ b))
+    if residual.max(initial=0.0) > 1e-7 * (1.0 + np.abs(b).max(initial=0.0)):
+        return _finish(problem, None, INFEASIBLE,
+                       f"constraint {np.argmax(residual)} is inconsistent with the others", 0)
+    reduced = _Reduced(order, shapes, basis, basis.T @ rows, basis.T @ b, c)
+    if not order:
+        # nothing to optimize: X = 0 everywhere is optimal
+        sol = {"x": np.zeros(0), "y": np.zeros(0), "pobj": 0.0,
+               "dobj": 0.0, "pinf": 0.0, "dinf": 0.0, "relgap": 0.0}
+        return _finish(problem, sol, OPTIMAL, "trivial problem", 0, reduced=reduced)
+    return reduced
 
 
 def _stacks(vec: np.ndarray, shapes: list[tuple[int, int]]) -> list[np.ndarray]:
@@ -589,19 +627,6 @@ def _ipm(
 # public entry points
 
 
-@dataclass
-class _Reduced:
-    """A problem ready for the iteration: its constrained blocks in stack
-    order and its linearly independent rows."""
-
-    order: list[int]
-    shapes: list[tuple[int, int]]
-    kept: list[int]
-    rows: np.ndarray
-    b: np.ndarray
-    c: np.ndarray
-
-
 def solve(problem: SdpProblem) -> SdpSolution:
     """Solve a block SDP; never raises on solver trouble, reports a status."""
     return solve_many([problem])[0]
@@ -612,24 +637,22 @@ def solve_many(problems: Iterable[SdpProblem]) -> list[SdpSolution]:
 
     Each problem is validated and reduced on its own (unconstrained blocks,
     redundant and inconsistent rows).  Problems with the same stack shapes
-    and number of kept rows then iterate in lockstep groups of at most
-    ``GROUP_SIZE``, and the ones the main iteration cannot classify go
-    through Phase I together.  A solution does not depend on the other
+    and rank then iterate in lockstep groups of at most ``GROUP_SIZE``, and
+    the ones the main iteration cannot classify go through Phase I
+    together.  A solution does not depend on the other
     problems in the list.  Raises ValueError on an invalid problem, as
     ``solve`` does; solver trouble is reported as a status.
     """
     solutions: list[SdpSolution | None] = []
-    groups: dict[tuple, list[tuple[int, _InternalProblem, _Reduced]]] = {}
+    groups: dict[tuple, list[tuple[int, SdpProblem, _Reduced]]] = {}
     for i, problem in enumerate(problems):
-        internal = _InternalProblem(problem)
-        reduced = _reduce(internal)
-        internal.A = internal.C = []  # from here on the reduced rows suffice
+        reduced = _setup(problem)
         if isinstance(reduced, SdpSolution):
             solutions.append(reduced)
             continue
         solutions.append(None)
-        group = groups.setdefault((tuple(reduced.shapes), len(reduced.kept)), [])
-        group.append((i, internal, reduced))
+        group = groups.setdefault((tuple(reduced.shapes), len(reduced.b)), [])
+        group.append((i, problem, reduced))
         if len(group) == GROUP_SIZE:
             _solve_group(group, solutions)
             group.clear()
@@ -639,65 +662,8 @@ def solve_many(problems: Iterable[SdpProblem]) -> list[SdpSolution]:
     return solutions
 
 
-def _reduce(internal: _InternalProblem) -> SdpSolution | _Reduced:
-    """The problem's constrained blocks and independent rows, or its solution
-    when that is decided without iterating."""
-    nblocks = len(internal.labels)
-    m = internal.m_orig
-
-    # split blocks into constrained ones and ones no constraint touches
-    touched = [bool(np.max(np.abs(internal.A[k])) > 0.0) if m else False
-               for k in range(nblocks)]
-    for k in range(nblocks):
-        if touched[k]:
-            continue
-        lam = float(np.linalg.eigvalsh(internal.C[k])[0]) if internal.C[k].size else 0.0
-        if lam < -1e-12:
-            # min <C, X> over X >= 0 with no constraints: unbounded below
-            return _finish(internal, None, UNBOUNDED,
-                           f"block {internal.labels[k]!r} is unconstrained with "
-                           "indefinite objective", 0)
-
-    # constrained blocks grouped into same-size stacks, in first-seen order
-    stacks: dict[int, list[int]] = {}
-    for k in range(nblocks):
-        if touched[k]:
-            stacks.setdefault(internal.dims[k], []).append(k)
-    order = [k for ks in stacks.values() for k in ks]
-    shapes = [(len(ks), d) for d, ks in stacks.items()]
-
-    rows = (np.hstack([internal.A[k] for k in order]) if order
-            else np.zeros((m, 0)))
-    kept, dropped = (_select_rows(rows, RANK_TOLERANCE) if m else ([], []))
-
-    # consistency of redundant rows
-    if dropped:
-        if kept:
-            coeff, *_ = np.linalg.lstsq(rows[kept].T, rows[dropped].T, rcond=None)
-            predicted = coeff.T @ internal.b[kept]
-        else:
-            predicted = np.zeros(len(dropped))
-        residual = np.abs(internal.b[dropped] - predicted)
-        bad = np.flatnonzero(residual > 1e-7 * (1.0 + np.max(np.abs(internal.b))))
-        if bad.size:
-            return _finish(
-                internal, None, INFEASIBLE,
-                f"constraint {dropped[bad[0]]} is inconsistent with the others", 0)
-
-    if not order:
-        # nothing to optimize: X = 0 everywhere is optimal
-        sol = {"x": np.zeros(0), "y": np.zeros(0), "pobj": 0.0,
-               "dobj": 0.0, "pinf": 0.0, "dinf": 0.0, "relgap": 0.0}
-        return _finish(internal, sol, OPTIMAL, "trivial problem", 0,
-                       order=order, shapes=shapes, kept=kept)
-
-    c = np.concatenate([internal.C[k].ravel().view(float) for k in order])
-    return _Reduced(order=order, shapes=shapes, kept=kept,
-                    rows=rows[kept], b=internal.b[kept], c=c)
-
-
 def _solve_group(
-    group: list[tuple[int, _InternalProblem, _Reduced]],
+    group: list[tuple[int, SdpProblem, _Reduced]],
     solutions: list[SdpSolution | None],
 ) -> None:
     """Run one lockstep group, then Phase I for its unclassified members."""
@@ -717,10 +683,9 @@ def _solve_group(
             elif feasible is True:
                 results[k]["status"] = NUMERICAL_FAILURE
                 results[k]["message"] = f"feasible but not converged: {results[k]['message']}"
-    for (i, internal, r), res in zip(group, results):
-        solutions[i] = _finish(internal, res, res["status"], res["message"],
-                               res["iterations"], order=r.order, shapes=r.shapes,
-                               kept=r.kept)
+    for (i, problem, r), res in zip(group, results):
+        solutions[i] = _finish(problem, res, res["status"], res["message"],
+                               res["iterations"], reduced=r)
 
 
 def _phase1_feasible(reduced: list[_Reduced]) -> list[bool | None]:
@@ -742,30 +707,26 @@ def _phase1_feasible(reduced: list[_Reduced]) -> list[bool | None]:
 
 
 def _finish(
-    internal: _InternalProblem,
+    problem: SdpProblem,
     result: dict | None,
     status: str,
     message: str,
     iterations: int,
     *,
-    order: list[int] | None = None,
-    shapes: list[tuple[int, int]] | None = None,
-    kept: list[int] | None = None,
+    reduced: _Reduced | None = None,
 ) -> SdpSolution:
-    sense_sign = internal.sense_sign
-    blocks_out = {label: np.zeros((d, d), dtype=complex)
-                  for label, d in zip(internal.labels, internal.dims)}
-    y_user = np.zeros(internal.m_orig)
+    sense_sign = -1.0 if problem.sense == "max" else 1.0
+    blocks_out = {label: np.zeros((d, d), dtype=complex) for label, d in problem.blocks.items()}
+    y_user = np.zeros(len(problem.constraints))
     pval = dval = gap = pinf = dinf = np.nan
 
-    if result is not None and "x" in result and order is not None:
-        solved_blocks = (xk for stack in _stacks(result["x"][None], shapes) for xk in stack[0])
-        for k, xk in zip(order, solved_blocks):
-            blocks_out[internal.labels[k]] = xk.copy()
-        y_int = np.zeros(internal.m_orig)
-        if kept:
-            y_int[np.asarray(kept, dtype=int)] = result["y"]
-        y_user = sense_sign * y_int
+    if result is not None and "x" in result:
+        labels = list(problem.blocks)
+        solved_blocks = (xk for stack in _stacks(result["x"][None], reduced.shapes)
+                         for xk in stack[0])
+        for k, xk in zip(reduced.order, solved_blocks):
+            blocks_out[labels[k]] = xk.copy()
+        y_user = sense_sign * (reduced.basis @ result["y"])
         pval = sense_sign * result["pobj"]
         dval = sense_sign * result["dobj"]
         gap, pinf, dinf = result["relgap"], result["pinf"], result["dinf"]

@@ -41,6 +41,8 @@ def rsh_oracle(source_bits, seed_bits):
 
 #: (n, h_min, epsilon) whose automatic field width is 128 bits (m = 306).
 WIDE_FIELD = (512, 1.0, 2.0 ** -50)
+#: (n, h_min, epsilon) whose automatic field width is 256 bits (m = 435).
+FOUR_WORD_FIELD = (1024, 0.9, 2.0 ** -120)
 
 
 def assert_matches_oracle(outputs, sources, seed, params):
@@ -293,6 +295,15 @@ class TestExtract:
         # s = 128 runs the same batched core on two-word field elements
         params = ext.ExtractorParams.for_source(*WIDE_FIELD)
         assert params.s == 128
+        source = BitString(rng.integers(0, 2, size=params.n, dtype=np.uint8))
+        seed = BitString(rng.integers(0, 2, size=params.d, dtype=np.uint8))
+        got = ext.extract(source, seed, params)
+        assert_matches_oracle(got.bits[None, :], source.bits[None, :], seed, params)
+
+    def test_four_word_field_matches_oracle(self, rng):
+        # s = 256: the xor over words runs past the first pair of words
+        params = ext.ExtractorParams.for_source(*FOUR_WORD_FIELD)
+        assert params.s == 256
         source = BitString(rng.integers(0, 2, size=params.n, dtype=np.uint8))
         seed = BitString(rng.integers(0, 2, size=params.d, dtype=np.uint8))
         got = ext.extract(source, seed, params)

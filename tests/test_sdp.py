@@ -24,8 +24,7 @@ def lam_max_problem(a, sense="max"):
         blocks={"x": d},
         objective={"x": a},
         constraints=[
-            sdp.SdpConstraint(coeffs={"x": np.eye(d, dtype=complex)}, rhs=1.0,
-                              name="trace")
+            sdp.SdpConstraint(coeffs={"x": np.eye(d, dtype=complex)}, rhs=1.0)
         ],
         sense=sense,
     )
@@ -96,8 +95,7 @@ def feasible_ray_problem():
 def redundant_rows_problem(a):
     problem = lam_max_problem(a)
     problem.constraints.append(
-        sdp.SdpConstraint(coeffs={"x": 2.0 * np.eye(3, dtype=complex)}, rhs=2.0,
-                          name="duplicate")
+        sdp.SdpConstraint(coeffs={"x": 2.0 * np.eye(3, dtype=complex)}, rhs=2.0)
     )
     return problem
 
@@ -253,12 +251,31 @@ class TestStatuses:
     def test_infeasible_inconsistent_rows(self):
         sol = sdp.solve(inconsistent_rows_problem())
         assert sol.status == sdp.INFEASIBLE
+        assert sol.message in (f"constraint {j} is inconsistent with the others"
+                               for j in (0, 1))
 
     def test_unbounded_direction(self):
         sol = sdp.solve(unbounded_problem())
         assert sol.status == sdp.UNBOUNDED
         # decided before iterating: no finite optimum, in the sense's direction
         assert sol.primal_value == np.inf and np.isnan(sol.dual_value)
+
+    def test_unconstrained_block_with_psd_objective(self):
+        # a block no constraint touches and one whose only coefficient is
+        # zero stay out of the iteration; min Tr X over them is bounded, so
+        # both come back zero
+        problem = sdp.SdpProblem(
+            blocks={"free": 2, "pinned": 1, "zero": 1},
+            objective={"free": np.eye(2, dtype=complex), "pinned": np.array([[2.0]])},
+            constraints=[sdp.SdpConstraint(
+                coeffs={"pinned": np.array([[1.0]]), "zero": np.zeros((1, 1))}, rhs=1.0)],
+            sense="min",
+        )
+        assert sdp._setup(problem).shapes == [(1, 1)]
+        sol = solved(problem)
+        assert sol.primal_value == pytest.approx(2.0, abs=1e-8)
+        assert not sol.primal_blocks["free"].any() and not sol.primal_blocks["zero"].any()
+        assert sdp.check_certificate(problem, sol).ok
 
     def test_unbounded_along_feasible_ray(self):
         # the residual's rounding grows with the diverging iterate; the
@@ -282,12 +299,22 @@ class TestStatuses:
         sol = solved(redundant_rows_problem(a))
         assert sol.primal_value == pytest.approx(np.linalg.eigvalsh(a)[-1], abs=1e-7)
 
+    def test_duplicated_row_duals_split_by_weight(self):
+        """Tr X = 1 and 2 Tr X = 2: the multipliers are the minimum-norm
+        split of the optimum 3 over the two rows, 3/5 * (1, 2), and they
+        certify the unreduced problem."""
+        problem = redundant_rows_problem(np.diag([1.0, 2.0, 3.0]))
+        sol = solved(problem)
+        assert sol.primal_value == pytest.approx(3.0, abs=1e-7)
+        assert sol.dual_multipliers == pytest.approx([0.6, 1.2], abs=1e-7)
+        assert sdp.check_certificate(problem, sol).ok
+
     def test_acceptable_best_stops_after_two_idle_iterations(self, monkeypatch):
         """Steps frozen at zero from iteration 3 on: once the best iterate is
         within the acceptable tolerances, two iterations that do not improve
         on it stop the problem; one that is not yet acceptable runs on to
         the 40-iteration stall limit."""
-        reduced = sdp._reduce(sdp._InternalProblem(lam_max_problem(np.diag([1.0, 2.0]))))
+        reduced = sdp._setup(lam_max_problem(np.diag([1.0, 2.0])))
         args = reduced.rows[None], reduced.b[None], reduced.c[None], reduced.shapes
         max_steps, calls = sdp._max_steps, []
 
@@ -375,9 +402,11 @@ class TestComplexForm:
         assert len(solved) == 1 + 6 * (len(asm.SETTINGS) + 1)
         for problem, solution in solved:
             dims = list(problem.blocks.values())
-            internal = sdp._InternalProblem(problem)
-            assert internal.dims == dims
-            assert [rows.shape[1] for rows in internal.A] == [2 * d * d for d in dims]
+            reduced = sdp._setup(problem)
+            assert sorted(reduced.order) == list(range(len(dims)))
+            assert [d for nb, d in reduced.shapes for _ in range(nb)] == [
+                dims[k] for k in reduced.order]
+            assert reduced.rows.shape[1] == sum(2 * d * d for d in dims)
             assert solution.status == sdp.OPTIMAL
             for label, block in solution.primal_blocks.items():
                 assert block.dtype == complex
