@@ -32,7 +32,7 @@ for v in np.arange(0.60, 0.81, 0.02):
 lo, hi = 0.6, 0.8
 while hi - lo > 5e-4:
     mid = 0.5 * (lo + hi)
-    if cert.lhs_mu(assemblage_at(mid)).mu < -1e-6:
+    if cert.steering_functional(assemblage_at(mid)).mu < -1e-6:
         hi = mid
     else:
         lo = mid

@@ -28,7 +28,6 @@ from .certify import (
     CertificationResult,
     bootstrap_uncertainty,
     guessing_probability,
-    lhs_mu,
     load_certification,
     min_entropy,
     save_certification,
@@ -103,7 +102,6 @@ __all__ = [
     "generate_seed",
     "guessing_probability",
     "ideal_assemblage",
-    "lhs_mu",
     "load_assemblage",
     "load_bits",
     "load_certification",

@@ -363,11 +363,7 @@ def _linear_inversion_start(counts: TomographyCounts) -> np.ndarray:
     return 0.95 * projected + 0.05 * _flat_start(counts)
 
 
-def ml_reconstruct(
-    counts: TomographyCounts,
-    *,
-    initial: Assemblage | None = None,
-) -> MlReconstruction:
+def ml_reconstruct(counts: TomographyCounts) -> MlReconstruction:
     """Maximum-likelihood assemblage from tomography counts.
 
     Projected gradient ascent with backtracking; every accepted step keeps
@@ -377,17 +373,14 @@ def ml_reconstruct(
     the longest acceptable one, the step halving one at a time would take.
     The ascent runs from two starting points (flat and linear inversion),
     as one batch, and keeps the best, which also serves as a convergence
-    cross-check.  ``initial`` replaces both with one warm start.
+    cross-check.  Warm-started fits go through ``ml_reconstruct_many``.
     """
-    if initial is not None:
-        fit = ml_reconstruct_many([counts], initial=initial)[0]
-    else:
-        counts.validate()
-        like = _Likelihood([counts, counts])
-        starts = [_flat_start(counts), _linear_inversion_start(counts)]
-        fits = _ascend(like, np.array(starts))
-        fit = fits[1] if fits[1].log_likelihood > fits[0].log_likelihood else fits[0]
-        fit.start_log_likelihoods = [f.log_likelihood for f in fits]
+    counts.validate()
+    like = _Likelihood([counts, counts])
+    starts = [_flat_start(counts), _linear_inversion_start(counts)]
+    fits = _ascend(like, np.array(starts))
+    fit = fits[1] if fits[1].log_likelihood > fits[0].log_likelihood else fits[0]
+    fit.start_log_likelihoods = [f.log_likelihood for f in fits]
     if not fit.converged:
         raise ReconstructionError(
             f"likelihood ascent did not converge within {ML_MAX_ITERATIONS} iterations"
@@ -402,9 +395,8 @@ def ml_reconstruct_many(
 ) -> list[MlReconstruction]:
     """One fit per table, each warm-started from ``initial``, all in one batch.
 
-    Each fit is the one ``ml_reconstruct(table, initial=initial)`` returns,
-    except that a fit that did not converge comes back with
-    ``converged=False`` instead of raising.
+    Each fit is the one the table gets alone, in a batch of one; a fit that
+    did not converge comes back with ``converged=False``.
     """
     for counts in tables:
         counts.validate()

@@ -12,10 +12,12 @@ Two SDPs drive everything here:
 
 * the local-hidden-state program: the largest ``mu`` such that
   ``sigma_{a|x} = sum_lambda D(a|x,lambda) sigma_lambda`` with
-  ``sigma_lambda >= mu * 1``.  A negative optimum witnesses steering, and the
-  dual multipliers assemble into a steering functional ``F_{a|x}`` whose
-  value ``beta = sum Tr(F sigma)`` is negative exactly on steerable
-  assemblages and nonnegative on every unsteerable one.
+  ``sigma_lambda >= mu * 1``, posed over ``tau_lambda = sigma_lambda - mu * 1
+  >= 0`` alone, since the normalization of the assemblage fixes ``mu`` from
+  ``sum_lambda Tr tau_lambda``.  A negative optimum witnesses steering, and
+  the dual multipliers of the same solve assemble into a steering
+  functional ``F_{a|x}`` whose value ``beta = sum Tr(F sigma)`` is negative
+  exactly on steerable assemblages and nonnegative on every unsteerable one.
 
 Deterministic response strategies map each setting to an outcome in
 ``{0, 1, null}``; with two settings there are nine of them, the rows of
@@ -52,14 +54,12 @@ __all__ = [
     "CertificationError",
     "EveDecomposition",
     "GuessingResult",
-    "LhsResult",
     "SteeringResult",
     "UncertaintyResult",
     "CertificationResult",
     "STRATEGIES",
     "guessing_probability",
     "min_entropy",
-    "lhs_mu",
     "steering_functional",
     "bootstrap_uncertainty",
     "certify",
@@ -102,17 +102,11 @@ class GuessingResult:
 
 
 @dataclass
-class LhsResult:
-    mu: float
-    hidden_states: np.ndarray   # (strategies, 2, 2), in the order of STRATEGIES
-    solution: sdp.SdpSolution
-
-
-@dataclass
 class SteeringResult:
     beta: float
-    functional: np.ndarray   # shape MEMBERS
+    functional: np.ndarray      # shape MEMBERS
     mu: float
+    hidden_states: np.ndarray   # (strategies, 2, 2), in the order of STRATEGIES
     solution: sdp.SdpSolution
 
 
@@ -211,22 +205,20 @@ def _guessing_program(assem: Assemblage, x_star: str) -> _GuessingProgram:
     return _GuessingProgram(problem=problem, x_star=x_star, supports=supports)
 
 
-def _guess_value(solution: sdp.SdpSolution) -> float:
-    """The guessing probability of a solved program; raises
-    CertificationError unless the solve was optimal."""
+def _optimal_value(solution: sdp.SdpSolution, program: str) -> float:
+    """The optimum of a solved ``program``; raises CertificationError unless
+    the solve was optimal."""
     if solution.status == sdp.INFEASIBLE:
+        raise CertificationError(f"{program} SDP infeasible; assemblage is inconsistent")
+    if solution.status != sdp.OPTIMAL:
         raise CertificationError(
-            "guessing-probability SDP infeasible; assemblage is inconsistent")
-    if solution.status not in (sdp.OPTIMAL,):
-        raise CertificationError(
-            f"guessing-probability SDP did not converge: {solution.status} "
-            f"({solution.message})")
+            f"{program} SDP did not converge: {solution.status} ({solution.message})")
     return float(solution.primal_value)
 
 
 def _read_guess(program: _GuessingProgram, solution: sdp.SdpSolution) -> GuessingResult:
     """Guessing probability and Eve's decomposition from a solved program."""
-    p_guess = _guess_value(solution)
+    p_guess = _optimal_value(solution, "guessing-probability")
     parts = np.zeros((len(OUTCOMES), *MEMBERS), dtype=complex)
     for e, x, a in program.problem.blocks:
         v = program.supports[x, a][0]
@@ -265,87 +257,59 @@ def min_entropy(p_guess: float) -> float:
     return max(0.0, -float(np.log2(min(p_guess, 1.0))))
 
 
-def lhs_mu(assem: Assemblage) -> LhsResult:
-    """Largest mu with sigma_{a|x} = sum_lambda D(a|x,lambda) sigma_lambda,
-    sigma_lambda >= mu * identity.
+def steering_functional(assem: Assemblage) -> SteeringResult:
+    """LHS robustness mu and the steering functional of its dual, from one
+    solve.
 
-    lambda runs over the rows of ``STRATEGIES``, and the hidden states
-    sigma_lambda come back as one (strategies, 2, 2) array in that order.
-    mu >= 0 exactly when a local-hidden-state model exists; the sign change
-    locates the steering boundary.  The free scalar mu is encoded as the
-    difference of two nonnegative 1x1 blocks whose sum is pinned to a
-    constant well above |mu|; without the pin the split has an
-    objective-neutral ray (both halves growing together) that leaves the
-    dual problem without a strict interior and stalls the solver.
+    mu is the largest value with sigma_{a|x} = sum_lambda D(a|x,lambda)
+    sigma_lambda and sigma_lambda >= mu * identity; lambda runs over the rows
+    of ``STRATEGIES``, and the hidden states sigma_lambda come back as one
+    (strategies, 2, 2) array in that order.  mu >= 0 exactly when a
+    local-hidden-state model exists; the sign change locates the steering
+    boundary.  The program is posed over tau_lambda = sigma_lambda - mu * 1
+    >= 0 alone: the members of one setting sum to rho_B, so
+    mu = (t - sum_lambda Tr tau_lambda) / 18 with t = Tr rho_B, read from the
+    assemblage as the mean over settings.
+
+    The functional ``F_{a|x}``, an array of shape ``MEMBERS`` laid out like
+    the assemblage, satisfies ``sum_x F_{lambda(x)|x} >= 0`` for every
+    deterministic strategy lambda (so ``beta = sum Tr(F sigma)`` is
+    nonnegative on every unsteerable assemblage, whatever assemblage that
+    is) together with the normalization ``Tr sum_{lambda,x} F_{lambda(x)|x}
+    = 1``; strong duality makes ``beta`` equal ``mu`` on the probed
+    assemblage.
     """
     _require_valid(assem)
-    basis = hermitian_basis(2)
-    mu_span = 4.0  # |mu| of a normalized assemblage is far below this
+    basis = np.array(hermitian_basis(2))
+    tr_b = np.trace(basis, axis1=1, axis2=2).real
+    answers = STRATEGIES.T[:, None, :] == np.arange(len(OUTCOMES))[:, None]   # (x, a, lambda)
+    t = np.trace(assem.sigma, axis1=2, axis2=3).real.sum() / len(SETTINGS)
 
-    blocks: dict[str, int] = {f"lam{i}": 2 for i in range(len(STRATEGIES))}
-    blocks["mu_pos"] = 1
-    blocks["mu_neg"] = 1
-
-    constraints = []
-    for x, a in np.ndindex(MEMBERS[:2]):
-        answering = np.flatnonzero(STRATEGIES[:, x] == a)
-        target = assem.sigma[x, a]
-        for basis_el in basis:
-            coeffs: dict[str, np.ndarray] = {f"lam{i}": basis_el for i in answering}
-            tr_b = float(np.real(np.trace(basis_el)))
-            if tr_b != 0.0:
-                coeffs["mu_pos"] = np.array([[len(answering) * tr_b]])
-                coeffs["mu_neg"] = np.array([[-len(answering) * tr_b]])
-            rhs = float(np.real(np.trace(basis_el.conj().T @ target)))
-            constraints.append(sdp.SdpConstraint(coeffs=coeffs, rhs=rhs))
-    constraints.append(sdp.SdpConstraint(
-        coeffs={"mu_pos": np.array([[1.0]]), "mu_neg": np.array([[1.0]])}, rhs=mu_span))
-
-    objective = {"mu_pos": np.array([[1.0]]), "mu_neg": np.array([[-1.0]])}
-    problem = sdp.SdpProblem(blocks=blocks, objective=objective,
-                             constraints=constraints, sense="max")
+    # one row per member (x, a) and basis element B, Tr(B sigma_{a|x}) =
+    # sum_{lambda(x)=a} Tr(B tau_lambda) + 3 Tr(B) mu, as 3 of the strategies
+    # answer each member: the mu term is Tr(B) (t - sum Tr tau) / 6
+    coeffs = (answers[:, :, None, :, None, None] * basis[:, None]
+              - (tr_b / 6)[:, None, None, None] * np.eye(2))   # (x, a, B, lambda, 2, 2)
+    rhs = np.einsum("kij,xaji->xak", basis, assem.sigma).real - t / 6 * tr_b
+    constraints = [sdp.SdpConstraint(coeffs=dict(enumerate(c)), rhs=r)
+                   for c, r in zip(coeffs.reshape(-1, len(STRATEGIES), 2, 2), rhs.ravel())]
+    problem = sdp.SdpProblem(
+        blocks=dict.fromkeys(range(len(STRATEGIES)), 2),
+        objective=dict.fromkeys(range(len(STRATEGIES)), -np.eye(2)),
+        constraints=constraints, sense="max")
     solution = sdp.solve(problem)
-    if solution.status == sdp.INFEASIBLE:
-        raise CertificationError("LHS SDP infeasible; assemblage is inconsistent")
-    if solution.status != sdp.OPTIMAL:
-        raise CertificationError(
-            f"LHS SDP did not converge: {solution.status} ({solution.message})")
+    mu = float(t + _optimal_value(solution, "LHS")) / 18
+    hidden = np.array(list(solution.primal_blocks.values())) + mu * np.eye(2)
 
-    mu = float(solution.primal_blocks["mu_pos"][0, 0].real
-               - solution.primal_blocks["mu_neg"][0, 0].real)
-    if abs(mu) > 0.9 * mu_span:
-        raise CertificationError(
-            f"mu = {mu} saturates the encoding span {mu_span}; "
-            "the assemblage is far outside the normalized regime")
-    hidden = np.array([solution.primal_blocks[f"lam{i}"] + mu * np.eye(2)
-                       for i in range(len(STRATEGIES))])
-    return LhsResult(mu=mu, hidden_states=hidden, solution=solution)
-
-
-def steering_functional(assem: Assemblage) -> SteeringResult:
-    """Steering functional from the dual of the LHS program.
-
-    The returned coefficients ``F_{a|x}``, an array of shape ``MEMBERS``
-    laid out like the assemblage, satisfy
-    ``sum_x F_{lambda(x)|x} >= 0`` for every deterministic strategy lambda
-    (a row of ``STRATEGIES``; so ``beta = sum Tr(F sigma)`` is nonnegative on
-    every unsteerable assemblage, whatever assemblage that is) together with
-    the normalization ``Tr sum_{lambda,x} F_{lambda(x)|x} = 1``; strong
-    duality makes ``beta`` equal ``mu`` on the probed assemblage.
-    """
-    lhs = lhs_mu(assem)
-    basis = hermitian_basis(2)
-    members = assem.sigma.reshape(-1, 2, 2)
-    # the first multipliers belong to the member constraints, in (x, a) order
-    y = lhs.solution.dual_multipliers[:len(members) * len(basis)].reshape(len(members), -1)
-    functional = np.zeros(MEMBERS, dtype=complex)
-    for f, coeffs in zip(functional.reshape(-1, 2, 2), y):
-        for c, basis_el in zip(coeffs, basis):
-            f += c * basis_el
-    beta = sum(float(np.real(np.trace(f.conj().T @ s)))
-               for f, s in zip(functional.reshape(-1, 2, 2), members))
-    return SteeringResult(beta=beta, functional=functional, mu=lhs.mu,
-                          solution=lhs.solution)
+    # G_{a|x} = sum_B y B from the member duals, T = sum Tr G: dual
+    # feasibility is sum_x G_{lambda(x)|x} + (1 - T/6) 1 >= 0, so sharing the
+    # identity term over the two settings and dividing by 18 normalizes the
+    # functional and makes beta = (dual value + t) / 18 = mu
+    g = np.einsum("xak,kij->xaij", solution.dual_multipliers.reshape(rhs.shape), basis)
+    functional = (g + (6 - np.trace(g, axis1=2, axis2=3).real.sum()) / 12 * np.eye(2)) / 18
+    beta = float(np.vdot(functional, assem.sigma).real)
+    return SteeringResult(beta=beta, functional=functional, mu=mu,
+                          hidden_states=hidden, solution=solution)
 
 
 def bootstrap_uncertainty(
@@ -401,7 +365,7 @@ def bootstrap_uncertainty(
     p_values = []
     for solution in sdp.solve_many(problems()):
         try:
-            p_guess = _guess_value(solution)
+            p_guess = _optimal_value(solution, "guessing-probability")
             h_min = min_entropy(p_guess)
         except (ValueError, RuntimeError):
             failed += 1

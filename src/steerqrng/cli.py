@@ -107,8 +107,9 @@ def cmd_certify(args) -> int:
     if "h_min_std" in summary:
         line += f"  (bootstrap +/- {summary['h_min_std']:.2e})"
     print(line)
-    if summary["h_min"] <= config.certification.min_entropy_floor:
-        print("certification FAILED: min-entropy at or below the floor")
+    gate = pl.certification_gate(config, summary)
+    if gate is not None:
+        print(gate)
         return pl.EXIT_CERTIFICATION
     return pl.EXIT_OK
 

@@ -295,6 +295,15 @@ def stage_certify(config: PipelineConfig, out_dir: str) -> dict:
     return summary
 
 
+def certification_gate(config: PipelineConfig, cert_summary: dict) -> str | None:
+    """Why the certified min-entropy stops the run (at or below
+    ``certification.min_entropy_floor``), or None when it clears the floor."""
+    floor = config.certification.min_entropy_floor
+    if cert_summary["h_min"] > floor:
+        return None
+    return f"certification failed: h_min = {cert_summary['h_min']:.6g} <= floor {floor:.6g}"
+
+
 class ExtractionParameterError(RuntimeError):
     """The certified rate leaves nothing to extract (protocol parameter fail)."""
 
@@ -451,15 +460,11 @@ def run(config: PipelineConfig, out_dir: str) -> RunReport:
     timings["certify"] = time.perf_counter() - t0
     artifacts["certification"] = CERTIFICATION_FILE
 
-    floor = config.certification.min_entropy_floor
     extraction_summary = None
-    if cert_summary["h_min"] <= floor:
+    gate = certification_gate(config, cert_summary)
+    if gate is not None:
         pass_flag = False
         exit_code = EXIT_CERTIFICATION
-        gate = (
-            f"certification failed: h_min = {cert_summary['h_min']:.6g} "
-            f"<= floor {floor:.6g}"
-        )
     else:
         t0 = time.perf_counter()
         try:

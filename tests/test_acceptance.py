@@ -134,7 +134,7 @@ def test_criterion_4_werner_boundary_by_bisection():
     def mu_at(v: float) -> float:
         assemblage = asm.ideal_assemblage(
             sim.werner_state(v), eta=1.0)
-        return cert.lhs_mu(assemblage).mu
+        return cert.steering_functional(assemblage).mu
 
     def steered(mu: float) -> bool:
         return mu < -1e-6

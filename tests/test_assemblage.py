@@ -331,7 +331,7 @@ class TestMlReconstruction:
     def test_warm_start_converges_fast(self):
         counts, truth = exact_counts()
         cold = asm.ml_reconstruct(counts)
-        warm = asm.ml_reconstruct(counts, initial=truth)
+        warm = asm.ml_reconstruct_many([counts], initial=truth)[0]
         assert warm.converged
         assert warm.iterations <= cold.iterations
         assert max_member_distance(warm.assemblage, truth) < 1e-6
@@ -382,7 +382,7 @@ class TestMlReconstruction:
         assert len(fits) == len(tables)
         for table, fit in zip(tables, fits):
             assert fit.converged
-            self.assert_same_fit(fit, asm.ml_reconstruct(table, initial=truth))
+            self.assert_same_fit(fit, asm.ml_reconstruct_many([table], initial=truth)[0])
         assert len({fit.iterations for fit in fits}) > 1
 
     @pytest.mark.parametrize("rows", [1, 64])
@@ -450,8 +450,7 @@ class TestMlReconstruction:
             else:
                 assert not got.converged
                 assert got.iterations == cap
-                with pytest.raises(asm.ReconstructionError):
-                    asm.ml_reconstruct(table, initial=truth)
+                assert not asm.ml_reconstruct_many([table], initial=truth)[0].converged
 
 
 class TestAssemblageSerialization:

@@ -116,20 +116,22 @@ class TestMinEntropy:
 
 class TestLhsRobustness:
     def test_steered_singlet_negative(self):
-        result = cert.lhs_mu(singlet_assemblage(0.8))
+        result = cert.steering_functional(singlet_assemblage(0.8))
         assert result.mu < -1e-4
 
     def test_unsteerable_full_rank_positive(self):
         # Werner visibility 0.5 is well inside the unsteerable region and the
         # lossy assemblage is full rank: the model has slack on both sides
         assem = asm.ideal_assemblage(werner_state(0.5), eta=0.8)
-        result = cert.lhs_mu(assem)
+        result = cert.steering_functional(assem)
         assert result.mu > 0.01
 
     def test_werner_boundary_signs_at_full_efficiency(self):
         v_crit = 1.0 / math.sqrt(2.0)
-        below = cert.lhs_mu(asm.ideal_assemblage(werner_state(v_crit - 0.01), eta=1.0))
-        above = cert.lhs_mu(asm.ideal_assemblage(werner_state(v_crit + 0.01), eta=1.0))
+        below = cert.steering_functional(
+            asm.ideal_assemblage(werner_state(v_crit - 0.01), eta=1.0))
+        above = cert.steering_functional(
+            asm.ideal_assemblage(werner_state(v_crit + 0.01), eta=1.0))
         assert below.mu >= -1e-8
         assert above.mu < -1e-4
 
@@ -137,7 +139,7 @@ class TestLhsRobustness:
         """Primal feasibility of the returned model, checked from scratch:
         sum_lambda D(a|x,lambda) tau_lambda = sigma_{a|x} - slack."""
         assem = asm.ideal_assemblage(werner_state(0.5), eta=0.8)
-        result = cert.lhs_mu(assem)
+        result = cert.steering_functional(assem)
         assert result.hidden_states.shape == (len(cert.STRATEGIES), 2, 2)
         for x in range(len(asm.SETTINGS)):
             for a in range(len(asm.OUTCOMES)):
@@ -146,6 +148,17 @@ class TestLhsRobustness:
         for mat in result.hidden_states:
             slack = hermitian_part(mat) - result.mu * ID2
             assert min_eigenvalue(slack) > -1e-7
+
+    @pytest.mark.parametrize("scale", [1 + 9e-8, 1 - 9e-8])
+    def test_mu_scales_with_misnormalized_assemblage(self, scale):
+        """An assemblage off normalization by less than the validation
+        tolerance is certified as the scaled assemblage it is: mu is
+        homogeneous of degree one in sigma."""
+        assem = asm.ideal_assemblage(werner_state(0.5), eta=0.8)
+        mu = cert.steering_functional(assem).mu
+        scaled = cert.steering_functional(asm.Assemblage(scale * assem.sigma))
+        assert scaled.mu == pytest.approx(scale * mu, abs=1e-9)
+        assert scaled.beta == pytest.approx(scaled.mu, abs=1e-9)
 
 
 class TestSteeringFunctional:
@@ -156,9 +169,7 @@ class TestSteeringFunctional:
             asm.ideal_assemblage(werner_state(0.5), eta=0.8),
             asm.ideal_assemblage(werner_state(0.9), eta=0.7),
         ):
-            lhs = cert.lhs_mu(assem)
             steering = cert.steering_functional(assem)
-            assert steering.beta == pytest.approx(lhs.mu, abs=1e-8)
             assert steering.beta == pytest.approx(steering.mu, abs=1e-8)
 
     def test_functional_is_dual_feasible(self):

@@ -73,7 +73,7 @@ def test_guessing_probability_matches_external_solver(name, assemblage):
 
 @pytest.mark.parametrize("name,assemblage", list(steering_cases()))
 def test_lhs_mu_matches_external_solver(name, assemblage):
-    ours = cert.lhs_mu(assemblage).mu
+    ours = cert.steering_functional(assemblage).mu
     theirs = external_lhs_mu(assemblage)
     assert abs(ours - theirs) <= TOL, (name, ours, theirs)
 

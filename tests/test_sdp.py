@@ -398,7 +398,7 @@ class TestComplexForm:
         for _name, assem in steering_cases():
             for x_star in asm.SETTINGS:
                 cert.guessing_probability(assem, x_star)
-            cert.lhs_mu(assem)
+            cert.steering_functional(assem)
         assert len(solved) == 1 + 6 * (len(asm.SETTINGS) + 1)
         for problem, solution in solved:
             dims = list(problem.blocks.values())
@@ -460,7 +460,7 @@ def certification_problems(monkeypatch):
     for _name, assemblage in steering_cases():
         cert.guessing_probability(assemblage, "X")
         cert.guessing_probability(assemblage, "Z")
-        cert.lhs_mu(assemblage)
+        cert.steering_functional(assemblage)
     monkeypatch.setattr(sdp, "solve", solve)
     return problems
 

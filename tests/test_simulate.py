@@ -216,7 +216,7 @@ class TestTomographySampling:
         assert hashlib.sha256(assemblage.read_bytes()).hexdigest() == (
             "e3efb921295cd644c82a1e5d4d23582fab90b5f0ddc10970e2777f40f680e647")
         assert hashlib.sha256(certification.read_bytes()).hexdigest() == (
-            "d04e37a239b9dd147fcb872eee13f0403387c746cf4e1dcadec9e01c68d7d6b6")
+            "13017f7b541247668227a80af3be074f3642dceaea0a82f0f5c01cd1c70d802f")
 
 
 class TestStreams:

@@ -16,7 +16,10 @@ gave way to one SVD of the row matrix, whose left singular basis rotates
 the rows the iteration sees, the LHS iteration counts of four cases moved
 (12 to 13 for the singlet at eta = 0.543 and the Werner states at
 V = 0.99 and 0.75, 15 to 13 for the asymmetric case) and every value
-stayed within 1e-9 of its pin.  Unlike the cvxpy
+stayed within 1e-9 of its pin.  When the LHS program dropped the free
+scalar mu (two 1x1 blocks and a pin row) for the nine 2x2 blocks
+sigma_lambda - mu * 1 alone, its iteration counts went from 12-13 to
+10-12 and every value stayed within 1e-9 of its pin.  Unlike the cvxpy
 cross-check, this runs without any external solver.
 """
 
@@ -34,25 +37,25 @@ TOL = 1e-9
 PINNED = {
     "singlet eta=0.543": (
         0.956999999966649, 0.956999999966645,
-        -0.0024592117525732426, -0.0024592108775675645, (11, 11, 13)),
+        -0.0024592117525732426, -0.0024592108775675645, (11, 11, 10)),
     "singlet eta=0.8": (
         0.6999999999660423, 0.6999999999658024,
-        -0.017157287533481336, -0.01715728751755755, (10, 10, 12)),
+        -0.017157287533481336, -0.01715728751755755, (10, 10, 10)),
     "werner V=0.99 eta=0.543": (
         0.9747522462012806, 0.9747522462070646,
-        -0.0019290750383984534, -0.0019290741495679008, (12, 12, 13)),
+        -0.0019290750383984534, -0.0019290741495679008, (12, 12, 10)),
     "werner V=0.7 eta=1": (
         0.9999999992564073, 0.9999999992564084,
-        5.350764276101927e-11, 1.1430495439057609e-11, (10, 10, 12)),
+        5.350764276101927e-11, 1.1430495439057609e-11, (10, 10, 10)),
     "werner V=0.75 eta=1": (
         0.9557189134988542, 0.9557189134988514,
-        -0.004187710987582749, -0.004187710965622706, (10, 10, 13)),
+        -0.004187710987582749, -0.004187710965622706, (10, 10, 10)),
     "asymmetric pure eta=0.8": (
         0.9389972143955284, 0.764345403339667,
-        -0.004034183553039972, -0.004034183328812402, (12, 12, 13)),
+        -0.004034183553039972, -0.004034183328812402, (12, 12, 12)),
     "ml fit": (
         0.9750053247704727, 0.9749421780248039,
-        -0.0019134385431385237, -0.0019134385217904233, (13, 13, 13)),
+        -0.0019134385431385237, -0.0019134385217904233, (13, 13, 10)),
 }
 
 
