@@ -19,8 +19,9 @@ group occupies a fresh t^2-bit seed block, so the total seed length is
 d = (number of groups) * t^2.
 
 The map from source to output is GF(2)-linear for a fixed seed, so
-``_extract`` propagates each output bit's linear functional once per seed
-and applies it to every block of the stream; ``rsh_bit`` is the scalar
+``_extract`` propagates each output bit's linear functional once per seed,
+in threads over ranges of at least 2048 bits, at most one per CPU, and
+applies it to every block of the stream.  ``rsh_bit`` is the scalar
 one-bit extractor (Horner's rule), kept as the reference it is tested
 against.  Field elements are ``gf2``'s ``uint64`` words, ceil(s/64) per
 element along a trailing axis, at every width.
@@ -29,11 +30,15 @@ element along a trailing axis, at every width.
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import gf2
+
+_RANGE_ROWS = 2048  # fewest output bits per range; near 1000 a thread saves nothing
 
 __all__ = [
     "BitString",
@@ -264,6 +269,12 @@ def rsh_bit(source: "BitString", seed: "BitString") -> int:
     return (y & beta).bit_count() & 1
 
 
+def _cpu_count() -> int:
+    """CPUs this process may run on."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity else os.cpu_count() or 1
+
+
 def _extract(sources: np.ndarray, seed_bits: np.ndarray, params: ExtractorParams) -> np.ndarray:
     """Trevisan extraction of stacked blocks: (blocks, n) 0/1 -> (blocks, m).
 
@@ -273,18 +284,45 @@ def _extract(sources: np.ndarray, seed_bits: np.ndarray, params: ExtractorParams
     bit l of u_i,j+1 is <u_ij, alpha_i x^l>.  The masks u_ij depend on the
     seed alone, so each chunk costs one mask update shared by every block.
     """
-    s = params.s
-    design = weak_design(params.m, params.t)
-    gathered = seed_bits[design.sets]  # (m, t)
+    s, m = params.s, params.m
+    gathered = seed_bits[weak_design(m, params.t).sets]  # (m, t)
     alpha = gf2.pack_bits(gathered[:, :s])  # (m, words)
-    u = gf2.pack_bits(gathered[:, s:])  # mask of chunk 0: beta
-    # row i, column k: alpha_i x^(s-1-k), so the parities against u come
-    # out most significant bit first, as pack_bits reads them
-    rows = np.ascontiguousarray(gf2.mul_table(alpha, s)[::-1].transpose(1, 0, 2))
+    beta = gf2.pack_bits(gathered[:, s:])  # mask of chunk 0
     n_blocks, n = sources.shape
     n_chunks = -(-n // s)
     padded = np.pad(sources, ((0, 0), (0, n_chunks * s - n)))  # zero-pad the last chunk
     coeffs = gf2.pack_bits(padded.reshape(n_blocks, n_chunks, s))  # (blocks, chunks, words)
+    out = np.empty((n_blocks, m), dtype=np.uint8)
+    n_ranges = max(1, min(_cpu_count(), m // _RANGE_ROWS))
+    bounds = [m * r // n_ranges for r in range(n_ranges + 1)]
+    jobs = [(alpha[lo:hi], beta[lo:hi], coeffs, s, out[:, lo:hi])
+            for lo, hi in zip(bounds, bounds[1:])]
+    errors = []
+
+    def work(job):
+        try:
+            _propagate(*job)
+        except BaseException as exc:
+            errors.append(exc)
+
+    threads = [threading.Thread(target=work, args=(job,)) for job in jobs[1:]]
+    for thread in threads:
+        thread.start()
+    try:
+        _propagate(*jobs[0])
+    finally:
+        for thread in threads:
+            thread.join()
+    if errors:
+        raise errors[0]
+    return out
+
+
+def _propagate(alpha: np.ndarray, u: np.ndarray, coeffs: np.ndarray, s: int, out: np.ndarray):
+    """Write into ``out`` the output bits of seed points ``alpha`` and ``u``."""
+    # row i, column k: alpha_i x^(s-1-k), so the parities against u come
+    # out most significant bit first, as pack_bits reads them
+    rows = np.ascontiguousarray(gf2.mul_table(alpha, s)[::-1].transpose(1, 0, 2))
     acc = coeffs[:, 0, None] & u
     # each step's products, their xor over words and their parities go to
     # buffers allocated once; with one word the xor is the products' view
@@ -292,7 +330,7 @@ def _extract(sources: np.ndarray, seed_bits: np.ndarray, params: ExtractorParams
     anded = np.empty(rows.shape, dtype=np.uint64)
     folded = anded[..., 0] if words == 1 else np.empty(rows.shape[:2], dtype=np.uint64)
     parities = np.empty(rows.shape[:2], dtype=np.uint8)
-    for j in range(1, n_chunks):
+    for j in range(1, coeffs.shape[1]):
         np.bitwise_and(u[:, None], rows, out=anded)
         if words > 1:
             np.bitwise_xor(anded[..., 0], anded[..., 1], out=folded)
@@ -302,7 +340,7 @@ def _extract(sources: np.ndarray, seed_bits: np.ndarray, params: ExtractorParams
         parities &= np.uint8(1)
         u = gf2.pack_bits(parities)
         acc ^= coeffs[:, j, None] & u
-    return gf2.parity(acc)
+    out[...] = gf2.parity(acc)
 
 
 def extract(source: "BitString", seed: "BitString", params: ExtractorParams) -> "BitString":
@@ -333,7 +371,8 @@ def block_extract(
     seed: "BitString",
     h_min: float,
     epsilon: float,
-    block_bits: int = 160_000,
+    *,
+    block_bits: int,
 ) -> BlockExtractionResult:
     """Extract a long raw stream in fixed-size blocks with one reused seed.
 

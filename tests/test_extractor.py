@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -45,6 +46,17 @@ WIDE_FIELD = (512, 1.0, 2.0 ** -50)
 FOUR_WORD_FIELD = (1024, 0.9, 2.0 ** -120)
 
 
+#: (h_min, blocks, m, digest, n, epsilon, s) of ``test_pinned_output_bits``
+PINNED = [
+    (0.4127, 3, 8168, "0c8ed6b0381492b11dce820f5030b5fd47b12ab07233d29ba8de647be8ae2632",
+     20000, 1e-6, 64),
+    (0.0363, 64, 640, "ec670c165bc4eb54d3ca7b522d20aa194f7ac39886c55c64626b15865258c2b3",
+     20000, 1e-6, 64),
+    (1.0, 4, 306, "a933b589d319876f0d3c74be05b5fe95c0a6f26e53166467623b5e452bb884cd",
+     512, 2.0 ** -50, 128),  # the WIDE_FIELD shape
+]
+
+
 def assert_matches_oracle(outputs, sources, seed, params):
     """Every bit of (blocks, m) ``outputs`` equals the oracle on its block
     and its design set of the seed."""
@@ -52,6 +64,19 @@ def assert_matches_oracle(outputs, sources, seed, params):
     for block, source in zip(outputs, sources):
         want = [rsh_oracle(source.tolist(), seed.bits[row].tolist()) for row in design.sets]
         assert block.tolist() == want
+
+
+def record_ranges(monkeypatch):
+    """Wrap ``_propagate`` to list the number of output bits of each range."""
+    propagated = []
+    propagate = ext._propagate
+
+    def recording(alpha, *args):
+        propagated.append(len(alpha))
+        propagate(alpha, *args)
+
+    monkeypatch.setattr(ext, "_propagate", recording)
+    return propagated
 
 
 def design_masks(design):
@@ -368,14 +393,7 @@ class TestBlockExtract:
         assert_matches_oracle(result.bits.bits.reshape(2, params.m),
                               raw.bits[:2 * n].reshape(2, n), seed, params)
 
-    @pytest.mark.parametrize("h_min,n_blocks,m,digest,n,epsilon,s", [
-        (0.4127, 3, 8168, "0c8ed6b0381492b11dce820f5030b5fd47b12ab07233d29ba8de647be8ae2632",
-         20000, 1e-6, 64),
-        (0.0363, 64, 640, "ec670c165bc4eb54d3ca7b522d20aa194f7ac39886c55c64626b15865258c2b3",
-         20000, 1e-6, 64),
-        (1.0, 4, 306, "a933b589d319876f0d3c74be05b5fe95c0a6f26e53166467623b5e452bb884cd",
-         512, 2.0 ** -50, 128),  # the WIDE_FIELD shape
-    ])
+    @pytest.mark.parametrize("h_min,n_blocks,m,digest,n,epsilon,s", PINNED)
     def test_pinned_output_bits(self, h_min, n_blocks, m, digest, n, epsilon, s):
         # SHA-256 of the packed output bits at the two heavy benchmark
         # shapes (few blocks at large m, many blocks at small m), recorded
@@ -389,6 +407,66 @@ class TestBlockExtract:
         result = ext.block_extract(raw, seed, h_min, epsilon, block_bits=n)
         assert len(result.bits) == n_blocks * m
         assert hashlib.sha256(np.packbits(result.bits.bits).tobytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("cpus,rows", [
+        (1, [8168]), (2, [4084, 4084]), (3, [2722, 2723, 2723]),
+    ])
+    def test_pinned_output_bits_any_range_count(self, monkeypatch, cpus, rows):
+        # the m = 8168 case above, its masks propagated in 1, 2 and 3
+        # ranges (3 uneven); the range count follows the CPU count
+        monkeypatch.setattr(ext, "_cpu_count", lambda: cpus)
+        propagated = record_ranges(monkeypatch)
+        self.test_pinned_output_bits(*PINNED[0])
+        assert sorted(propagated) == rows
+
+    def test_small_output_stays_one_range(self, monkeypatch, rng):
+        monkeypatch.setattr(ext, "_cpu_count", lambda: 8)
+        propagated = record_ranges(monkeypatch)
+        raw = BitString(rng.integers(0, 2, size=2 * 20000, dtype=np.uint8))
+        params = ext.ExtractorParams.for_source(20000, 0.0363, 1e-6)
+        seed = ext.generate_seed(params.d, rng_seed=5)
+        ext.block_extract(raw, seed, 0.0363, 1e-6, block_bits=20000)
+        assert propagated == [640]
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_two_word_ranges_match_rsh_bit(self, monkeypatch, cpus):
+        # m = 4794 at s = 128: two ranges above the range size with 2 CPUs
+        n, h_min, epsilon = 5000, 1.0, 2.0 ** -50
+        monkeypatch.setattr(ext, "_cpu_count", lambda: cpus)
+        propagated = record_ranges(monkeypatch)
+        params = ext.ExtractorParams.for_source(n, h_min, epsilon)
+        assert (params.m, params.s) == (4794, 128)
+        rng = np.random.default_rng(4103)
+        raw = BitString(rng.integers(0, 2, size=2 * n, dtype=np.uint8))
+        seed = BitString(rng.integers(0, 2, size=params.d, dtype=np.uint8))
+        result = ext.block_extract(raw, seed, h_min, epsilon, block_bits=n)
+        assert len(propagated) == cpus
+        outputs = result.bits.bits.reshape(2, params.m)
+        sets = ext.weak_design(params.m, params.t).sets
+        # both ends of both ranges, and a spread of bits in between
+        sampled = np.unique(np.concatenate([[0, 2396, 2397, 4793], rng.choice(params.m, 24)]))
+        for block in range(2):
+            source = BitString(raw.bits[block * n:(block + 1) * n])
+            for i in sampled:
+                assert outputs[block, i] == ext.rsh_bit(source, BitString(seed.bits[sets[i]]))
+
+    def test_worker_failure_propagates(self, monkeypatch, rng):
+        monkeypatch.setattr(ext, "_cpu_count", lambda: 2)
+        caller = threading.get_ident()
+        propagate = ext._propagate
+
+        def failing(*args):
+            if threading.get_ident() != caller:
+                raise RuntimeError("range failed")
+            propagate(*args)
+
+        monkeypatch.setattr(ext, "_propagate", failing)
+        params = ext.ExtractorParams.for_source(20000, 0.25, 1e-6)
+        assert params.m >= 2 * ext._RANGE_ROWS
+        raw = BitString(rng.integers(0, 2, size=20000, dtype=np.uint8))
+        seed = ext.generate_seed(params.d, rng_seed=6)
+        with pytest.raises(RuntimeError, match="range failed"):
+            ext.block_extract(raw, seed, 0.25, 1e-6, block_bits=20000)
 
     def test_short_stream_rejected(self, rng):
         seed = BitString(rng.integers(0, 2, size=64, dtype=np.uint8))
