@@ -295,8 +295,18 @@ def _extract(sources: np.ndarray, seed_bits: np.ndarray, params: ExtractorParams
     out = np.empty((n_blocks, m), dtype=np.uint8)
     n_ranges = max(1, min(_cpu_count(), m // _RANGE_ROWS))
     bounds = [m * r // n_ranges for r in range(n_ranges + 1)]
-    jobs = [(alpha[lo:hi], beta[lo:hi], coeffs, s, out[:, lo:hi])
-            for lo, hi in zip(bounds, bounds[1:])]
+    # each range's tables and step buffers are made here, in the calling
+    # thread: what a worker allocates stays resident in its own glibc arena
+    jobs = []
+    for lo, hi in zip(bounds, bounds[1:]):
+        # row i, column k: alpha_i x^(s-1-k), so the parities against u come
+        # out most significant bit first, as pack_bits reads them
+        rows = np.ascontiguousarray(gf2.mul_table(alpha[lo:hi], s)[::-1].transpose(1, 0, 2))
+        # a step's products, their xor over words (with one word, a view) and parities
+        anded = np.empty(rows.shape, dtype=np.uint64)
+        folded = anded[..., 0] if rows.shape[-1] == 1 else np.empty(rows.shape[:2], dtype=np.uint64)
+        parities = np.empty(rows.shape[:2], dtype=np.uint8)
+        jobs.append((rows, anded, folded, parities, beta[lo:hi], coeffs, out[:, lo:hi]))
     errors = []
 
     def work(job):
@@ -318,18 +328,11 @@ def _extract(sources: np.ndarray, seed_bits: np.ndarray, params: ExtractorParams
     return out
 
 
-def _propagate(alpha: np.ndarray, u: np.ndarray, coeffs: np.ndarray, s: int, out: np.ndarray):
-    """Write into ``out`` the output bits of seed points ``alpha`` and ``u``."""
-    # row i, column k: alpha_i x^(s-1-k), so the parities against u come
-    # out most significant bit first, as pack_bits reads them
-    rows = np.ascontiguousarray(gf2.mul_table(alpha, s)[::-1].transpose(1, 0, 2))
-    acc = coeffs[:, 0, None] & u
-    # each step's products, their xor over words and their parities go to
-    # buffers allocated once; with one word the xor is the products' view
+def _propagate(rows, anded, folded, parities, u: np.ndarray, coeffs: np.ndarray, out: np.ndarray):
+    """Write into ``out`` the output bits of masks ``u`` under multiplication
+    ``rows``, through the step buffers ``_extract`` made with them."""
     words = rows.shape[-1]
-    anded = np.empty(rows.shape, dtype=np.uint64)
-    folded = anded[..., 0] if words == 1 else np.empty(rows.shape[:2], dtype=np.uint64)
-    parities = np.empty(rows.shape[:2], dtype=np.uint8)
+    acc = coeffs[:, 0, None] & u
     for j in range(1, coeffs.shape[1]):
         np.bitwise_and(u[:, None], rows, out=anded)
         if words > 1:

@@ -238,7 +238,7 @@ def stage_simulate(config: PipelineConfig, out_dir: str) -> dict:
 
     pairs = sim.coincidences(streams.alice_tags, streams.bob_tags,
                              config.experiment.coincidence_window)
-    bits = sim.raw_bits(pairs)
+    bits = sim.raw_bits(streams.alice_tags, pairs)
     ext.save_bits(bits, os.path.join(out_dir, RAW_BITS_FILE))
     return {
         "counts_total": int(counts.n.sum()),

@@ -38,15 +38,8 @@ PARTY_BOB = 1
 #: one byte party, one byte channel, eight bytes little-endian picoseconds.
 TAG_DTYPE = np.dtype([("party", "u1"), ("channel", "u1"), ("time_ps", "<u8")])
 
-PAIR_DTYPE = np.dtype(
-    [
-        ("alice_index", "<i8"),
-        ("bob_index", "<i8"),
-        ("alice_channel", "u1"),
-        ("bob_channel", "u1"),
-        ("bob_time_ps", "<u8"),
-    ]
-)
+#: One matched pair: the indices of its Alice and Bob tags in their streams.
+PAIR_DTYPE = np.dtype([("alice_index", "<i8"), ("bob_index", "<i8")])
 
 # Independent RNG lanes so that adding tomography trials does not disturb
 # the stream sample and vice versa.
@@ -192,31 +185,28 @@ def simulate_tomography(config: ExperimentConfig) -> TomographyCounts:
     return TomographyCounts(draws.reshape(CELLS))
 
 
-def _party_tags(
-    party: int,
-    pair_times: np.ndarray,
-    channels: np.ndarray,
-    detected: np.ndarray,
-    jitter: np.ndarray,
-    dark_times: np.ndarray,
-    dark_channels: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
+def _party_tags(party: int, pair_times: np.ndarray, channels: np.ndarray, detected: np.ndarray,
+                jitter: np.ndarray, dark_times: np.ndarray, dark_channels: np.ndarray
+                ) -> tuple[np.ndarray, np.ndarray]:
     """Assemble one party's tag array sorted by time.
 
     Returns the sorted ``TAG_DTYPE`` array and the sort permutation of the
     pre-sort tags, which are the detected pairs in emission order followed by
     the dark tags.
     """
-    times = pair_times[detected] + jitter[detected]
-    times = np.maximum(times, 0).astype(np.uint64)
-    all_times = np.concatenate([times, dark_times.astype(np.uint64)])
+    times = pair_times[detected]
+    times += jitter[detected]
+    np.maximum(times, 0, out=times)
+    all_times = np.concatenate([times, dark_times])
+    del times
     all_chans = np.concatenate([channels[detected], dark_channels]).astype(np.uint8)
 
     order = np.argsort(all_times, kind="stable")
-    tags = np.zeros(len(order), dtype=TAG_DTYPE)
+    all_times.sort(kind="stable")  # equals all_times[order]; fast on nearly sorted times
+    tags = np.empty(len(order), dtype=TAG_DTYPE)
     tags["party"] = party
     tags["channel"] = all_chans[order]
-    tags["time_ps"] = all_times[order]
+    tags["time_ps"] = all_times.view(np.uint64)
     return tags, order
 
 
@@ -274,20 +264,20 @@ def simulate_streams(config: ExperimentConfig) -> StreamResult:
     work.  Optional dark tags are uncorrelated and uniform in time.
     """
     pair_times, alice, bob = _stream_draws(config)
-    alice_tags, _ = _party_tags(PARTY_ALICE, pair_times, *alice)
-    bob_tags, _ = _party_tags(PARTY_BOB, pair_times, *bob)
+    alice_tags = _party_tags(PARTY_ALICE, pair_times, *alice)[0]
+    del alice  # her draws go before Bob's tags are assembled
+    bob_tags = _party_tags(PARTY_BOB, pair_times, *bob)[0]
     return StreamResult(alice_tags=alice_tags, bob_tags=bob_tags)
 
 
-def coincidences(
-    alice_tags: np.ndarray, bob_tags: np.ndarray, window: float = 3e-9
-) -> np.ndarray:
+def coincidences(alice_tags: np.ndarray, bob_tags: np.ndarray, window: float = 3e-9) -> np.ndarray:
     """Pair up detections within the coincidence window.
 
     Each Bob tag, in time order, is matched with the earliest not-yet-used
     Alice tag within ``window`` seconds; each tag is used at most once.
-    Returns a ``PAIR_DTYPE`` array ordered by Bob timestamp.  Raises on
-    unsorted input.
+    Returns one ``PAIR_DTYPE`` record per matched pair, the indices of its
+    two tags, ordered by Bob timestamp; ``raw_bits`` reads Alice's channels
+    through them.  Raises on unsorted input.
 
     The earliest Alice tag not before a Bob tag's window is found by binary
     search.  It is the match unless an earlier Bob tag took it, which can
@@ -296,29 +286,37 @@ def coincidences(
     """
     if window <= 0:
         raise ValueError("window must be positive")
+    for name, tags in (("alice", alice_tags), ("bob", bob_tags)):
+        times = tags["time_ps"].view(np.int64)
+        if np.any(times[1:] < times[:-1]):
+            raise ValueError(f"{name} stream is not sorted by timestamp")
+    if not len(alice_tags):
+        return np.empty(0, dtype=PAIR_DTYPE)
     a = alice_tags["time_ps"].astype(np.int64)
     b = bob_tags["time_ps"].astype(np.int64)
-    for name, times in (("alice", a), ("bob", b)):
-        if len(times) > 1 and np.any(np.diff(times) < 0):
-            raise ValueError(f"{name} stream is not sorted by timestamp")
 
     window_ps = int(round(window * _PS_PER_SECOND))
-    n_a = len(a)
-    # Candidate per Bob tag: the first Alice tag with time >= bob - window.
-    first = np.searchsorted(a, b - window_ps, "left")
-    hit = first < n_a
-    hit[hit] = a[first[hit]] <= b[hit] + window_ps
+    # Candidate per Bob tag: the first Alice tag with time >= bob - window, a
+    # hit if also <= bob + window (one past the end clips to a tag < bob - window).
+    b -= window_ps
+    first = np.searchsorted(a, b, "left")
+    b += window_ps
+    gap = a.take(first, mode="clip")
+    gap -= b
+    np.abs(gap, out=gap)
+    hit = gap <= window_ps
+    del gap
     # Bob tags whose window overlaps the previous one's.  An earlier Bob tag
     # of the same run may have used the candidate, so the sequential sweep's
     # rule applies: start from max(pointer, candidate), and a match moves the
     # pointer past the used tag.  A run's first tag is exact already.
     linked = np.flatnonzero(np.diff(b) <= 2 * window_ps) + 1
-    if n_a and len(linked):
+    if len(linked):
         starts = (first[linked - 1] + hit[linked - 1]).tolist()
         in_run = (np.diff(linked, prepend=-1) == 1).tolist()
         cands = first[linked].tolist()
         highs = (b[linked] + window_ps).tolist()
-        time_of = a.item
+        n_a, time_of = len(a), a.item
         picked, matched = [], []
         ptr = 0
         for cand, high, follows, start in zip(cands, highs, in_run, starts):
@@ -329,21 +327,20 @@ def coincidences(
             ptr = i + ok
         first[linked] = picked
         hit[linked] = matched
+        del time_of  # the bound method would keep a alive
+    del a, b
 
-    bj = np.flatnonzero(hit)
-    ai = first[bj]
-    out = np.zeros(len(bj), dtype=PAIR_DTYPE)
-    out["alice_index"] = ai
-    out["bob_index"] = bj
-    out["alice_channel"] = alice_tags["channel"][ai]
-    out["bob_channel"] = bob_tags["channel"][bj]
-    out["bob_time_ps"] = bob_tags["time_ps"][bj]
+    out = np.empty(np.count_nonzero(hit), dtype=PAIR_DTYPE)
+    out["alice_index"] = first[hit]
+    del first
+    out["bob_index"] = np.flatnonzero(hit)
     return out
 
 
-def raw_bits(pairs: np.ndarray) -> BitString:
-    """Raw-bit string from coincidences: Alice's channel, in Bob-time order."""
-    return BitString(np.asarray(pairs["alice_channel"], dtype=np.uint8))
+def raw_bits(alice_tags: np.ndarray, pairs: np.ndarray) -> BitString:
+    """Raw-bit string from coincidences: the channel of each pair's Alice
+    tag, in Bob-time order."""
+    return BitString(alice_tags["channel"][pairs["alice_index"]])
 
 
 # ---------------------------------------------------------------------------

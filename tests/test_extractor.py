@@ -578,7 +578,7 @@ class TestStatisticalSanity:
         pairs = sim.coincidences(
             streams.alice_tags, streams.bob_tags, config.coincidence_window
         )
-        raw = sim.raw_bits(pairs)
+        raw = sim.raw_bits(streams.alice_tags, pairs)
         assert len(raw) > 1_500_000
 
         h = -math.log2(1.5 - eta)

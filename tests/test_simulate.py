@@ -1,6 +1,7 @@
 """Experiment simulation: tomography sampling, time-tag streams, coincidences."""
 
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -100,13 +101,8 @@ def coincidences_oracle(
             i += 1
 
     out = np.zeros(len(matched_a), dtype=sim.PAIR_DTYPE)
-    ai = np.array(matched_a, dtype=np.int64)
-    bj = np.array(matched_b, dtype=np.int64)
-    out["alice_index"] = ai
-    out["bob_index"] = bj
-    out["alice_channel"] = alice_tags["channel"][ai]
-    out["bob_channel"] = bob_tags["channel"][bj]
-    out["bob_time_ps"] = bob_tags["time_ps"][bj]
+    out["alice_index"] = matched_a
+    out["bob_index"] = matched_b
     return out
 
 
@@ -393,6 +389,22 @@ class TestCoincidences:
         with pytest.raises(ValueError):
             sim.coincidences(result.alice_tags, result.bob_tags, window=0.0)
 
+    def test_front_end_heap_peak_per_tag(self):
+        """Building both streams and matching them peaks below 36 traced
+        bytes per tag.  At the peak, while Bob's tags are assembled, only
+        the pair times, Bob's draws, Alice's tags and Bob's times, sort
+        order and records are live (about 30 B/tag)."""
+        config = stream_config(pair_rate=200_000, eta_alice=0.8, dark_rate=10_000)
+        tracemalloc.start()
+        try:
+            result = sim.simulate_streams(config)
+            sim.coincidences(result.alice_tags, result.bob_tags, config.coincidence_window)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        per_tag = peak / (len(result.alice_tags) + len(result.bob_tags))
+        assert per_tag < 36, f"{per_tag:.1f} traced bytes per tag"
+
 
 class TestRawBits:
     def test_bits_are_alice_channels_in_order(self):
@@ -401,9 +413,11 @@ class TestRawBits:
         pairs = sim.coincidences(
             result.alice_tags, result.bob_tags, config.coincidence_window
         )
-        bits = sim.raw_bits(pairs)
+        bits = sim.raw_bits(result.alice_tags, pairs)
         assert len(bits) == len(pairs)
-        assert np.array_equal(bits.bits, pairs["alice_channel"])
+        assert np.array_equal(bits.bits, result.alice_tags["channel"][pairs["alice_index"]])
+        want = coincidences_oracle(result.alice_tags, result.bob_tags, config.coincidence_window)
+        assert np.array_equal(bits.bits, result.alice_tags["channel"][want["alice_index"]])
 
     def test_bit_bias_small(self):
         config = stream_config(pair_rate=200_000)
@@ -411,7 +425,7 @@ class TestRawBits:
         pairs = sim.coincidences(
             result.alice_tags, result.bob_tags, config.coincidence_window
         )
-        bits = sim.raw_bits(pairs).bits
+        bits = sim.raw_bits(result.alice_tags, pairs).bits
         n = bits.size
         z = (2.0 * float(bits.sum()) - n) / np.sqrt(n)
         assert abs(z) < 5.0
