@@ -1,6 +1,8 @@
 """Certification: guessing probability, LHS robustness, steering functional."""
 
 import math
+import multiprocessing
+import os
 
 import numpy as np
 import pytest
@@ -41,6 +43,17 @@ def evaluate_functional(functional, assem):
     return sum(
         float(np.real(np.trace(f @ sigma)))
         for f, sigma in zip(functional.reshape(-1, 2, 2), assem.sigma.reshape(-1, 2, 2))
+    )
+
+
+def run_bootstrap(bootstrap_run):
+    """The fixture's bootstrap, run again."""
+    return cert.bootstrap_uncertainty(
+        bootstrap_run.counts,
+        bootstrap_run.result.x_star,
+        resamples=BOOTSTRAP_RESAMPLES,
+        seed=BOOTSTRAP_SEED,
+        point_estimate=bootstrap_run.reconstruction.assemblage,
     )
 
 
@@ -254,13 +267,7 @@ class TestBootstrap:
         )
 
     def test_deterministic_for_fixed_seed(self, bootstrap_run):
-        repeat = cert.bootstrap_uncertainty(
-            bootstrap_run.counts,
-            bootstrap_run.result.x_star,
-            resamples=BOOTSTRAP_RESAMPLES,
-            seed=BOOTSTRAP_SEED,
-            point_estimate=bootstrap_run.reconstruction.assemblage,
-        )
+        repeat = run_bootstrap(bootstrap_run)
         baseline = bootstrap_run.result.uncertainty
         assert repeat.h_min_values == baseline.h_min_values
         assert repeat.h_min_mean == baseline.h_min_mean
@@ -280,6 +287,8 @@ class TestBootstrap:
             tables.extend(drawn)
             raise Drawn
 
+        # one slice: a forked worker's tables would stay in the worker
+        monkeypatch.setattr(cert, "_cpu_count", lambda: 1)
         monkeypatch.setattr(cert, "ml_reconstruct_many", capture)
         with pytest.raises(Drawn):
             cert.bootstrap_uncertainty(counts, "Z", resamples=BOOTSTRAP_RESAMPLES,
@@ -305,19 +314,99 @@ class TestBootstrap:
             return fits
 
         monkeypatch.setattr(asm, "ML_MAX_ITERATIONS", 130)
+        # one slice: a forked worker's fits would stay in the worker
+        monkeypatch.setattr(cert, "_cpu_count", lambda: 1)
         monkeypatch.setattr(cert, "ml_reconstruct_many", spy)
-        capped = cert.bootstrap_uncertainty(
-            bootstrap_run.counts,
-            bootstrap_run.result.x_star,
-            resamples=BOOTSTRAP_RESAMPLES,
-            seed=BOOTSTRAP_SEED,
-            point_estimate=bootstrap_run.reconstruction.assemblage,
-        )
+        capped = run_bootstrap(bootstrap_run)
         converged = [fit.converged for fit in fits]
         assert 0 < capped.failed < BOOTSTRAP_RESAMPLES
         assert capped.failed == converged.count(False)
         baseline = bootstrap_run.result.uncertainty.h_min_values
         assert capped.h_min_values == [h for h, ok in zip(baseline, converged) if ok]
+
+
+class TestBootstrapSlices:
+    """The resamples run in contiguous slices, one per CPU, every slice but
+    the first in a forked worker."""
+
+    @pytest.mark.parametrize("capped", [False, True], ids=["converged", "capped"])
+    def test_result_independent_of_slice_count(self, bootstrap_run, monkeypatch, capped):
+        """1, 2 and 3 slices give the same result field for field, with
+        h_min_values in resample order, and leave no worker running; under
+        the iteration cap the failed refits fall in every slice of both
+        splits."""
+        converged = []
+        batches = []
+
+        def spy(tables, *, initial):
+            # sees this process's slice only
+            fits = asm.ml_reconstruct_many(tables, initial=initial)
+            converged.extend(fit.converged for fit in fits)
+            batches.append(len(tables))
+            return fits
+
+        if capped:
+            monkeypatch.setattr(asm, "ML_MAX_ITERATIONS", 130)
+        monkeypatch.setattr(cert, "ml_reconstruct_many", spy)
+        results = {}
+        for n_slices in (1, 2, 3):
+            monkeypatch.setattr(cert, "_cpu_count", lambda: n_slices)
+            results[n_slices] = run_bootstrap(bootstrap_run)
+            assert multiprocessing.active_children() == []
+        assert batches == [BOOTSTRAP_RESAMPLES, BOOTSTRAP_RESAMPLES // 2, BOOTSTRAP_RESAMPLES // 3]
+        assert results[2] == results[1]
+        assert results[3] == results[1]
+        if capped:
+            failed = [i for i, ok in enumerate(converged[:BOOTSTRAP_RESAMPLES]) if not ok]
+            assert results[1].failed == len(failed)
+            for n_slices in (2, 3):
+                starts = [BOOTSTRAP_RESAMPLES * r // n_slices for r in range(n_slices)]
+                hit = {max(r for r, lo in enumerate(starts) if lo <= i) for i in failed}
+                assert hit == set(range(n_slices))
+        else:
+            assert results[1] == bootstrap_run.result.uncertainty
+
+    def test_one_slice_starts_no_process(self, bootstrap_run, monkeypatch):
+        calls = []
+
+        def no_fork():
+            raise AssertionError("forked")
+
+        def fake_slice(tables, point_estimate, x_star):
+            calls.append(len(tables))
+            return [1.0] * len(tables), [0.5] * len(tables), 0
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        monkeypatch.setattr(cert, "_bootstrap_slice", fake_slice)
+        monkeypatch.setattr(cert, "_cpu_count", lambda: 1)
+        run_bootstrap(bootstrap_run)
+        # nor, however many CPUs there are, in a process running another
+        # thread or where fork is not a start method
+        monkeypatch.setattr(cert, "_cpu_count", lambda: 4)
+        monkeypatch.setattr(cert, "_thread_count", lambda: 2)
+        run_bootstrap(bootstrap_run)
+        monkeypatch.setattr(cert, "_thread_count", lambda: 1)
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        run_bootstrap(bootstrap_run)
+        assert calls == [BOOTSTRAP_RESAMPLES] * 3
+
+    @pytest.mark.parametrize("raising", ["caller", "worker"])
+    def test_error_in_a_slice_reraises_and_joins_workers(self, bootstrap_run, monkeypatch,
+                                                         raising):
+        """A ValueError raised in the caller's slice or a worker's re-raises
+        in the caller, with no worker left running."""
+        caller = os.getpid()
+
+        def refit(tables, *, initial):
+            if (os.getpid() == caller) == (raising == "caller"):
+                raise ValueError(f"refit failed in the {raising}")
+            return []
+
+        monkeypatch.setattr(cert, "_cpu_count", lambda: 2)
+        monkeypatch.setattr(cert, "ml_reconstruct_many", refit)
+        with pytest.raises(ValueError, match=f"refit failed in the {raising}"):
+            run_bootstrap(bootstrap_run)
+        assert multiprocessing.active_children() == []
 
 
 class TestSerialization:
