@@ -27,9 +27,9 @@ states are arrays laid out over ``SETTINGS`` and ``OUTCOMES``.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import os
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -332,11 +332,13 @@ def bootstrap_uncertainty(
     order.  The tables are cut into contiguous slices, one per CPU this
     process may run on and none shorter than ``_SLICE_RESAMPLES``; slice 0
     runs in this process and every other in a worker forked for the call,
-    all of them joined before it returns or raises.  There is one slice,
-    and no worker, on one CPU, where ``fork`` is not available, and in a
-    process that runs more than one thread (a multi-threaded BLAS pool
-    among them; ``OPENBLAS_NUM_THREADS=1`` keeps numpy's OpenBLAS to one),
-    or whose threads cannot be counted.  Each slice refits its tables
+    all of them joined before it returns or raises.  The split serves
+    single-threaded processes only: there is one slice, and no worker, on
+    one CPU, where ``fork`` is not available, and in a process that ran
+    more than one thread at its first split bootstrap, or whose threads
+    cannot be counted.  With numpy's default OpenBLAS, whose pool holds a
+    thread per CPU, that is every process not started with
+    ``OPENBLAS_NUM_THREADS=1``.  Each slice refits its tables
     in one batch (``ml_reconstruct_many``, warm-started from
     ``point_estimate``, the fit of ``counts``) and solves the
     guessing-probability SDPs of the converged fits, at the same
@@ -384,30 +386,51 @@ def _run_slices(tables: list[TomographyCounts], point_estimate: Assemblage,
     """``_bootstrap_slice`` over contiguous slices of ``tables``, in order:
     slice 0 in this process, every other in a forked worker."""
     n_slices = max(1, min(_cpu_count(), len(tables) // _SLICE_RESAMPLES))
-    # only a single-threaded process forks: besides the hazards of forking
-    # with other threads running, each process's multi-threaded BLAS pool
-    # spins against the others' (2 CPUs, 2 BLAS threads: 2.3-9.9 s for two
-    # slices against 0.9-1.7 s for one)
-    if n_slices == 1 or _thread_count() != 1:
+    if n_slices == 1 or not _forks():
         return [_bootstrap_slice(tables, point_estimate, x_star)]
     # imported only here: they add about 20 ms to importing the package
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
-    if "fork" not in multiprocessing.get_all_start_methods():
-        return [_bootstrap_slice(tables, point_estimate, x_star)]
     bounds = [len(tables) * r // n_slices for r in range(n_slices + 1)]
     slices = [tables[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
     with ProcessPoolExecutor(n_slices - 1, mp_context=multiprocessing.get_context("fork")) as pool:
-        futures = [pool.submit(_bootstrap_slice, part, point_estimate, x_star)
-                   for part in slices[1:]]
-        first = _bootstrap_slice(slices[0], point_estimate, x_star)
-        results = [first, *(future.result() for future in futures)]
-    # the pool's threads are joined but stay listed for about a millisecond
-    # as they exit; the next call would count them
-    deadline = time.monotonic() + 0.1
-    while _thread_count() > 1 and time.monotonic() < deadline:
-        time.sleep(0.001)
-    return results
+        # the workers are forked here, before this process binds itself
+        futures = [pool.submit(_bound_slice, r, part, point_estimate, x_star)
+                   for r, part in enumerate(slices[1:], start=1)]
+        first = _bound_slice(0, slices[0], point_estimate, x_star)
+        return [first, *(future.result() for future in futures)]
+
+
+def _bound_slice(r: int, tables: list[TomographyCounts], point_estimate: Assemblage,
+                 x_star: str) -> tuple[list[float], list[float], int]:
+    """``_bootstrap_slice`` with this process bound to the r-th of the CPUs
+    it may run on, and free to run on all of them again afterwards.
+
+    Unbound, the scheduler can leave a forked worker on its parent's CPU:
+    on a 2-vCPU VM both slices shared one CPU throughout in 2 of 6 calls
+    (wall time twice the CPU time), and in none of 12 bound calls.
+    """
+    cpus = os.sched_getaffinity(0)
+    os.sched_setaffinity(0, {sorted(cpus)[r % len(cpus)]})
+    try:
+        return _bootstrap_slice(tables, point_estimate, x_star)
+    finally:
+        os.sched_setaffinity(0, cpus)
+
+
+@functools.cache
+def _forks() -> bool:
+    """Whether this process runs the bootstrap's slices in forked workers,
+    decided once, when first asked, before any pool of its own: where
+    ``fork`` is a start method, CPU affinity can be set and the process
+    runs a single thread.  Each process's multi-threaded BLAS pool would
+    spin against the others' (2 CPUs, 2 BLAS threads: 2.3-9.9 s for two
+    slices against 0.9-1.7 s for one), so with numpy's default OpenBLAS the
+    resamples run in one slice."""
+    if _thread_count() != 1 or not hasattr(os, "sched_setaffinity"):
+        return False
+    import multiprocessing
+    return "fork" in multiprocessing.get_all_start_methods()
 
 
 def _thread_count() -> int:

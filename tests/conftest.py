@@ -2,13 +2,8 @@
 
 from __future__ import annotations
 
-import os
 import time
 import types
-
-# one BLAS thread, set before numpy loads OpenBLAS: the process then runs a
-# single thread, the only kind that forks the bootstrap's slices
-os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 import numpy as np
 import pytest
@@ -83,10 +78,11 @@ def bootstrap_run(ml_fit):
     Certifies the maximum-likelihood fit of ``ml_fit`` at the stream's
     setting with a parametric bootstrap, and certifies the noiseless ideal assemblage at the same
     setting for comparison.  Session-scoped because the bootstrap costs
-    about a second of CPU, most of it in its hundred SDP solves; it runs in
-    contiguous slices of the resamples, one per CPU, all but the first in
-    forked workers, and each slice refits its tables as one batch and
-    solves their SDPs in lockstep groups of ``sdp.GROUP_SIZE``.  The
+    about a second of CPU, most of it in its hundred SDP solves; it refits
+    its tables as one batch and solves their SDPs in lockstep groups of
+    ``sdp.GROUP_SIZE``, in one slice unless the test process runs a single
+    thread (``OPENBLAS_NUM_THREADS=1``), and then in contiguous slices of the
+    resamples, one per CPU, all but the first in forked workers.  The
     certification unit tests, the solver regression pins and the acceptance
     suite all read from it.
     """

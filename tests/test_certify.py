@@ -3,6 +3,9 @@
 import math
 import multiprocessing
 import os
+import pickle
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -325,46 +328,93 @@ class TestBootstrap:
         assert capped.h_min_values == [h for h, ok in zip(baseline, converged) if ok]
 
 
+# The fixture's bootstrap in 1, 2 and 3 slices, run by a fresh process with
+# one BLAS thread: a single-threaded process, which forks its slices as
+# ``steerqrng run`` started with OPENBLAS_NUM_THREADS=1 does.  The refit spy
+# sees this process's slice only.
+SPLIT_SCRIPT = """
+import multiprocessing, os, pickle, sys
+from steerqrng import assemblage as asm, certify as cert
+counts, x_star, point, resamples, seed, capped = pickle.load(sys.stdin.buffer)
+if capped:
+    asm.ML_MAX_ITERATIONS = 130
+converged, batches, clean, results = [], [], [], []
+def spy(tables, *, initial):
+    fits = asm.ml_reconstruct_many(tables, initial=initial)
+    converged.extend(fit.converged for fit in fits)
+    batches.append(len(tables))
+    return fits
+cert.ml_reconstruct_many = spy
+cpus = os.sched_getaffinity(0)
+for n_slices in (1, 2, 3):
+    cert._cpu_count = lambda: n_slices
+    results.append(cert.bootstrap_uncertainty(counts, x_star, point_estimate=point,
+                                              resamples=resamples, seed=seed))
+    clean.append(multiprocessing.active_children() == [] and os.sched_getaffinity(0) == cpus)
+pickle.dump((cert._forks(), results, batches, converged, clean), sys.stdout.buffer)
+"""
+
+
+def run_split(bootstrap_run, capped):
+    """(whether the process forked, the three results, the caller's refit
+    batch sizes and convergence flags, whether each call left no worker and
+    this process free to run on all its CPUs)."""
+    src = os.path.dirname(os.path.dirname(cert.__file__))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    inputs = (bootstrap_run.counts, bootstrap_run.result.x_star,
+              bootstrap_run.reconstruction.assemblage, BOOTSTRAP_RESAMPLES, BOOTSTRAP_SEED, capped)
+    proc = subprocess.run([sys.executable, "-c", SPLIT_SCRIPT], input=pickle.dumps(inputs),
+                          capture_output=True, env=env, timeout=600)
+    assert proc.returncode == 0, proc.stderr.decode()
+    return pickle.loads(proc.stdout)
+
+
 class TestBootstrapSlices:
     """The resamples run in contiguous slices, one per CPU, every slice but
-    the first in a forked worker."""
+    the first in a forked worker, each bound to its own CPU."""
 
     @pytest.mark.parametrize("capped", [False, True], ids=["converged", "capped"])
-    def test_result_independent_of_slice_count(self, bootstrap_run, monkeypatch, capped):
+    def test_result_independent_of_slice_count(self, bootstrap_run, capped):
         """1, 2 and 3 slices give the same result field for field, with
-        h_min_values in resample order, and leave no worker running; under
-        the iteration cap the failed refits fall in every slice of both
-        splits."""
-        converged = []
-        batches = []
-
-        def spy(tables, *, initial):
-            # sees this process's slice only
-            fits = asm.ml_reconstruct_many(tables, initial=initial)
-            converged.extend(fit.converged for fit in fits)
-            batches.append(len(tables))
-            return fits
-
-        if capped:
-            monkeypatch.setattr(asm, "ML_MAX_ITERATIONS", 130)
-        monkeypatch.setattr(cert, "ml_reconstruct_many", spy)
-        results = {}
-        for n_slices in (1, 2, 3):
-            monkeypatch.setattr(cert, "_cpu_count", lambda: n_slices)
-            results[n_slices] = run_bootstrap(bootstrap_run)
-            assert multiprocessing.active_children() == []
+        h_min_values in resample order, and leave no worker running and the
+        process free to run on all its CPUs; under the iteration cap the
+        failed refits fall in every slice of both splits."""
+        forked, results, batches, converged, clean = run_split(bootstrap_run, capped)
+        assert forked
         assert batches == [BOOTSTRAP_RESAMPLES, BOOTSTRAP_RESAMPLES // 2, BOOTSTRAP_RESAMPLES // 3]
-        assert results[2] == results[1]
-        assert results[3] == results[1]
+        assert clean == [True] * 3
+        assert results[1] == results[0]
+        assert results[2] == results[0]
         if capped:
             failed = [i for i, ok in enumerate(converged[:BOOTSTRAP_RESAMPLES]) if not ok]
-            assert results[1].failed == len(failed)
+            assert results[0].failed == len(failed)
             for n_slices in (2, 3):
                 starts = [BOOTSTRAP_RESAMPLES * r // n_slices for r in range(n_slices)]
                 hit = {max(r for r, lo in enumerate(starts) if lo <= i) for i in failed}
                 assert hit == set(range(n_slices))
         else:
-            assert results[1] == bootstrap_run.result.uncertainty
+            assert results[0] == bootstrap_run.result.uncertainty
+
+    def test_each_slice_runs_bound_to_its_cpu(self, bootstrap_run, monkeypatch):
+        """The caller's slice runs on the first CPU and the worker's on the
+        second, each alone; the caller is free again afterwards."""
+        cpus = sorted(os.sched_getaffinity(0))
+
+        def fake_slice(tables, point_estimate, x_star):
+            # reports the CPUs the slice ran on through its values
+            bound = os.sched_getaffinity(0)
+            return [float(min(bound))] * len(tables), [float(len(bound))] * len(tables), 0
+
+        monkeypatch.setattr(cert, "_bootstrap_slice", fake_slice)
+        monkeypatch.setattr(cert, "_forks", lambda: True)
+        monkeypatch.setattr(cert, "_cpu_count", lambda: 2)
+        result = run_bootstrap(bootstrap_run)
+        half = BOOTSTRAP_RESAMPLES // 2
+        assert result.h_min_values == [float(cpus[0])] * half + [float(cpus[1 % len(cpus)])] * half
+        assert result.p_guess_mean == 1.0
+        assert os.sched_getaffinity(0) == set(cpus)
+        assert multiprocessing.active_children() == []
 
     def test_one_slice_starts_no_process(self, bootstrap_run, monkeypatch):
         calls = []
@@ -378,24 +428,39 @@ class TestBootstrapSlices:
 
         monkeypatch.setattr(os, "fork", no_fork)
         monkeypatch.setattr(cert, "_bootstrap_slice", fake_slice)
+        monkeypatch.setattr(cert, "_forks", lambda: True)
         monkeypatch.setattr(cert, "_cpu_count", lambda: 1)
         run_bootstrap(bootstrap_run)
-        # nor, however many CPUs there are, in a process running another
-        # thread or where fork is not a start method
+        # nor, however many CPUs there are, in a process that does not fork
         monkeypatch.setattr(cert, "_cpu_count", lambda: 4)
-        monkeypatch.setattr(cert, "_thread_count", lambda: 2)
+        monkeypatch.setattr(cert, "_forks", lambda: False)
         run_bootstrap(bootstrap_run)
+        assert calls == [BOOTSTRAP_RESAMPLES] * 2
+
+    def test_only_a_single_threaded_process_forks(self, monkeypatch):
+        forks = cert._forks.__wrapped__
+        for threads in (0, 2, 5):
+            monkeypatch.setattr(cert, "_thread_count", lambda: threads)
+            assert not forks()
+        # a single thread forks where fork is a start method and the slices
+        # can be bound to CPUs
         monkeypatch.setattr(cert, "_thread_count", lambda: 1)
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["fork"])
+        assert forks() == hasattr(os, "sched_setaffinity")
         monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
-        run_bootstrap(bootstrap_run)
-        assert calls == [BOOTSTRAP_RESAMPLES] * 3
+        assert not forks()
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["fork"])
+        monkeypatch.delattr(os, "sched_setaffinity", raising=False)
+        assert not forks()
 
     @pytest.mark.parametrize("raising", ["caller", "worker"])
     def test_error_in_a_slice_reraises_and_joins_workers(self, bootstrap_run, monkeypatch,
                                                          raising):
         """A ValueError raised in the caller's slice or a worker's re-raises
-        in the caller, with no worker left running."""
+        in the caller, with no worker left running and this process free to
+        run on all its CPUs."""
         caller = os.getpid()
+        cpus = os.sched_getaffinity(0)
 
         def refit(tables, *, initial):
             if (os.getpid() == caller) == (raising == "caller"):
@@ -403,10 +468,12 @@ class TestBootstrapSlices:
             return []
 
         monkeypatch.setattr(cert, "_cpu_count", lambda: 2)
+        monkeypatch.setattr(cert, "_forks", lambda: True)
         monkeypatch.setattr(cert, "ml_reconstruct_many", refit)
         with pytest.raises(ValueError, match=f"refit failed in the {raising}"):
             run_bootstrap(bootstrap_run)
         assert multiprocessing.active_children() == []
+        assert os.sched_getaffinity(0) == cpus
 
 
 class TestSerialization:
