@@ -381,7 +381,7 @@ class TestBootstrapSlices:
         process free to run on all its CPUs; under the iteration cap the
         failed refits fall in every slice of both splits."""
         forked, results, batches, converged, clean = run_split(bootstrap_run, capped)
-        assert forked
+        assert forked, "a fresh process with one BLAS thread runs one thread and splits"
         assert batches == [BOOTSTRAP_RESAMPLES, BOOTSTRAP_RESAMPLES // 2, BOOTSTRAP_RESAMPLES // 3]
         assert clean == [True] * 3
         assert results[1] == results[0]
