@@ -532,8 +532,11 @@ def format_block(mat: np.ndarray) -> list[str]:
 
 
 def parse_block(rows: list[str]) -> list[list[complex]]:
-    """The complex 2x2 block that ``format_block`` wrote."""
+    """The complex 2x2 block that ``format_block`` wrote; raises ValueError
+    unless ``rows`` is two lines of four numbers."""
     parts = [row.split() for row in rows]
+    if [len(p) for p in parts] != [4, 4]:
+        raise ValueError(f"a 2x2 block is two rows of 4 numbers, got {rows!r}")
     return [[float(p[2 * j]) + 1.0j * float(p[2 * j + 1]) for j in range(2)] for p in parts]
 
 

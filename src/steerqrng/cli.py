@@ -107,7 +107,7 @@ def cmd_certify(args) -> int:
     if "h_min_std" in summary:
         line += f"  (bootstrap +/- {summary['h_min_std']:.2e})"
     print(line)
-    gate = pl.certification_gate(config, summary)
+    gate = pl.certification_gate(summary)
     if gate is not None:
         print(gate)
         return pl.EXIT_CERTIFICATION

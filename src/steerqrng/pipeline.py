@@ -39,6 +39,9 @@ EXIT_PARAMETERS = 3
 EXIT_IO = 4
 EXIT_NUMERICAL = 5
 
+# the certified min-entropy per trial must exceed this for a run to extract
+MIN_ENTROPY_FLOOR = 1e-6
+
 COUNTS_FILE = "counts.txt"
 ALICE_TAGS_FILE = "alice_tags.bin"
 BOB_TAGS_FILE = "bob_tags.bin"
@@ -71,7 +74,6 @@ class CertificationSettings:
     x_star: str = "auto"
     resamples: int = 0
     bootstrap_seed: int = 1
-    min_entropy_floor: float = 1e-6
 
     def validate(self):
         sim.check_fields(self, ConfigError)
@@ -81,8 +83,6 @@ class CertificationSettings:
                 f"got {self.resamples}")
         if self.bootstrap_seed < 0:
             raise ConfigError("bootstrap_seed must be non-negative")
-        if self.min_entropy_floor <= 0:
-            raise ConfigError("min_entropy_floor must be positive")
         return self
 
 
@@ -295,13 +295,13 @@ def stage_certify(config: PipelineConfig, out_dir: str) -> dict:
     return summary
 
 
-def certification_gate(config: PipelineConfig, cert_summary: dict) -> str | None:
+def certification_gate(cert_summary: dict) -> str | None:
     """Why the certified min-entropy stops the run (at or below
-    ``certification.min_entropy_floor``), or None when it clears the floor."""
-    floor = config.certification.min_entropy_floor
-    if cert_summary["h_min"] > floor:
+    ``MIN_ENTROPY_FLOOR``), or None when it clears the floor."""
+    if cert_summary["h_min"] > MIN_ENTROPY_FLOOR:
         return None
-    return f"certification failed: h_min = {cert_summary['h_min']:.6g} <= floor {floor:.6g}"
+    return (f"certification failed: h_min = {cert_summary['h_min']:.6g} "
+            f"<= floor {MIN_ENTROPY_FLOOR:.6g}")
 
 
 class ExtractionParameterError(RuntimeError):
@@ -461,7 +461,7 @@ def run(config: PipelineConfig, out_dir: str) -> RunReport:
     artifacts["certification"] = CERTIFICATION_FILE
 
     extraction_summary = None
-    gate = certification_gate(config, cert_summary)
+    gate = certification_gate(cert_summary)
     if gate is not None:
         pass_flag = False
         exit_code = EXIT_CERTIFICATION

@@ -17,9 +17,14 @@ rank r and its left singular basis U_r: a rhs with a component outside U_r
 makes the rows inconsistent, which is reported as infeasibility, and the
 iteration runs on the r independent rows U_r^T A(X) = U_r^T b.  The
 multipliers U_r y it maps back are the minimum-norm split of the dual over
-dependent rows.  When the main iteration cannot classify a failure, an
-explicit Phase-I feasibility problem (added scalar slack block) decides
-between ``infeasible`` and ``numerical-failure``.
+dependent rows.
+
+Contract: the solver serves the two certification programs, which are
+feasible and bounded.  ``_setup`` raises ValueError for a problem with no
+constrained block or with an objective on a block no constraint touches.
+The status is ``infeasible`` for inconsistent rows, ``optimal`` when the
+iteration meets its tolerances, and ``numerical-failure`` otherwise, which
+includes consistent rows that no PSD point meets.
 
 The iteration is batched twice over.  Every block's constraint coefficients
 are flattened once into one dense (m x sum 2 D^2) row matrix of float views
@@ -64,18 +69,16 @@ __all__ = [
     "check_certificate",
     "OPTIMAL",
     "INFEASIBLE",
-    "UNBOUNDED",
     "NUMERICAL_FAILURE",
 ]
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
-UNBOUNDED = "unbounded"
 NUMERICAL_FAILURE = "numerical-failure"
 
-# Solver settings.  The main iteration stops at GAP_TARGET/FEASIBILITY_TARGET
+# Solver settings.  The iteration stops at GAP_TARGET/FEASIBILITY_TARGET
 # and, failing that, accepts its best iterate within the *_ACCEPTABLE
-# tolerances; Phase I accepts looser ones (see _phase1_feasible).
+# tolerances.
 MAX_ITERATIONS = 200
 GAP_TARGET = 1e-9
 FEASIBILITY_TARGET = 1e-9
@@ -112,8 +115,9 @@ class SdpProblem:
 
     def validate(self) -> None:
         """Raise ValueError unless the sense is known, every block dimension
-        positive, every rhs finite and every coefficient a Hermitian matrix
-        of its declared block's shape."""
+        positive, every rhs finite, every coefficient a Hermitian matrix of
+        its declared block's shape, some constraint touches a block, and
+        every block with a nonzero objective is in some constraint."""
         _setup(self)
 
 
@@ -125,9 +129,10 @@ class SdpSolution:
     split of the dual.  ``gap``, ``pinf`` and ``dinf`` are the relative
     duality gap and the scaled primal and dual residuals of the returned
     iterate (NaN when the solver produced none); ``pinf`` is measured on the
-    reduced rows U_r^T A(X) = U_r^T b.  An ``unbounded`` problem has no
-    finite optimum: its ``primal_value`` is +inf for ``max`` and -inf for
-    ``min``, and its ``dual_value`` NaN."""
+    reduced rows U_r^T A(X) = U_r^T b.  ``status`` is ``optimal``,
+    ``infeasible`` (inconsistent rows, decided before iterating, with no
+    iterate) or ``numerical-failure``; only an ``optimal`` solution's values
+    certify anything."""
 
     status: str
     primal_blocks: dict[Hashable, np.ndarray]
@@ -184,7 +189,7 @@ def _where(j: int) -> str:
 
 def _setup(problem: SdpProblem) -> SdpSolution | _Reduced:
     """Validate a problem and turn it into the iteration's arrays, or into
-    its solution when that is decided without iterating.
+    its ``infeasible`` solution when its rows are inconsistent.
 
     One pass over the coefficients checks each one (known block, shape) and
     gathers it by block size; the Hermiticity check and the Hermitian part
@@ -219,7 +224,9 @@ def _setup(problem: SdpProblem) -> SdpSolution | _Reduced:
                     f"{np.shape(mat)}, expected ({dims[k]}, {dims[k]})"
                 )
             gathered.setdefault(dims[k], []).append((j, k, mat))
+    # the blocks with a nonzero coefficient in some constraint / in the objective
     touched = np.zeros(len(dims), dtype=bool)
+    weighed = np.zeros(len(dims), dtype=bool)
     by_size: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
     for d, entries in gathered.items():
         rows_j, blocks_k, mats = zip(*entries)
@@ -232,21 +239,17 @@ def _setup(problem: SdpProblem) -> SdpSolution | _Reduced:
                 f"is not Hermitian: max deviation {dev[bad[0]]:.3e} > {HERMITIAN_TOL:.1e}"
             )
         j, k, stack = np.array(rows_j), np.array(blocks_k), hermitian_part(stack)
-        touched[k[(j >= 0) & stack.reshape(len(stack), -1).any(axis=1)]] = True
+        nonzero = stack.reshape(len(stack), -1).any(axis=1)
+        touched[k[(j >= 0) & nonzero]] = True
+        weighed[k[(j < 0) & nonzero]] = True
         by_size[d] = j, k, stack
+    loose = np.flatnonzero(weighed & ~touched)
+    if loose.size:
+        raise ValueError(f"block {labels[loose[0]]!r} has an objective but no constraint")
+    if not touched.any():
+        raise ValueError("no constraint touches a block")
 
     sign = -1.0 if problem.sense == "max" else 1.0
-    unbounded: list[int] = []
-    for j, k, stack in by_size.values():
-        free = (j < 0) & ~touched[k]  # objectives of blocks no constraint touches
-        lam = np.linalg.eigvalsh(sign * stack[free])[:, 0]
-        unbounded += k[free][lam < -1e-12].tolist()
-    if unbounded:
-        # min <C, X> over X >= 0 with no constraints: unbounded below
-        return _finish(problem, None, UNBOUNDED,
-                       f"block {labels[min(unbounded)]!r} is unconstrained with "
-                       "indefinite objective", 0)
-
     # constrained blocks grouped into same-size stacks, in first-seen order,
     # each a run of 2*D*D columns
     stacks: dict[int, list[int]] = {}
@@ -271,15 +274,10 @@ def _setup(problem: SdpProblem) -> SdpSolution | _Reduced:
     basis = u[:, sv > RANK_TOLERANCE * max(1.0, float(np.abs(rows).max(initial=0.0)))]
     residual = np.abs(b - basis @ (basis.T @ b))
     if residual.max(initial=0.0) > 1e-7 * (1.0 + np.abs(b).max(initial=0.0)):
-        return _finish(problem, None, INFEASIBLE,
-                       f"constraint {np.argmax(residual)} is inconsistent with the others", 0)
-    reduced = _Reduced(order, shapes, basis, basis.T @ rows, basis.T @ b, c)
-    if not order:
-        # nothing to optimize: X = 0 everywhere is optimal
-        sol = {"x": np.zeros(0), "y": np.zeros(0), "pobj": 0.0,
-               "dobj": 0.0, "pinf": 0.0, "dinf": 0.0, "relgap": 0.0}
-        return _finish(problem, sol, OPTIMAL, "trivial problem", 0, reduced=reduced)
-    return reduced
+        return _finish(problem, {
+            "status": INFEASIBLE, "iterations": 0,
+            "message": f"constraint {np.argmax(residual)} is inconsistent with the others"})
+    return _Reduced(order, shapes, basis, basis.T @ rows, basis.T @ b, c)
 
 
 def _stacks(vec: np.ndarray, shapes: list[tuple[int, int]]) -> list[np.ndarray]:
@@ -439,9 +437,6 @@ def _ipm(
     b: np.ndarray,
     c: np.ndarray,
     shapes: list[tuple[int, int]],
-    *,
-    gap_acceptable: float = GAP_ACCEPTABLE,
-    feasibility_acceptable: float = FEASIBILITY_ACCEPTABLE,
 ) -> list[dict]:
     """Minimize c[p] @ x over PSD blocks subject to rows[p] @ x = b[p], for
     every problem p of a lockstep group.
@@ -478,9 +473,9 @@ def _ipm(
     c_max = np.abs(c).max(axis=1, initial=0.0)
     g.scale_b = 1.0 + b_max
     g.scale_c = 1.0 + c_max
-    g.a_max = np.abs(rows).max(axis=(1, 2), initial=0.0)
+    a_max = np.abs(rows).max(axis=(1, 2), initial=0.0)
     xi = 10.0 * np.maximum(1.0, b_max)
-    eta = 10.0 * np.maximum(np.maximum(1.0, c_max), g.a_max)
+    eta = 10.0 * np.maximum(np.maximum(1.0, c_max), a_max)
     eye = _identity(shapes)
     g.x = xi[:, None] * eye
     g.s = eta[:, None] * eye
@@ -497,8 +492,8 @@ def _ipm(
         """Per live problem, whether its best iterate is within the
         acceptable tolerances."""
         pinf, dinf, relgap = g.best[:, 2:].T
-        return (np.isfinite(g.best_score) & (pinf <= feasibility_acceptable)
-                & (dinf <= feasibility_acceptable) & (relgap <= gap_acceptable))
+        return (np.isfinite(g.best_score) & (pinf <= FEASIBILITY_ACCEPTABLE)
+                & (dinf <= FEASIBILITY_ACCEPTABLE) & (relgap <= GAP_ACCEPTABLE))
 
     def leave(*outcomes: tuple[np.ndarray, str, str]) -> bool:
         """Record the problems of each (disjoint) mask with its status and
@@ -562,17 +557,11 @@ def _ipm(
 
         optimal = ((pinf <= FEASIBILITY_TARGET) & (dinf <= FEASIBILITY_TARGET)
                    & (relgap <= GAP_TARGET))
-        # along a feasible ray the residual's rounding grows with the iterate,
-        # so feasibility there is judged relative to the iterate's size
-        ray_pinf = (np.abs(g.pres).max(axis=1, initial=0.0)
-                    / (g.scale_b + g.a_max * np.abs(g.x).max(axis=1)))
-        unbounded = ~optimal & (ray_pinf <= feasibility_acceptable) & (pobj < -1e10 * g.scale_c)
         # a best iterate within the acceptable tolerances stops its problem
         # after 2 iterations that do not improve on it
-        stalled = ~optimal & ~unbounded & (
+        stalled = ~optimal & (
             (g.mu < 1e-17) | (g.stall > 40) | (acceptable() & (g.stall >= 2)))
         if not leave((optimal, OPTIMAL, "converged to target tolerance"),
-                     (unbounded, UNBOUNDED, "objective diverging with feasible iterate"),
                      (stalled, NUMERICAL_FAILURE, "progress stalled")):
             break
 
@@ -635,13 +624,12 @@ def solve(problem: SdpProblem) -> SdpSolution:
 def solve_many(problems: Iterable[SdpProblem]) -> list[SdpSolution]:
     """Solve block SDPs; one solution per problem, in order.
 
-    Each problem is validated and reduced on its own (unconstrained blocks,
-    redundant and inconsistent rows).  Problems with the same stack shapes
-    and rank then iterate in lockstep groups of at most ``GROUP_SIZE``, and
-    the ones the main iteration cannot classify go through Phase I
-    together.  A solution does not depend on the other
-    problems in the list.  Raises ValueError on an invalid problem, as
-    ``solve`` does; solver trouble is reported as a status.
+    Each problem is validated and reduced on its own (redundant and
+    inconsistent rows).  Problems with the same stack shapes and rank then
+    iterate in lockstep groups of at most ``GROUP_SIZE``.  A solution does
+    not depend on the other problems in the list.  Raises ValueError on an
+    invalid problem, as ``solve`` does; solver trouble is reported as a
+    status.
     """
     solutions: list[SdpSolution | None] = []
     groups: dict[tuple, list[tuple[int, SdpProblem, _Reduced]]] = {}
@@ -666,61 +654,24 @@ def _solve_group(
     group: list[tuple[int, SdpProblem, _Reduced]],
     solutions: list[SdpSolution | None],
 ) -> None:
-    """Run one lockstep group, then Phase I for its unclassified members."""
+    """Run one lockstep group."""
     reduced = [r for _, _, r in group]
     rows, b, c = (np.stack([getattr(r, name) for r in reduced]) for name in ("rows", "b", "c"))
     for k, r in enumerate(reduced):  # keep each member's arrays once, as views of the stack
         r.rows, r.b, r.c = rows[k], b[k], c[k]
-    results = _ipm(rows, b, c, reduced[0].shapes)
-    undecided = [k for k, res in enumerate(results)
-                 if res["status"] not in (OPTIMAL, UNBOUNDED)]
-    if undecided:
-        verdicts = _phase1_feasible([reduced[k] for k in undecided])
-        for k, feasible in zip(undecided, verdicts):
-            if feasible is False:
-                results[k]["status"] = INFEASIBLE
-                results[k]["message"] = "Phase-I slack stays positive"
-            elif feasible is True:
-                results[k]["status"] = NUMERICAL_FAILURE
-                results[k]["message"] = f"feasible but not converged: {results[k]['message']}"
-    for (i, problem, r), res in zip(group, results):
-        solutions[i] = _finish(problem, res, res["status"], res["message"],
-                               res["iterations"], reduced=r)
+    for (i, problem, r), result in zip(group, _ipm(rows, b, c, reduced[0].shapes)):
+        solutions[i] = _finish(problem, result, r)
 
 
-def _phase1_feasible(reduced: list[_Reduced]) -> list[bool | None]:
-    """Explicit Phase I, one lockstep group: per problem, min t subject to
-    A(X) + t*(b - A(I)) = b, X, t >= 0, with t a 1x1 block (whose float
-    view is its real and its zero imaginary part)."""
-    shapes = reduced[0].shapes
-    eye = _identity(shapes)
-    rows = np.stack([np.hstack([r.rows, (r.b - r.rows @ eye)[:, None], np.zeros((len(r.b), 1))])
-                     for r in reduced])
-    b = np.stack([r.b for r in reduced])
-    c = np.zeros((len(reduced), eye.size + 2))
-    c[:, -2] = 1.0
-    results = _ipm(rows, b, c, shapes + [(1, 1)],
-                   gap_acceptable=1e-6, feasibility_acceptable=1e-7)
-    return [None if res["status"] != OPTIMAL
-            else bool(res["pobj"] <= 1e-6 * (1.0 + float(np.max(np.abs(r.b), initial=0.0))))
-            for r, res in zip(reduced, results)]
-
-
-def _finish(
-    problem: SdpProblem,
-    result: dict | None,
-    status: str,
-    message: str,
-    iterations: int,
-    *,
-    reduced: _Reduced | None = None,
-) -> SdpSolution:
+def _finish(problem: SdpProblem, result: dict, reduced: _Reduced | None = None) -> SdpSolution:
+    """The solution of ``problem`` from a result of ``_ipm`` or ``_setup``,
+    with its iterate, if any, mapped back to the blocks, rows and sense."""
     sense_sign = -1.0 if problem.sense == "max" else 1.0
     blocks_out = {label: np.zeros((d, d), dtype=complex) for label, d in problem.blocks.items()}
     y_user = np.zeros(len(problem.constraints))
     pval = dval = gap = pinf = dinf = np.nan
 
-    if result is not None and "x" in result:
+    if "x" in result:
         labels = list(problem.blocks)
         solved_blocks = (xk for stack in _stacks(result["x"][None], reduced.shapes)
                          for xk in stack[0])
@@ -730,12 +681,9 @@ def _finish(
         pval = sense_sign * result["pobj"]
         dval = sense_sign * result["dobj"]
         gap, pinf, dinf = result["relgap"], result["pinf"], result["dinf"]
-    if status == UNBOUNDED:
-        # no finite optimum: the objective runs off in the optimizing sense
-        pval, dval = -sense_sign * np.inf, np.nan
 
     return SdpSolution(
-        status=status,
+        status=result["status"],
         primal_blocks=blocks_out,
         primal_value=float(pval),
         dual_value=float(dval),
@@ -743,8 +691,8 @@ def _finish(
         gap=float(gap),
         pinf=float(pinf),
         dinf=float(dinf),
-        iterations=iterations,
-        message=message,
+        iterations=result["iterations"],
+        message=result["message"],
     )
 
 

@@ -474,6 +474,13 @@ class TestAssemblageSerialization:
         loaded = asm.load_assemblage(str(path))
         assert max_member_distance(loaded, twisted) < 1e-12
 
+    @pytest.mark.parametrize("rows", [["1 0 0 0"], ["1 0 0 0", "0 0 1"],
+                                      ["1 0 0 0", "0 0 1 0 5"], ["1 0 0 0"] * 3],
+                             ids=["one-row", "short-row", "long-row", "three-rows"])
+    def test_parse_block_requires_two_rows_of_four(self, rows):
+        with pytest.raises(ValueError, match="two rows of 4 numbers"):
+            asm.parse_block(rows)
+
     @pytest.mark.parametrize("old, new", [
         ("settings X Z", "settings X Q"), ("member Z null", "member Q null"),
     ], ids=["foreign-settings", "unknown-member"])

@@ -12,7 +12,7 @@ import pytest
 
 from steerqrng import assemblage as asm
 from steerqrng import certify as cert
-from steerqrng.linalg import ID2, hermitian_part, min_eigenvalue, singlet_state
+from steerqrng.linalg import ID2, PAULI_X, hermitian_part, min_eigenvalue, singlet_state
 from steerqrng.simulate import werner_state
 
 from conftest import BOOTSTRAP_RESAMPLES, BOOTSTRAP_SEED
@@ -114,6 +114,15 @@ class TestGuessingProbability:
     def test_invalid_assemblage_rejected(self, assem_singlet_543):
         with pytest.raises(cert.CertificationError):
             cert.guessing_probability(asm.Assemblage(1.1 * assem_singlet_543.sigma), "X")
+
+    def test_solver_failure_reaches_certify(self, assem_singlet_543):
+        """sigma_{0|X} moved by 0.9e-7 X: the assemblage passes validation,
+        but the guessing SDP at Z stalls, and certify raises naming the
+        solver's status rather than reporting a bound."""
+        sigma = assem_singlet_543.sigma.copy()
+        sigma[asm.SETTINGS.index("X"), 0] += 0.9e-7 * PAULI_X
+        with pytest.raises(cert.CertificationError, match="numerical-failure"):
+            cert.certify(asm.Assemblage(sigma), x_star="Z")
 
 
 class TestMinEntropy:

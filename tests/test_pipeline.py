@@ -71,15 +71,24 @@ class TestConfig:
     def test_validation_tolerance_key_rejected(self, tmp_path, capsys):
         """The assemblage validation tolerance is a constant of the
         certification code, not a config key."""
+        self.assert_unknown_key(tmp_path, capsys, "validation_tolerance", 1e-9)
+
+    def test_min_entropy_floor_key_rejected(self, tmp_path, capsys):
+        """The min-entropy floor of the gate is pipeline.MIN_ENTROPY_FLOOR,
+        not a config key."""
+        self.assert_unknown_key(tmp_path, capsys, "min_entropy_floor", 1e-6)
+
+    @staticmethod
+    def assert_unknown_key(tmp_path, capsys, key, value):
         base = fast_config().to_dict()
-        base["certification"]["validation_tolerance"] = 1e-9
+        base["certification"][key] = value
         with pytest.raises(pl.ConfigError):
             pl.PipelineConfig.from_dict(base)
         cfg_path = tmp_path / "config.json"
         cfg_path.write_text(json.dumps(base))
         out = str(tmp_path / "out")
         assert cli.main(["run", "-c", str(cfg_path), "-o", out]) == pl.EXIT_IO
-        assert "validation_tolerance" in capsys.readouterr().err
+        assert key in capsys.readouterr().err
         assert not os.path.exists(out)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
@@ -87,7 +96,7 @@ class TestConfig:
         ("experiment", "pair_rate"), ("experiment", "duration_rng"),
         ("experiment", "coincidence_window"), ("experiment", "timing_jitter"),
         ("experiment", "dark_rate"), ("experiment", "trials_certification"),
-        ("certification", "min_entropy_floor"), ("certification", "resamples"),
+        ("certification", "resamples"),
         ("extraction", "block_bits"),
     ])
     def test_non_finite_value_rejected(self, tmp_path, capsys, section, key, value):
@@ -263,6 +272,10 @@ def _drop_p_guess(good: bytes) -> bytes:
                     if not line.startswith(b"p_guess "))
 
 
+def _cut_last_line(good: bytes) -> bytes:
+    return good[:good.rstrip(b"\n").rindex(b"\n") + 1]
+
+
 #: artifact -> (how it is spoiled) -> replacement content given the good bytes
 SPOILED = {
     "empty": lambda good: b"",
@@ -316,6 +329,17 @@ class TestMalformedArtifacts:
     def test_certification_without_p_guess(self, completed_run, tmp_path, capsys, artifact,
                                            command, reader):
         out = self.spoil(completed_run, tmp_path, artifact, _drop_p_guess)
+        self.check(out, artifact, command, reader, capsys)
+
+    @pytest.mark.parametrize("artifact,command,reader",
+                             [case for case in STAGE_INPUTS if case[0] == pl.CERTIFICATION_FILE],
+                             ids=["extract", "report"])
+    def test_truncated_certification(self, completed_run, tmp_path, capsys, artifact,
+                                     command, reader):
+        """A certificate cut off after the first row of its last functional
+        block is malformed; that row is not copied into the block's second."""
+        out = self.spoil(completed_run, tmp_path, artifact, _cut_last_line)
+        assert read(os.path.join(out, artifact)).splitlines()[-2].startswith(b"functional ")
         self.check(out, artifact, command, reader, capsys)
 
     @pytest.mark.parametrize("artifact,command,reader", STAGE_INPUTS[:2],

@@ -2,7 +2,6 @@
 
 import copy
 import dataclasses
-import warnings
 
 import numpy as np
 import pytest
@@ -46,9 +45,9 @@ def negative_trace_problem():
     )
 
 
-def phase1_infeasible_problem():
-    # Tr X = 1 with <sigma_x> = 2 on a qubit: the rows are independent
-    # and consistent, so only the Phase-I slack can expose infeasibility
+def psd_infeasible_problem():
+    # Tr X = 1 with <sigma_x> = 2 on a qubit: the rows are independent and
+    # consistent, so only the PSD cone makes the problem infeasible
     sigma_x = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
     return sdp.SdpProblem(
         blocks={"x": 2},
@@ -79,16 +78,6 @@ def unbounded_problem():
         constraints=[
             sdp.SdpConstraint(coeffs={"pinned": np.array([[1.0]])}, rhs=1.0)
         ],
-    )
-
-
-def feasible_ray_problem():
-    """max u subject to u - v = 1: feasible, and unbounded along u = v + 1."""
-    one = np.array([[1.0]])
-    return sdp.SdpProblem(
-        blocks={"u": 1, "v": 1},
-        objective={"u": one},
-        constraints=[sdp.SdpConstraint(coeffs={"u": one, "v": -one}, rhs=1.0)],
     )
 
 
@@ -240,13 +229,14 @@ class TestDualityAndCertificates:
 
 class TestStatuses:
     def test_infeasible_negative_trace(self):
+        # consistent rows that no PSD point meets are a failed solve, never
+        # an optimum
         sol = sdp.solve(negative_trace_problem())
-        assert sol.status == sdp.INFEASIBLE
+        assert sol.status == sdp.NUMERICAL_FAILURE
 
-    def test_phase1_decides_infeasible(self):
-        sol = sdp.solve(phase1_infeasible_problem())
-        assert sol.status == sdp.INFEASIBLE
-        assert "Phase-I" in sol.message
+    def test_psd_infeasible_not_optimal(self):
+        sol = sdp.solve(psd_infeasible_problem())
+        assert sol.status == sdp.NUMERICAL_FAILURE
 
     def test_infeasible_inconsistent_rows(self):
         sol = sdp.solve(inconsistent_rows_problem())
@@ -255,18 +245,17 @@ class TestStatuses:
                                for j in (0, 1))
 
     def test_unbounded_direction(self):
-        sol = sdp.solve(unbounded_problem())
-        assert sol.status == sdp.UNBOUNDED
-        # decided before iterating: no finite optimum, in the sense's direction
-        assert sol.primal_value == np.inf and np.isnan(sol.dual_value)
+        # an objective on a block no constraint touches is refused before
+        # iterating, whatever its sign
+        with pytest.raises(ValueError, match="'free' has an objective but no constraint"):
+            sdp.solve(unbounded_problem())
 
     def test_unconstrained_block_with_psd_objective(self):
-        # a block no constraint touches and one whose only coefficient is
-        # zero stay out of the iteration; min Tr X over them is bounded, so
-        # both come back zero
+        # a block no constraint touches, with a zero objective, and one whose
+        # only coefficient is zero stay out of the iteration and come back zero
         problem = sdp.SdpProblem(
             blocks={"free": 2, "pinned": 1, "zero": 1},
-            objective={"free": np.eye(2, dtype=complex), "pinned": np.array([[2.0]])},
+            objective={"free": np.zeros((2, 2)), "pinned": np.array([[2.0]])},
             constraints=[sdp.SdpConstraint(
                 coeffs={"pinned": np.array([[1.0]]), "zero": np.zeros((1, 1))}, rhs=1.0)],
             sense="min",
@@ -276,22 +265,6 @@ class TestStatuses:
         assert sol.primal_value == pytest.approx(2.0, abs=1e-8)
         assert not sol.primal_blocks["free"].any() and not sol.primal_blocks["zero"].any()
         assert sdp.check_certificate(problem, sol).ok
-
-    def test_unbounded_along_feasible_ray(self):
-        # the residual's rounding grows with the diverging iterate; the
-        # solve must classify the ray before it overflows
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            sol = sdp.solve(feasible_ray_problem())
-        assert sol.status == sdp.UNBOUNDED
-        # not the best iterate's finite values
-        assert sol.primal_value == np.inf and np.isnan(sol.dual_value)
-        minimized = feasible_ray_problem()
-        minimized.sense = "min"
-        minimized.objective = {"u": -minimized.objective["u"]}
-        sol = sdp.solve(minimized)
-        assert sol.status == sdp.UNBOUNDED
-        assert sol.primal_value == -np.inf and np.isnan(sol.dual_value)
 
     def test_redundant_rows_still_optimal(self, rng):
         a = rng.normal(size=(3, 3))
@@ -324,7 +297,10 @@ class TestStatuses:
             return steps if len(calls) <= 4 else np.zeros_like(steps)
 
         monkeypatch.setattr(sdp, "_max_steps", frozen)
-        [acceptable] = sdp._ipm(*args, gap_acceptable=np.inf, feasibility_acceptable=np.inf)
+        with monkeypatch.context() as loose:
+            loose.setattr(sdp, "GAP_ACCEPTABLE", np.inf)
+            loose.setattr(sdp, "FEASIBILITY_ACCEPTABLE", np.inf)
+            [acceptable] = sdp._ipm(*args)
         assert acceptable["status"] == sdp.OPTIMAL
         assert acceptable["message"] == "converged within acceptable tolerance"
         assert acceptable["iterations"] == 3 + 2
@@ -362,6 +338,15 @@ class TestValidation:
             constraints=[],
         )
         with pytest.raises(ValueError):
+            problem.validate()
+
+    def test_rejects_problem_without_constrained_block(self):
+        problem = sdp.SdpProblem(
+            blocks={"x": 2},
+            objective={},
+            constraints=[sdp.SdpConstraint(coeffs={"x": np.zeros((2, 2))}, rhs=0.0)],
+        )
+        with pytest.raises(ValueError, match="no constraint touches a block"):
             problem.validate()
 
     def test_rejects_unknown_block_reference(self):
@@ -490,16 +475,15 @@ class TestSolveMany:
         # several lockstep groups besides the status problems
         a = rng.normal(size=(3, 3))
         problems = certification_problems(monkeypatch) + [
-            negative_trace_problem(), phase1_infeasible_problem(),
-            inconsistent_rows_problem(), unbounded_problem(),
-            redundant_rows_problem(0.5 * (a + a.T)),
+            negative_trace_problem(), psd_infeasible_problem(),
+            inconsistent_rows_problem(), redundant_rows_problem(0.5 * (a + a.T)),
         ]
         solutions = sdp.solve_many(problems)
         assert len(solutions) == len(problems)
         for problem, solution in zip(problems, solutions):
             assert_same_solution(solution, sdp.solve(problem))
-        statuses = [s.status for s in solutions[-5:]]
-        assert statuses == [sdp.INFEASIBLE] * 3 + [sdp.UNBOUNDED, sdp.OPTIMAL]
+        statuses = [s.status for s in solutions[-4:]]
+        assert statuses == [sdp.NUMERICAL_FAILURE] * 2 + [sdp.INFEASIBLE, sdp.OPTIMAL]
 
     def test_group_invariance(self, refit_problems):
         """A problem's solution is the same alone, in a full group, and in a
@@ -509,7 +493,7 @@ class TestSolveMany:
         alone = [sdp.solve(p) for p in problems]
         together = sdp.solve_many(problems)
         failing = sdp.solve_many([infeasible_copy(problems[0])] + problems[1:])
-        assert failing[0].status == sdp.INFEASIBLE
+        assert failing[0].status == sdp.NUMERICAL_FAILURE
         assert_same_solution(failing[0], sdp.solve(infeasible_copy(problems[0])))
         for solo, group in zip(alone, together):
             assert solo.status == sdp.OPTIMAL
