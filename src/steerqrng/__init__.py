@@ -50,7 +50,6 @@ from .pipeline import PipelineConfig, RunReport
 from .pipeline import run as run_pipeline
 from .pipeline import sweep as sweep_certification
 from .sdp import (
-    SdpConstraint,
     SdpProblem,
     SdpSolution,
     check_certificate,
@@ -86,7 +85,6 @@ __all__ = [
     "PipelineConfig",
     "ReconstructionError",
     "RunReport",
-    "SdpConstraint",
     "SdpProblem",
     "SdpSolution",
     "StreamResult",

@@ -179,33 +179,38 @@ def _guessing_program(assem: Assemblage, x_star: str) -> _GuessingProgram:
     guesses = range(len(OUTCOMES))
 
     blocks = {(e, x, a): v.shape[1] for e in guesses for (x, a), (v, _w) in supports.items()}
+    full_basis = hermitian_basis(2)
+    n_rows = 1 + sum(v.shape[1] ** 2 for v, _w in supports.values()) + (
+        len(guesses) * (len(SETTINGS) - 1) * len(full_basis))
+    coef = np.zeros((n_rows, sum(2 * d * d for d in blocks.values())))
+    rhs = np.zeros(n_rows)
+    coeffs = sdp.block_views(coef, blocks)
 
-    constraints: list[sdp.SdpConstraint] = []
-    # each member splits across the guesses
+    # row 0 is the objective, the trace of the parts at x_star whose guess is
+    # their outcome; then each member splits across the guesses, one row per
+    # element B of its support's Hermitian basis: Tr(B^H diag(w)) = sum_i Re(B_ii) w_i
+    j = 1
     for (x, a), (v, w) in supports.items():
-        target = np.diag(w).astype(complex)
-        for basis_el in hermitian_basis(v.shape[1]):
-            rhs = float(np.real(np.trace(basis_el.conj().T @ target)))
-            constraints.append(sdp.SdpConstraint(
-                coeffs={(e, x, a): basis_el for e in guesses}, rhs=rhs))
+        basis = np.array(hermitian_basis(v.shape[1]))
+        if x == SETTINGS.index(x_star):
+            coeffs[a, x, a][0] = np.eye(v.shape[1])
+        for e in guesses:
+            coeffs[e, x, a][j:j + len(basis)] = basis
+        rhs[j:j + len(basis)] = (basis.diagonal(axis1=1, axis2=2).real * w).sum(axis=1)
+        j += len(basis)
     # every part is non-signaling on its own; the basis is compressed to
     # each member's support once, not once per guess
-    full_basis = hermitian_basis(2)
-    compressed = {key: [v.conj().T @ basis_el @ v for basis_el in full_basis]
+    compressed = {key: np.array([v.conj().T @ basis_el @ v for basis_el in full_basis])
                   for key, (v, _w) in supports.items()}
     for e in guesses:
         for x in range(1, len(SETTINGS)):
-            for k in range(len(full_basis)):
-                coeffs = {(e, xx, a): sign * compressed[xx, a][k]
-                          for xx, sign in ((0, 1.0), (x, -1.0))
-                          for a in range(len(OUTCOMES)) if (e, xx, a) in blocks}
-                constraints.append(sdp.SdpConstraint(coeffs=coeffs, rhs=0.0))
+            for (xx, a), comp in compressed.items():
+                if xx in (0, x):
+                    coeffs[e, xx, a][j:j + len(full_basis)] = comp if xx == 0 else -comp
+            j += len(full_basis)
 
-    guessed = [(e, SETTINGS.index(x_star), e) for e in guesses]
-    objective = {key: np.eye(blocks[key], dtype=complex) for key in guessed if key in blocks}
-
-    problem = sdp.SdpProblem(blocks=blocks, objective=objective,
-                             constraints=constraints, sense="max")
+    problem = sdp.SdpProblem(blocks=blocks, objective=coef[0], constraints=coef[1:],
+                             rhs=rhs[1:])
     return _GuessingProgram(problem=problem, x_star=x_star, supports=supports)
 
 
@@ -291,16 +296,15 @@ def steering_functional(assem: Assemblage) -> SteeringResult:
 
     # one row per member (x, a) and basis element B, Tr(B sigma_{a|x}) =
     # sum_{lambda(x)=a} Tr(B tau_lambda) + 3 Tr(B) mu, as 3 of the strategies
-    # answer each member: the mu term is Tr(B) (t - sum Tr tau) / 6
+    # answer each member: the mu term is Tr(B) (t - sum Tr tau) / 6; each
+    # row's float view is the blocks' layout, and the objective -sum Tr tau
     coeffs = (answers[:, :, None, :, None, None] * basis[:, None]
               - (tr_b / 6)[:, None, None, None] * np.eye(2))   # (x, a, B, lambda, 2, 2)
     rhs = np.einsum("kij,xaji->xak", basis, assem.sigma).real - t / 6 * tr_b
-    constraints = [sdp.SdpConstraint(coeffs=dict(enumerate(c)), rhs=r)
-                   for c, r in zip(coeffs.reshape(-1, len(STRATEGIES), 2, 2), rhs.ravel())]
     problem = sdp.SdpProblem(
         blocks=dict.fromkeys(range(len(STRATEGIES)), 2),
-        objective=dict.fromkeys(range(len(STRATEGIES)), -np.eye(2)),
-        constraints=constraints, sense="max")
+        objective=np.tile(-np.eye(2, dtype=complex).ravel(), len(STRATEGIES)).view(float),
+        constraints=coeffs.reshape(rhs.size, -1).view(float), rhs=rhs.ravel())
     solution = sdp.solve(problem)
     mu = float(t + _optimal_value(solution, "LHS")) / 18
     hidden = np.array(list(solution.primal_blocks.values())) + mu * np.eye(2)
@@ -582,6 +586,8 @@ def load_certification(path: str) -> CertificationResult:
             functional[x, a] = parse_block(lines[pos + 1:pos + 3])
             pos += 2
         else:
+            if parts[0] in kv:
+                raise ValueError(f"repeated key {parts[0]}")
             kv[parts[0]] = parts[1]
         pos += 1
     # a functional is all of its members or none

@@ -511,7 +511,13 @@ def load_report(out_dir: str) -> dict:
     """
     path = os.path.join(out_dir, REPORT_JSON)
     if os.path.exists(path):
-        return _load(path, "report", _read_json)
+        report = _load(path, "report", _read_json)
+        sections = ("certification", "extraction", "artifacts")
+        if not (isinstance(report, dict)
+                and all(isinstance(report.get(key), (dict, type(None))) for key in sections)):
+            raise StageInputError(f"report: malformed input artifact {path} (not an object whose "
+                                  "certification, extraction and artifacts are objects or null)")
+        return report
     if not os.path.isdir(out_dir):
         raise StageInputError(f"run directory not found: {out_dir}")
 

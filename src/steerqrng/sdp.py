@@ -6,11 +6,19 @@ the tiny instances that show up in steering certification: a handful of
 Hermitian 2x2 blocks and a few dozen equality constraints.  Every block is
 kept a complex Hermitian D x D matrix from the problem to the solution.
 
-Problem form (user facing)::
+Problem form::
 
-    max / min   sum_k  Tr(C_k X_k)
+    maximize    sum_k  Tr(C_k X_k)
     subject to  sum_k  Tr(A_jk X_k) = b_j     for each constraint j
                 X_k >= 0                      (PSD, Hermitian)
+
+Layout: ``SdpProblem.blocks`` maps each label to its dimension D, in
+column order, and each block owns the next 2 D^2 columns, the float view of
+its row-major complex entries.  The objective is one (n,) vector, the
+constraints one (m, n) row matrix, and the dot product of two such vectors
+is the trace inner product Re Tr(A^H X).  ``block_views`` gives the complex
+(..., D, D) view of each block of such an array, through which programs
+write their coefficients and solutions are read.
 
 Before the iteration starts, one SVD of the (m x n) row matrix gives its
 rank r and its left singular basis U_r: a rhs with a component outside U_r
@@ -26,12 +34,10 @@ The status is ``infeasible`` for inconsistent rows, ``optimal`` when the
 iteration meets its tolerances, and ``numerical-failure`` otherwise, which
 includes consistent rows that no PSD point meets.
 
-The iteration is batched twice over.  Every block's constraint coefficients
-are flattened once into one dense (m x sum 2 D^2) row matrix of float views
-of their complex entries, and the iterates are float vectors laid out the
-same way, so ``A(X)`` and ``A^T y`` are single real matrix-vector products
-(the dot product of two views is the trace inner product of the Hermitian
-matrices), with no Python loop over constraints.  Same-size blocks are
+The iteration is batched twice over.  The constrained blocks' columns are
+taken once, grouped by block size, so the iterates are float vectors laid
+out the same way and ``A(X)`` and ``A^T y`` are single real matrix-vector
+products, with no Python loop over constraints.  Same-size blocks are
 viewed as complex (nb, D, D) stacks.  On top of that every array carries a
 leading problem axis: ``solve_many`` advances up to ``GROUP_SIZE`` problems
 of one structure (stack shapes and rank) in lockstep, so the Cholesky
@@ -61,11 +67,11 @@ from .linalg import HERMITIAN_TOL, hermitian_part, min_eigenvalue
 
 __all__ = [
     "SdpProblem",
-    "SdpConstraint",
     "SdpSolution",
     "CertificateReport",
     "solve",
     "solve_many",
+    "block_views",
     "check_certificate",
     "OPTIMAL",
     "INFEASIBLE",
@@ -92,39 +98,34 @@ GROUP_SIZE = 10
 
 
 @dataclass
-class SdpConstraint:
-    """One equality constraint: sum_k Tr(coeffs[label] X_label) = rhs."""
-
-    coeffs: dict[Hashable, np.ndarray]
-    rhs: float
-
-
-@dataclass
 class SdpProblem:
-    """Block SDP with labelled PSD variables.
+    """Block SDP in the solver's own layout (see the module docstring).
 
-    ``blocks`` maps label (any hashable) -> dimension.  ``objective`` maps
-    label -> Hermitian coefficient matrix (absent labels contribute
-    nothing).  ``sense`` is ``"max"`` or ``"min"``.
+    ``blocks`` maps label (any hashable) -> dimension D, in column order;
+    each block owns 2 D^2 columns.  ``objective`` is the (n,) vector of C,
+    ``constraints`` the (m, n) row matrix of the A_j and ``rhs`` the (m,)
+    vector b; the problem maximizes.  Write and read a block's
+    coefficients through ``block_views``.
     """
 
     blocks: dict[Hashable, int]
-    objective: dict[Hashable, np.ndarray]
-    constraints: list[SdpConstraint]
-    sense: str = "max"
+    objective: np.ndarray
+    constraints: np.ndarray
+    rhs: np.ndarray
 
     def validate(self) -> None:
-        """Raise ValueError unless the sense is known, every block dimension
-        positive, every rhs finite, every coefficient a Hermitian matrix of
-        its declared block's shape, some constraint touches a block, and
-        every block with a nonzero objective is in some constraint."""
+        """Raise ValueError unless the block dimensions are positive, the
+        arrays fit the blocks, the rhs is finite, some block and every block
+        with an objective is in a constraint, and the coefficients are Hermitian."""
         _setup(self)
 
 
 @dataclass
 class SdpSolution:
-    """Solver outcome.  ``primal_blocks`` are complex Hermitian, whatever
-    the dtype of the coefficients.  ``dual_multipliers`` has one entry per
+    """Solver outcome.  ``primal_blocks`` maps each label to its complex
+    Hermitian block, a view of one flat iterate in the problem's layout
+    (zero for a block no constraint touches).  ``primal_value`` is the
+    maximized objective.  ``dual_multipliers`` has one entry per
     constraint; over linearly dependent constraints it is the minimum-norm
     split of the dual.  ``gap``, ``pinf`` and ``dinf`` are the relative
     duality gap and the scaled primal and dual residuals of the returned
@@ -169,13 +170,26 @@ class CertificateReport:
 # setup
 
 
+def block_views(flat: np.ndarray, blocks: dict[Hashable, int]) -> dict[Hashable, np.ndarray]:
+    """Complex (..., D, D) views of the blocks of (..., n) float arrays laid
+    out as ``blocks`` (label -> D, in column order): writing to a view
+    writes the array's columns."""
+    views, lo = {}, 0
+    for label, d in blocks.items():
+        views[label] = flat[..., lo:lo + 2 * d * d].view(complex).reshape(*flat.shape[:-1], d, d)
+        lo += 2 * d * d
+    return views
+
+
 @dataclass
 class _Reduced:
     """A problem ready for the iteration: its constrained blocks in stack
-    order, the left singular basis U_r (m, r) of their row matrix, and the
-    reduced rows U_r^T rows, rhs U_r^T b and min-form objective."""
+    order, the problem's columns they take, the left singular basis U_r
+    (m, r) of their row matrix, and the reduced rows U_r^T rows, rhs
+    U_r^T b and min-form objective."""
 
     order: list[int]
+    cols: np.ndarray
     shapes: list[tuple[int, int]]
     basis: np.ndarray
     rows: np.ndarray
@@ -183,91 +197,53 @@ class _Reduced:
     c: np.ndarray
 
 
-def _where(j: int) -> str:
-    return "objective" if j < 0 else f"constraint {j}"
-
-
 def _setup(problem: SdpProblem) -> SdpSolution | _Reduced:
     """Validate a problem and turn it into the iteration's arrays, or into
-    its ``infeasible`` solution when its rows are inconsistent.
-
-    One pass over the coefficients checks each one (known block, shape) and
-    gathers it by block size; the Hermiticity check and the Hermitian part
-    are one batch per size.  The blocks some constraint touches become the
-    (nb, D) stacks, and one SVD of their (m x n) row matrix of float views
-    gives the rank, the consistency of the rhs and the reduced system.
-    Raises ValueError on an invalid problem.
-    """
-    if problem.sense not in ("max", "min"):
-        raise ValueError(f"unknown sense {problem.sense!r}")
-    for label, dim in problem.blocks.items():
-        if dim < 1:
-            raise ValueError(f"block {label!r} has non-positive dimension")
-    labels, dims = list(problem.blocks), list(problem.blocks.values())
-    index = {label: k for k, label in enumerate(labels)}
-    b = np.array([con.rhs for con in problem.constraints], dtype=float)
-    nonfinite = np.flatnonzero(~np.isfinite(b))
-    if nonfinite.size:
-        raise ValueError(f"constraint {nonfinite[0]} has non-finite rhs")
-    # per block size, the (row, block, coefficient) of every coefficient;
-    # row -1 is the objective
-    gathered: dict[int, list[tuple]] = {}
-    coefficients = [problem.objective] + [con.coeffs for con in problem.constraints]
-    for j, coeffs in enumerate(coefficients, start=-1):
-        for label, mat in coeffs.items():
-            k = index.get(label)
-            if k is None:
-                raise ValueError(f"{_where(j)} references unknown block {label!r}")
-            if np.shape(mat) != (dims[k], dims[k]):
-                raise ValueError(
-                    f"{_where(j)} coefficient for block {label!r} has shape "
-                    f"{np.shape(mat)}, expected ({dims[k]}, {dims[k]})"
-                )
-            gathered.setdefault(dims[k], []).append((j, k, mat))
+    its ``infeasible`` solution when its rows are inconsistent; raises
+    ValueError on an invalid problem.  The constrained blocks' columns are
+    taken once, as (nb, D) stacks of same-size blocks, each checked and made
+    Hermitian in one batch, and one SVD of their row matrix reduces it."""
+    labels, dims = list(problem.blocks), np.array(list(problem.blocks.values()), dtype=int)
+    if (dims < 1).any():
+        raise ValueError(f"block {labels[np.argmax(dims < 1)]!r} has non-positive dimension")
+    width = 2 * dims ** 2
+    c, rows, b = (np.asarray(array, dtype=float)
+                  for array in (problem.objective, problem.constraints, problem.rhs))
+    if b.ndim != 1 or c.shape != (width.sum(),) or rows.shape != (b.size, width.sum()):
+        raise ValueError(f"objective {c.shape}, constraints {rows.shape} and rhs {b.shape} "
+                         f"do not fit blocks of {width.sum()} columns")
+    if not np.isfinite(b).all():
+        raise ValueError(f"constraint {np.argmin(np.isfinite(b))} has non-finite rhs")
     # the blocks with a nonzero coefficient in some constraint / in the objective
-    touched = np.zeros(len(dims), dtype=bool)
-    weighed = np.zeros(len(dims), dtype=bool)
-    by_size: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-    for d, entries in gathered.items():
-        rows_j, blocks_k, mats = zip(*entries)
-        stack = np.array(mats, dtype=complex)
-        dev = np.abs(stack - stack.conj().swapaxes(-1, -2)).max(axis=(1, 2))
-        bad = np.flatnonzero(dev > HERMITIAN_TOL)
-        if bad.size:
-            raise ValueError(
-                f"{_where(rows_j[bad[0]])} coefficient for {labels[blocks_k[bad[0]]]!r} "
-                f"is not Hermitian: max deviation {dev[bad[0]]:.3e} > {HERMITIAN_TOL:.1e}"
-            )
-        j, k, stack = np.array(rows_j), np.array(blocks_k), hermitian_part(stack)
-        nonzero = stack.reshape(len(stack), -1).any(axis=1)
-        touched[k[(j >= 0) & nonzero]] = True
-        weighed[k[(j < 0) & nonzero]] = True
-        by_size[d] = j, k, stack
-    loose = np.flatnonzero(weighed & ~touched)
-    if loose.size:
-        raise ValueError(f"block {labels[loose[0]]!r} has an objective but no constraint")
+    start = np.cumsum(width) - width
+    touched = np.logical_or.reduceat(rows.any(axis=0), start)
+    weighed = np.logical_or.reduceat(c != 0.0, start)
+    if (weighed & ~touched).any():
+        raise ValueError(f"block {labels[np.argmax(weighed & ~touched)]!r} has an objective "
+                         "but no constraint")
     if not touched.any():
         raise ValueError("no constraint touches a block")
 
-    sign = -1.0 if problem.sense == "max" else 1.0
-    # constrained blocks grouped into same-size stacks, in first-seen order,
-    # each a run of 2*D*D columns
+    # constrained blocks grouped into same-size stacks, in first-seen order;
+    # row 0 of the taken coefficients is the min-form objective
     stacks: dict[int, list[int]] = {}
     for k in np.flatnonzero(touched).tolist():
-        stacks.setdefault(dims[k], []).append(k)
+        stacks.setdefault(int(dims[k]), []).append(k)
     order = [k for ks in stacks.values() for k in ks]
     shapes = [(len(ks), d) for d, ks in stacks.items()]
-    width = np.array([2 * dims[k] ** 2 for k in order], dtype=int)
-    offset = np.zeros(len(dims), dtype=int)
-    offset[order] = np.cumsum(width) - width
-    rows, c = np.zeros((len(b), width.sum())), np.zeros(width.sum())
-    for d, (j, k, stack) in by_size.items():
-        keep = touched[k]
-        cols = offset[k[keep], None] + np.arange(2 * d * d)
-        flat = stack[keep].view(float).reshape(-1, 2 * d * d)
-        con = j[keep] >= 0
-        rows[j[keep][con, None], cols[con]] = flat[con]
-        c[cols[~con]] = sign * flat[~con]
+    cols = np.concatenate([np.arange(start[k], start[k] + width[k]) for k in order])
+    coef = np.concatenate([-c[None], rows]).take(cols, axis=1)
+    first = 0
+    for stack, (nb, _d) in zip(_stacks(coef, shapes), shapes):
+        dev = np.abs(stack - stack.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
+        if (dev > HERMITIAN_TOL).any():
+            j, k = np.argwhere(dev > HERMITIAN_TOL)[0]
+            raise ValueError(f"{'objective' if j == 0 else f'constraint {j - 1}'} coefficient "
+                             f"for {labels[order[first + k]]!r} is not Hermitian: max "
+                             f"deviation {dev[j, k]:.3e} > {HERMITIAN_TOL:.1e}")
+        stack[...] = hermitian_part(stack)
+        first += nb
+    c, rows = coef[0], coef[1:]
 
     # rank, consistency and the reduced system from one SVD
     u, sv, _ = np.linalg.svd(rows, full_matrices=False)
@@ -277,7 +253,7 @@ def _setup(problem: SdpProblem) -> SdpSolution | _Reduced:
         return _finish(problem, {
             "status": INFEASIBLE, "iterations": 0,
             "message": f"constraint {np.argmax(residual)} is inconsistent with the others"})
-    return _Reduced(order, shapes, basis, basis.T @ rows, basis.T @ b, c)
+    return _Reduced(order, cols, shapes, basis, basis.T @ rows, basis.T @ b, c)
 
 
 def _stacks(vec: np.ndarray, shapes: list[tuple[int, int]]) -> list[np.ndarray]:
@@ -463,12 +439,10 @@ def _ipm(
     g.rows, g.b, g.c = rows, b, c
     # per stack, the conjugates of its complex rows and a transposed copy of
     # them, for the Schur complement
-    g.R, g.AT, lo = [], [], 0
-    for nb, d in shapes:
-        r = np.ascontiguousarray(rows[:, :, lo:lo + 2 * nb * d * d]).view(complex)
-        g.R.append(r.conj())
+    g.R, g.AT = [], []
+    for (nb, d), r in zip(shapes, _stacks(rows.reshape(P * m, -1), shapes)):
+        g.R.append(r.conj().reshape(P, m, nb * d * d))
         g.AT.append(np.ascontiguousarray(r.reshape(P, m, nb, d * d).transpose(0, 2, 3, 1)))
-        lo += 2 * nb * d * d
     b_max = np.abs(b).max(axis=1, initial=0.0)
     c_max = np.abs(c).max(axis=1, initial=0.0)
     g.scale_b = 1.0 + b_max
@@ -665,29 +639,22 @@ def _solve_group(
 
 def _finish(problem: SdpProblem, result: dict, reduced: _Reduced | None = None) -> SdpSolution:
     """The solution of ``problem`` from a result of ``_ipm`` or ``_setup``,
-    with its iterate, if any, mapped back to the blocks, rows and sense."""
-    sense_sign = -1.0 if problem.sense == "max" else 1.0
-    blocks_out = {label: np.zeros((d, d), dtype=complex) for label, d in problem.blocks.items()}
-    y_user = np.zeros(len(problem.constraints))
+    with its iterate, if any, mapped back to the blocks and rows."""
+    x = np.zeros(sum(2 * d * d for d in problem.blocks.values()))
+    y = np.zeros(len(problem.rhs))
     pval = dval = gap = pinf = dinf = np.nan
-
     if "x" in result:
-        labels = list(problem.blocks)
-        solved_blocks = (xk for stack in _stacks(result["x"][None], reduced.shapes)
-                         for xk in stack[0])
-        for k, xk in zip(reduced.order, solved_blocks):
-            blocks_out[labels[k]] = xk.copy()
-        y_user = sense_sign * (reduced.basis @ result["y"])
-        pval = sense_sign * result["pobj"]
-        dval = sense_sign * result["dobj"]
+        x[reduced.cols] = result["x"]
+        y = -(reduced.basis @ result["y"])
+        pval, dval = -result["pobj"], -result["dobj"]
         gap, pinf, dinf = result["relgap"], result["pinf"], result["dinf"]
 
     return SdpSolution(
         status=result["status"],
-        primal_blocks=blocks_out,
+        primal_blocks=block_views(x, problem.blocks),
         primal_value=float(pval),
         dual_value=float(dval),
-        dual_multipliers=y_user,
+        dual_multipliers=y,
         gap=float(gap),
         pinf=float(pinf),
         dinf=float(dinf),
@@ -707,41 +674,24 @@ def check_certificate(
     """Re-derive solution quality from scratch with plain matrix arithmetic.
 
     Uses only the raw problem data and the returned blocks/multipliers, no
-    solver internals, so it doubles as an independent certificate check.
+    solver internals, so it doubles as an independent certificate check:
+    the violation is ``rows @ x - b`` and the dual slack ``y @ rows - c``.
     """
     problem.validate()
-    viol = 0.0
-    for con in problem.constraints:
-        lhs = 0.0
-        for label, coeff in con.coeffs.items():
-            lhs += float(np.real(np.trace(np.asarray(coeff).conj().T
-                                          @ solution.primal_blocks[label])))
-        viol = max(viol, abs(lhs - con.rhs))
+    rows, b, c = (np.asarray(a, dtype=float)
+                  for a in (problem.constraints, problem.rhs, problem.objective))
+    x = np.zeros_like(c)
+    for label, block in block_views(x, problem.blocks).items():
+        block[...] = solution.primal_blocks[label]
 
-    min_eig_primal = min(
-        (min_eigenvalue(hermitian_part(np.asarray(x, dtype=complex)))
-         for x in solution.primal_blocks.values()),
-        default=0.0,
-    )
+    def min_eig(flat: np.ndarray) -> float:
+        return min((min_eigenvalue(hermitian_part(block))
+                    for block in block_views(flat, problem.blocks).values()), default=0.0)
 
-    sign = 1.0 if problem.sense == "max" else -1.0
-    slacks = {label: np.zeros((dim, dim), dtype=complex)
-              for label, dim in problem.blocks.items()}
-    for label, mat in problem.objective.items():
-        slacks[label] -= sign * np.asarray(mat, dtype=complex)
-    for j, con in enumerate(problem.constraints):
-        for label, coeff in con.coeffs.items():
-            slacks[label] += sign * solution.dual_multipliers[j] * np.asarray(coeff, dtype=complex)
-    min_eig_dual = min(
-        (min_eigenvalue(hermitian_part(s)) for s in slacks.values()), default=0.0
-    )
-
-    pval = 0.0
-    for label, mat in problem.objective.items():
-        pval += float(np.real(np.trace(np.asarray(mat).conj().T
-                                       @ solution.primal_blocks[label])))
-    dval = float(np.array([c.rhs for c in problem.constraints])
-                 @ solution.dual_multipliers) if problem.constraints else 0.0
+    viol = float(np.abs(rows @ x - b).max(initial=0.0))
+    min_eig_primal = min_eig(x)
+    min_eig_dual = min_eig(solution.dual_multipliers @ rows - c)
+    pval, dval = float(c @ x), float(b @ solution.dual_multipliers)
     gap = abs(pval - dval) / (1.0 + abs(pval))
 
     return CertificateReport(

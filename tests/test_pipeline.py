@@ -342,6 +342,22 @@ class TestMalformedArtifacts:
         assert read(os.path.join(out, artifact)).splitlines()[-2].startswith(b"functional ")
         self.check(out, artifact, command, reader, capsys)
 
+    @pytest.mark.parametrize("payload", [b"[]", b'{"certification": "x"}'],
+                             ids=["list", "certification-string"])
+    def test_report_json_not_a_report(self, completed_run, tmp_path, capsys, payload):
+        """report.json must be an object whose certification, extraction and
+        artifacts are each an object or null; anything else is malformed
+        for both renderings, not an AttributeError."""
+        _, src, _ = completed_run
+        out = str(tmp_path / "spoiled")
+        shutil.copytree(src, out)
+        with open(os.path.join(out, pl.REPORT_JSON), "wb") as fh:
+            fh.write(payload)
+        self.check(out, pl.REPORT_JSON, "report", pl.load_report, capsys)
+        assert cli.main(["report", "--json", "-o", out]) == pl.EXIT_IO
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+
     @pytest.mark.parametrize("artifact,command,reader", STAGE_INPUTS[:2],
                              ids=[f"{a}-{c}" for a, c, _ in STAGE_INPUTS[:2]])
     def test_foreign_settings(self, completed_run, tmp_path, capsys, artifact, command,
@@ -391,6 +407,9 @@ REFUSED = {
     "x_star-Q": (_edit_certification(b"x_star Z", b"x_star Q"), "'Q'"),
     "h_min-2": (_edit_certification(b"\nh_min ", b"\nh_min 2.0\nold_h_min "), "h_min 2.0"),
     "h_min-nan": (_edit_certification(b"\nh_min ", b"\nh_min nan\nold_h_min "), "h_min nan"),
+    # a second h_min after the certified one used to win
+    "h_min-repeated": (_edit_certification(b"\nmu ", b"\nh_min 0.9\nmu "),
+                       "repeated key h_min"),
     "seed_file-3-bits": (_seed_file((3).to_bytes(8, "little") + b"\xa0"),
                          "seed file holds 3 bits"),
     "seed_file-1-byte": (_seed_file(b"\x00"), "truncated bit-count header"),

@@ -1,6 +1,5 @@
 """Interior-point SDP solver on problems with independently known answers."""
 
-import copy
 import dataclasses
 
 import numpy as np
@@ -15,18 +14,27 @@ from steerqrng.linalg import PAULI_Y, PAULI_Z
 from conftest import steering_cases
 
 
-def lam_max_problem(a, sense="max"):
-    """max/min Tr(A X) over X >= 0 with Tr X = 1: the extreme eigenvalue."""
+def problem_of(blocks, objective, constraints):
+    """The SdpProblem of label -> matrix dicts: ``objective`` maps labels to
+    C_k and each constraint is a pair (label -> A_jk, b_j); absent labels
+    are zero."""
+    n = sum(2 * d * d for d in blocks.values())
+    c, rows = np.zeros(n), np.zeros((len(constraints), n))
+    for label, mat in objective.items():
+        sdp.block_views(c, blocks)[label][...] = mat
+    for row, (coeffs, _rhs) in zip(rows, constraints):
+        views = sdp.block_views(row, blocks)
+        for label, mat in coeffs.items():
+            views[label][...] = mat
+    rhs = np.array([rhs for _coeffs, rhs in constraints], dtype=float)
+    return sdp.SdpProblem(blocks=blocks, objective=c, constraints=rows, rhs=rhs)
+
+
+def lam_max_problem(a):
+    """max Tr(A X) over X >= 0 with Tr X = 1: the largest eigenvalue."""
     a = np.asarray(a, dtype=complex)
     d = a.shape[0]
-    return sdp.SdpProblem(
-        blocks={"x": d},
-        objective={"x": a},
-        constraints=[
-            sdp.SdpConstraint(coeffs={"x": np.eye(d, dtype=complex)}, rhs=1.0)
-        ],
-        sense=sense,
-    )
+    return problem_of({"x": d}, {"x": a}, [({"x": np.eye(d, dtype=complex)}, 1.0)])
 
 
 def solved(problem, **kw):
@@ -36,71 +44,39 @@ def solved(problem, **kw):
 
 
 def negative_trace_problem():
-    return sdp.SdpProblem(
-        blocks={"x": 1},
-        objective={"x": np.array([[1.0]])},
-        constraints=[
-            sdp.SdpConstraint(coeffs={"x": np.array([[1.0]])}, rhs=-1.0)
-        ],
-    )
+    return problem_of({"x": 1}, {"x": np.array([[1.0]])}, [({"x": np.array([[1.0]])}, -1.0)])
 
 
 def psd_infeasible_problem():
     # Tr X = 1 with <sigma_x> = 2 on a qubit: the rows are independent and
     # consistent, so only the PSD cone makes the problem infeasible
     sigma_x = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-    return sdp.SdpProblem(
-        blocks={"x": 2},
-        objective={"x": PAULI_Z},
-        constraints=[
-            sdp.SdpConstraint(coeffs={"x": np.eye(2, dtype=complex)}, rhs=1.0),
-            sdp.SdpConstraint(coeffs={"x": sigma_x}, rhs=2.0),
-        ],
-    )
+    return problem_of({"x": 2}, {"x": PAULI_Z},
+                      [({"x": np.eye(2, dtype=complex)}, 1.0), ({"x": sigma_x}, 2.0)])
 
 
 def inconsistent_rows_problem():
     eye = np.array([[1.0]])
-    return sdp.SdpProblem(
-        blocks={"x": 1},
-        objective={"x": eye},
-        constraints=[
-            sdp.SdpConstraint(coeffs={"x": eye}, rhs=1.0),
-            sdp.SdpConstraint(coeffs={"x": eye}, rhs=2.0),
-        ],
-    )
+    return problem_of({"x": 1}, {"x": eye}, [({"x": eye}, 1.0), ({"x": eye}, 2.0)])
 
 
 def unbounded_problem():
-    return sdp.SdpProblem(
-        blocks={"free": 2, "pinned": 1},
-        objective={"free": np.eye(2, dtype=complex)},
-        constraints=[
-            sdp.SdpConstraint(coeffs={"pinned": np.array([[1.0]])}, rhs=1.0)
-        ],
-    )
+    return problem_of({"free": 2, "pinned": 1}, {"free": np.eye(2, dtype=complex)},
+                      [({"pinned": np.array([[1.0]])}, 1.0)])
 
 
 def redundant_rows_problem(a):
-    problem = lam_max_problem(a)
-    problem.constraints.append(
-        sdp.SdpConstraint(coeffs={"x": 2.0 * np.eye(3, dtype=complex)}, rhs=2.0)
-    )
-    return problem
+    return problem_of({"x": 3}, {"x": a}, [({"x": np.eye(3, dtype=complex)}, 1.0),
+                                           ({"x": 2.0 * np.eye(3, dtype=complex)}, 2.0)])
 
 
 class TestKnownOptima:
     def test_diagonal_lp(self):
         # max u + 2v subject to u + v = 1, u, v >= 0  ->  2 at (0, 1)
-        problem = sdp.SdpProblem(
-            blocks={"u": 1, "v": 1},
-            objective={"u": np.array([[1.0]]), "v": np.array([[2.0]])},
-            constraints=[
-                sdp.SdpConstraint(
-                    coeffs={"u": np.array([[1.0]]), "v": np.array([[1.0]])},
-                    rhs=1.0,
-                )
-            ],
+        problem = problem_of(
+            {"u": 1, "v": 1},
+            {"u": np.array([[1.0]]), "v": np.array([[2.0]])},
+            [({"u": np.array([[1.0]]), "v": np.array([[1.0]])}, 1.0)],
         )
         sol = solved(problem)
         assert sol.primal_value == pytest.approx(2.0, abs=1e-8)
@@ -123,19 +99,17 @@ class TestKnownOptima:
         assert np.allclose(sol.primal_blocks["x"], top, atol=1e-5)
 
     def test_smallest_eigenvalue_min_sense(self):
-        sol = solved(lam_max_problem(PAULI_Y, sense="min"))
-        assert sol.primal_value == pytest.approx(-1.0, abs=1e-7)
+        # min Tr(Y X) is -max Tr(-Y X)
+        sol = solved(lam_max_problem(-PAULI_Y))
+        assert -sol.primal_value == pytest.approx(-1.0, abs=1e-7)
 
     def test_two_independent_blocks(self, rng):
         a1 = np.diag([1.0, 3.0]).astype(complex)
         a2 = PAULI_Z
-        problem = sdp.SdpProblem(
-            blocks={"p": 2, "q": 2},
-            objective={"p": a1, "q": a2},
-            constraints=[
-                sdp.SdpConstraint(coeffs={"p": np.eye(2, dtype=complex)}, rhs=1.0),
-                sdp.SdpConstraint(coeffs={"q": np.eye(2, dtype=complex)}, rhs=2.0),
-            ],
+        problem = problem_of(
+            {"p": 2, "q": 2},
+            {"p": a1, "q": a2},
+            [({"p": np.eye(2, dtype=complex)}, 1.0), ({"q": np.eye(2, dtype=complex)}, 2.0)],
         )
         sol = solved(problem)
         assert sol.primal_value == pytest.approx(3.0 + 2.0, abs=1e-7)
@@ -143,16 +117,10 @@ class TestKnownOptima:
     def test_cross_block_coupling(self):
         # max Tr(Z p) + Tr(Z q) with Tr p = t, Tr q = 1 - t free via coupling:
         # single constraint Tr p + Tr q = 1 -> all weight on one |0><0|, value 1
-        problem = sdp.SdpProblem(
-            blocks={"p": 2, "q": 2},
-            objective={"p": PAULI_Z, "q": 0.5 * PAULI_Z},
-            constraints=[
-                sdp.SdpConstraint(
-                    coeffs={"p": np.eye(2, dtype=complex),
-                            "q": np.eye(2, dtype=complex)},
-                    rhs=1.0,
-                )
-            ],
+        problem = problem_of(
+            {"p": 2, "q": 2},
+            {"p": PAULI_Z, "q": 0.5 * PAULI_Z},
+            [({"p": np.eye(2, dtype=complex), "q": np.eye(2, dtype=complex)}, 1.0)],
         )
         sol = solved(problem)
         assert sol.primal_value == pytest.approx(1.0, abs=1e-7)
@@ -166,14 +134,14 @@ class TestKnownOptima:
         h_obj = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
         h_obj = 0.5 * (h_obj + h_obj.conj().T)
         eye2, eye3, one = np.eye(2), np.eye(3, dtype=complex), np.array([[1.0]])
-        problem = sdp.SdpProblem(
-            blocks={"p": 2, "t": 1, "q": 2, "h": 3},
-            objective={"p": p_obj, "t": 2.0 * one, "q": q_obj, "h": h_obj},
-            constraints=[
-                sdp.SdpConstraint(coeffs={"p": eye2, "t": one}, rhs=0.4),
-                sdp.SdpConstraint(coeffs={"t": one, "h": eye3}, rhs=0.6),
-                sdp.SdpConstraint(coeffs={"p": eye2, "h": eye3}, rhs=0.8),
-                sdp.SdpConstraint(coeffs={"q": eye2}, rhs=0.2),
+        problem = problem_of(
+            {"p": 2, "t": 1, "q": 2, "h": 3},
+            {"p": p_obj, "t": 2.0 * one, "q": q_obj, "h": h_obj},
+            [
+                ({"p": eye2, "t": one}, 0.4),
+                ({"t": one, "h": eye3}, 0.6),
+                ({"p": eye2, "h": eye3}, 0.8),
+                ({"q": eye2}, 0.2),
             ],
         )
         sol = solved(problem)
@@ -216,6 +184,23 @@ class TestDualityAndCertificates:
         assert not report.ok
         assert report.constraint_violation > 1e-2
 
+    @pytest.mark.parametrize("name,assemblage", list(steering_cases()),
+                             ids=[name for name, _ in steering_cases()])
+    def test_certification_programs_certify(self, monkeypatch, name, assemblage):
+        """The guessing programs at X and Z and the LHS program of every
+        steering case pass the check, the rank-deficient ideal cases with
+        their mixed 1x1/2x2 blocks and zero members included, and the
+        check's primal value is the p_guess or LHS optimum certify reads."""
+        solve, solved = sdp.solve, []
+        monkeypatch.setattr(sdp, "solve", lambda p: solved.append((p, solve(p))) or solved[-1][1])
+        values = [cert.guessing_probability(assemblage, x).p_guess for x in asm.SETTINGS]
+        values.append(cert.steering_functional(assemblage).solution.primal_value)
+        assert len(solved) == len(values)
+        for (problem, solution), value in zip(solved, values):
+            report = sdp.check_certificate(problem, solution)
+            assert report.ok, report
+            assert report.primal_value == pytest.approx(value, abs=1e-12)
+
     def test_dual_multiplier_is_eigenvalue(self, rng):
         # for the trace-normalized problem the single multiplier equals the
         # optimal value (Lagrangian stationarity), an easy hand check
@@ -253,12 +238,10 @@ class TestStatuses:
     def test_unconstrained_block_with_psd_objective(self):
         # a block no constraint touches, with a zero objective, and one whose
         # only coefficient is zero stay out of the iteration and come back zero
-        problem = sdp.SdpProblem(
-            blocks={"free": 2, "pinned": 1, "zero": 1},
-            objective={"free": np.zeros((2, 2)), "pinned": np.array([[2.0]])},
-            constraints=[sdp.SdpConstraint(
-                coeffs={"pinned": np.array([[1.0]]), "zero": np.zeros((1, 1))}, rhs=1.0)],
-            sense="min",
+        problem = problem_of(
+            {"free": 2, "pinned": 1, "zero": 1},
+            {"free": np.zeros((2, 2)), "pinned": np.array([[2.0]])},
+            [({"pinned": np.array([[1.0]]), "zero": np.zeros((1, 1))}, 1.0)],
         )
         assert sdp._setup(problem).shapes == [(1, 1)]
         sol = solved(problem)
@@ -310,54 +293,32 @@ class TestStatuses:
         assert stuck["iterations"] == 3 + 41
 
     def test_zero_dimensional_block_rejected(self):
-        problem = sdp.SdpProblem(blocks={"x": 0}, objective={}, constraints=[])
+        problem = problem_of({"x": 0}, {}, [])
         with pytest.raises(ValueError):
             problem.validate()
 
 
 class TestValidation:
-    def test_rejects_unknown_sense(self):
-        problem = lam_max_problem(np.eye(2))
-        problem.sense = "maximize"
-        with pytest.raises(ValueError):
-            problem.validate()
-
     def test_rejects_non_hermitian_coefficient(self):
-        problem = sdp.SdpProblem(
-            blocks={"x": 2},
-            objective={"x": np.array([[0.0, 1.0], [0.0, 0.0]])},
-            constraints=[],
+        problem = problem_of(
+            {"x": 2},
+            {"x": np.array([[0.0, 1.0], [0.0, 0.0]])},
+            [({"x": np.eye(2)}, 1.0)],
         )
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="objective coefficient for 'x' is not Hermitian"):
             problem.validate()
 
     def test_rejects_shape_mismatch(self):
-        problem = sdp.SdpProblem(
-            blocks={"x": 2},
-            objective={"x": np.eye(3)},
-            constraints=[],
-        )
-        with pytest.raises(ValueError):
-            problem.validate()
+        # a 3x3 objective takes 18 columns; the 2x2 block owns 8
+        problem = lam_max_problem(np.eye(2))
+        for wrong in (dict(objective=np.zeros(18)), dict(constraints=np.zeros((1, 18))),
+                      dict(rhs=np.ones(2))):
+            with pytest.raises(ValueError, match="do not fit blocks of 8 columns"):
+                dataclasses.replace(problem, **wrong).validate()
 
     def test_rejects_problem_without_constrained_block(self):
-        problem = sdp.SdpProblem(
-            blocks={"x": 2},
-            objective={},
-            constraints=[sdp.SdpConstraint(coeffs={"x": np.zeros((2, 2))}, rhs=0.0)],
-        )
+        problem = problem_of({"x": 2}, {}, [({"x": np.zeros((2, 2))}, 0.0)])
         with pytest.raises(ValueError, match="no constraint touches a block"):
-            problem.validate()
-
-    def test_rejects_unknown_block_reference(self):
-        problem = sdp.SdpProblem(
-            blocks={"x": 2},
-            objective={},
-            constraints=[
-                sdp.SdpConstraint(coeffs={"y": np.eye(2)}, rhs=0.0)
-            ],
-        )
-        with pytest.raises(ValueError):
             problem.validate()
 
 
@@ -375,10 +336,10 @@ class TestComplexForm:
             return solved[-1][1]
 
         monkeypatch.setattr(sdp, "solve", recording)
-        recording(sdp.SdpProblem(
-            blocks={"x": 1},
-            objective={"x": np.array([[1.0 + 1e-17j]])},
-            constraints=[sdp.SdpConstraint(coeffs={"x": np.array([[1.0 - 1e-17j]])}, rhs=1.0)],
+        recording(problem_of(
+            {"x": 1},
+            {"x": np.array([[1.0 + 1e-17j]])},
+            [({"x": np.array([[1.0 - 1e-17j]])}, 1.0)],
         ))
         for _name, assem in steering_cases():
             for x_star in asm.SETTINGS:
@@ -407,7 +368,7 @@ class TestRobustness:
             d = int(rng.integers(2, 5))
             a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
             a = 0.5 * (a + a.conj().T)
-            problem = lam_max_problem(a, sense="max" if trial % 2 else "min")
+            problem = lam_max_problem(a if trial % 2 else -a)
             sol = solved(problem)
             assert sdp.check_certificate(problem, sol).ok
 
@@ -463,10 +424,7 @@ def refit_problems(ml_fit):
 def infeasible_copy(problem):
     """The same structure with every rhs negated: the parts would have to
     sum to minus the assemblage, so no PSD split exists."""
-    problem = copy.deepcopy(problem)
-    for con in problem.constraints:
-        con.rhs = -con.rhs
-    return problem
+    return dataclasses.replace(problem, rhs=-problem.rhs)
 
 
 class TestSolveMany:
