@@ -1,10 +1,10 @@
 """Command-line interface.
 
-Subcommands mirror the pipeline stages (simulate, tomo, certify, extract),
-plus ``run`` for the whole protocol, ``report`` to render an existing run
-directory, and ``sweep`` for certification grids.  Exit codes:
+``run`` executes the whole protocol into a run directory, ``report``
+renders the report.json of a finished run, and ``sweep`` certifies ideal
+assemblages over an eta/visibility grid.  Exit codes:
 
-    0  protocol passed (or the requested stage completed)
+    0  protocol passed, or the report or sweep completed
     2  certification failed (no certifiable min-entropy)
     3  parameter failure (certified rate leaves no extractable bits)
     4  I/O or configuration problem
@@ -79,56 +79,11 @@ def _parse_grid(text: str) -> list[float]:
     return values
 
 
-def cmd_simulate(args) -> int:
-    config = _load_config(args)
-    out = _out_dir(args, config)
-    summary = pl.stage_simulate(config, out)
-    print(f"simulated {summary['counts_total']} tomography trials, "
-          f"{summary['coincidences']} coincidences, {summary['raw_bits']} raw bits -> {out}")
-    return pl.EXIT_OK
-
-
-def cmd_tomo(args) -> int:
-    config = _load_config(args)
-    out = _out_dir(args, config)
-    summary = pl.stage_tomo(config, out)
-    print(f"reconstructed assemblage: log-likelihood/trial = "
-          f"{summary['log_likelihood_per_trial']:.6f} "
-          f"({summary['iterations']} iterations)")
-    return pl.EXIT_OK
-
-
-def cmd_certify(args) -> int:
-    config = _load_config(args)
-    out = _out_dir(args, config)
-    summary = pl.stage_certify(config, out)
-    line = (f"x* = {summary['x_star']}  p_guess = {summary['p_guess']:.9f}  "
-            f"h_min = {summary['h_min']:.9f}  mu = {summary['mu']:+.3e}")
-    if "h_min_std" in summary:
-        line += f"  (bootstrap +/- {summary['h_min_std']:.2e})"
-    print(line)
-    gate = pl.certification_gate(summary)
-    if gate is not None:
-        print(gate)
-        return pl.EXIT_CERTIFICATION
-    return pl.EXIT_OK
-
-
-def cmd_extract(args) -> int:
-    config = _load_config(args)
-    out = _out_dir(args, config)
-    summary = pl.stage_extract(config, out)
-    print(f"extracted {summary['total_bits']} bits "
-          f"({summary['blocks']} blocks x {summary['bits_per_block']}, "
-          f"seed {summary['seed_bits']} bits)")
-    return pl.EXIT_OK
-
-
 def cmd_run(args) -> int:
     config = _load_config(args)
     out = _out_dir(args, config)
     report = pl.run(config, out)
-    print(pl.render_report(out), end="")
+    print(report.text(), end="")
     return report.exit_code
 
 
@@ -171,13 +126,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(handler=handler)
         return p
 
-    add("simulate", cmd_simulate, "generate counts, time tags, and raw bits")
-    add("tomo", cmd_tomo, "reconstruct the assemblage from counts")
-    add("certify", cmd_certify, "certify min-entropy from the assemblage")
-    add("extract", cmd_extract, "extract certified bits from the raw stream")
     add("run", cmd_run, "execute the full protocol")
 
-    p_report = sub.add_parser("report", help="render summaries for a run directory")
+    p_report = sub.add_parser("report", help="render the report.json of a run directory")
     p_report.add_argument("-o", "--out", required=True, help="run directory")
     p_report.add_argument("--json", action="store_true", help="machine-readable output")
     p_report.set_defaults(handler=cmd_report)
@@ -206,6 +157,3 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return pl.EXIT_NUMERICAL
 
-
-if __name__ == "__main__":
-    sys.exit(main())

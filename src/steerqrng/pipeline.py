@@ -1,21 +1,24 @@
-"""End-to-end protocol orchestration with file-based stage isolation.
+"""End-to-end protocol orchestration.
 
-Each stage reads only the declared artifacts of its predecessors inside one
-output directory, so any stage can be re-run standalone and must reproduce
-its outputs byte-for-byte given the same config:
+``run`` hands each stage's result to the next in memory (the counts to
+tomo and certify, the assemblage to certify, the certificate and the raw
+bits to extract) and writes every artifact only as an output:
 
     simulate   -> counts.txt, alice_tags.bin, bob_tags.bin, raw_bits.bin
-    tomo       -> assemblage.txt, tomography.json      (from counts.txt)
-    certify    -> certification.txt                    (from assemblage.txt
-                                                        [+ counts.txt])
+    tomo       -> assemblage.txt, tomography.json
+    certify    -> certification.txt
     extract    -> extracted_bits.bin, extractor_params.txt, [seed.bin]
-                                                       (from certification.txt
-                                                        + raw_bits.bin)
 
-``run`` chains the stages, applies the protocol gate (certified min-entropy
-above the floor and at least one extractable bit), and writes a
-deterministic report.json/report.txt plus wall-clock timings in a separate
-timings.json so the deterministic artifacts stay byte-comparable.
+``counts.txt`` and ``raw_bits.bin`` are the device's data, what a lab would
+hand to the protocol: ``run`` reads the counts back once after the simulator
+writes them, and the raw bits only when the gate passes.  Nothing derived
+from them is read back, so the bits are extracted at the rate certified
+from their own source in the same call.
+
+``run`` applies the protocol gate (certified min-entropy above the floor and
+at least one extractable bit), and writes a deterministic
+report.json/report.txt plus wall-clock timings in a separate timings.json so
+the deterministic artifacts stay byte-comparable.
 """
 
 from __future__ import annotations
@@ -29,7 +32,8 @@ from . import assemblage as asm
 from . import extractor as ext
 from . import simulate as sim
 from .certify import certify as certify_assemblage
-from .certify import MIN_RESAMPLES, load_certification, save_certification
+from .certify import CertificationResult, MIN_RESAMPLES, save_certification
+from .certify import load_certification  # noqa: F401  unused; benchmarks/layers.py wraps it
 
 CONFIG_FORMAT = "steerqrng-config-v1"
 
@@ -64,7 +68,8 @@ class ConfigError(ValueError):
 
 
 class StageInputError(RuntimeError):
-    """A stage's declared input artifact is missing or unreadable."""
+    """An input file (the config, an external seed, report.json) is missing
+    or unreadable."""
 
 
 @dataclass
@@ -200,8 +205,8 @@ def _read_json(path: str) -> dict:
 
 
 def _load(path: str, stage: str, loader):
-    """``loader(path)`` for a declared input artifact of ``stage``; a missing
-    or malformed file raises StageInputError naming the stage and the file."""
+    """``loader(path)`` for an input file that ``stage`` reads; a missing or
+    malformed file raises StageInputError naming the stage and the file."""
     if not os.path.exists(path):
         raise StageInputError(f"{stage}: missing input artifact {path}")
     try:
@@ -249,9 +254,8 @@ def stage_simulate(config: PipelineConfig, out_dir: str) -> dict:
     }
 
 
-def stage_tomo(config: PipelineConfig, out_dir: str) -> dict:
-    """Reconstruct the assemblage from the recorded counts."""
-    counts = _load(os.path.join(out_dir, COUNTS_FILE), "tomo", asm.load_counts)
+def stage_tomo(counts: asm.TomographyCounts, out_dir: str) -> tuple[dict, asm.Assemblage]:
+    """Reconstruct the assemblage from the tomography counts."""
     reconstruction = asm.ml_reconstruct(counts)
     asm.save_assemblage(reconstruction.assemblage, os.path.join(out_dir, ASSEMBLAGE_FILE))
     summary = {
@@ -262,17 +266,16 @@ def stage_tomo(config: PipelineConfig, out_dir: str) -> dict:
         "start_log_likelihoods": list(reconstruction.start_log_likelihoods),
     }
     _write_json(os.path.join(out_dir, TOMO_REPORT_FILE), summary)
-    return summary
+    return summary, reconstruction.assemblage
 
 
-def stage_certify(config: PipelineConfig, out_dir: str) -> dict:
-    """Certify min-entropy (and the steering functional) from the assemblage,
-    at ``experiment.rng_setting``, the setting the raw stream measures."""
-    assemblage = _load(os.path.join(out_dir, ASSEMBLAGE_FILE), "certify", asm.load_assemblage)
+def stage_certify(config: PipelineConfig, assemblage: asm.Assemblage,
+                  counts: asm.TomographyCounts,
+                  out_dir: str) -> tuple[dict, CertificationResult]:
+    """Certify min-entropy (and the steering functional) of the assemblage,
+    at ``experiment.rng_setting``, the setting the raw stream measures; the
+    counts feed the bootstrap, if any."""
     settings = config.certification
-    counts = None
-    if settings.resamples > 0:
-        counts = _load(os.path.join(out_dir, COUNTS_FILE), "certify", asm.load_counts)
     result = certify_assemblage(
         assemblage,
         x_star=config.experiment.rng_setting,
@@ -292,7 +295,7 @@ def stage_certify(config: PipelineConfig, out_dir: str) -> dict:
         summary["h_min_mean"] = result.uncertainty.h_min_mean
         summary["h_min_std"] = result.uncertainty.h_min_std
         summary["bootstrap_failed"] = result.uncertainty.failed
-    return summary
+    return summary, result
 
 
 def certification_gate(cert_summary: dict) -> str | None:
@@ -308,26 +311,16 @@ class ExtractionParameterError(RuntimeError):
     """The certified rate leaves nothing to extract (protocol parameter fail)."""
 
 
-def stage_extract(config: PipelineConfig, out_dir: str) -> dict:
-    """Run the extractor over the raw bits using the certified rate.
+def stage_extract(config: PipelineConfig, result: CertificationResult, raw,
+                  out_dir: str) -> dict:
+    """Run the extractor over the raw bits at the rate ``result`` certifies.
 
     Expects the protocol gate to have been checked by the caller; still
     refuses to extract when the parameter arithmetic yields no output bits.
     """
-    cert_path = os.path.join(out_dir, CERTIFICATION_FILE)
-    result = _load(cert_path, "extract", load_certification)
-    # a certificate at another setting bounds a variable the extractor never reads
-    if result.x_star != config.experiment.rng_setting:
-        raise StageInputError(
-            f"extract: {cert_path} certifies setting {result.x_star!r}, but the raw "
-            f"stream measures {config.experiment.rng_setting!r}")
-    if not 0.0 <= result.h_min <= 1.0:
-        raise StageInputError(f"extract: {cert_path} has h_min {result.h_min!r} outside [0, 1]")
-    raw = _load(os.path.join(out_dir, RAW_BITS_FILE), "extract", ext.load_bits)
     settings = config.extraction
-
     params = ext.ExtractorParams.for_source(settings.block_bits, result.h_min, settings.epsilon)
-    # a refused seed file, like a refused certificate, stops before any write
+    # a refused seed file stops before any write
     seed = None
     if params.passes and settings.seed_file is not None:
         seed = _load(settings.seed_file, "extract", lambda path: ext.ingest_seed(path, params.d))
@@ -387,6 +380,9 @@ class RunReport:
             "artifacts": self.artifacts,
         }
 
+    def text(self) -> str:
+        return _render_text_report(self.to_dict())
+
 
 def _render_text_report(report: dict) -> str:
     lines = ["steerqrng run report", "===================="]
@@ -401,7 +397,7 @@ def _render_text_report(report: dict) -> str:
             lines.append(f"lhs slack mu      : {certification['mu']:+.9f}")
         if certification.get("beta") is not None:
             lines.append(f"steering beta     : {certification['beta']:+.9f}")
-        if "h_min_std" in certification:
+        if None not in (certification.get("h_min_mean"), certification.get("h_min_std")):
             lines.append(
                 "bootstrap         : "
                 f"{certification['h_min_mean']:.9f} +/- {certification['h_min_std']:.9f}"
@@ -413,10 +409,7 @@ def _render_text_report(report: dict) -> str:
     verdict = "not evaluated" if passed is None else ("yes" if passed else "no")
     lines.append(f"pass              : {verdict}")
     extraction = report.get("extraction")
-    if extraction and extraction.get("blocks") is None:
-        # a partial run knows only the length of extracted_bits.bin
-        lines.append(f"extraction        : {extraction['total_bits']} bits")
-    elif extraction:
+    if extraction:
         lines.append(
             "extraction        : "
             f"{extraction['total_bits']} bits in {extraction['blocks']} blocks "
@@ -450,40 +443,35 @@ def run(config: PipelineConfig, out_dir: str) -> RunReport:
     })
 
     t0 = time.perf_counter()
-    tomo_summary = stage_tomo(config, out_dir)
+    counts = asm.load_counts(os.path.join(out_dir, COUNTS_FILE))
+    tomo_summary, assemblage = stage_tomo(counts, out_dir)
     timings["tomo"] = time.perf_counter() - t0
     artifacts["assemblage"] = ASSEMBLAGE_FILE
     artifacts["tomography"] = TOMO_REPORT_FILE
 
     t0 = time.perf_counter()
-    cert_summary = stage_certify(config, out_dir)
+    cert_summary, result = stage_certify(config, assemblage, counts, out_dir)
     timings["certify"] = time.perf_counter() - t0
     artifacts["certification"] = CERTIFICATION_FILE
 
     extraction_summary = None
     gate = certification_gate(cert_summary)
     if gate is not None:
-        pass_flag = False
-        exit_code = EXIT_CERTIFICATION
+        pass_flag, exit_code = False, EXIT_CERTIFICATION
     else:
         t0 = time.perf_counter()
+        raw = ext.load_bits(os.path.join(out_dir, RAW_BITS_FILE))
         try:
-            extraction_summary = stage_extract(config, out_dir)
+            extraction_summary = stage_extract(config, result, raw, out_dir)
         except ExtractionParameterError as exc:
-            timings["extract"] = time.perf_counter() - t0
-            pass_flag = False
-            exit_code = EXIT_PARAMETERS
-            gate = f"parameter check failed: {exc}"
-            artifacts["extractor_params"] = EXTRACTOR_REPORT_FILE
+            pass_flag, exit_code, gate = False, EXIT_PARAMETERS, f"parameter check failed: {exc}"
         else:
-            timings["extract"] = time.perf_counter() - t0
-            pass_flag = True
-            exit_code = EXIT_OK
-            gate = "passed"
-            artifacts["extractor_params"] = EXTRACTOR_REPORT_FILE
+            pass_flag, exit_code, gate = True, EXIT_OK, "passed"
             artifacts["extracted_bits"] = EXTRACTED_FILE
             if config.extraction.seed_file is None:
                 artifacts["seed"] = SEED_FILE
+        timings["extract"] = time.perf_counter() - t0
+        artifacts["extractor_params"] = EXTRACTOR_REPORT_FILE
 
     report = RunReport(
         config=config.to_dict(),
@@ -498,57 +486,34 @@ def run(config: PipelineConfig, out_dir: str) -> RunReport:
     )
     _write_json(os.path.join(out_dir, REPORT_JSON), report.to_dict())
     with open(os.path.join(out_dir, REPORT_TEXT), "w", encoding="utf-8") as fh:
-        fh.write(_render_text_report(report.to_dict()))
+        fh.write(report.text())
     _write_json(os.path.join(out_dir, TIMINGS_FILE), {"seconds": timings})
     return report
 
 
 def load_report(out_dir: str) -> dict:
-    """Summaries for a completed or partial run directory.
-
-    Prefers report.json; otherwise assembles what the present artifacts
-    allow, marking the absent stages, so interrupted runs still render.
-    """
+    """The report.json of a run directory, with the type of every field that
+    the text rendering formats checked."""
     path = os.path.join(out_dir, REPORT_JSON)
-    if os.path.exists(path):
-        report = _load(path, "report", _read_json)
-        sections = ("certification", "extraction", "artifacts")
-        if not (isinstance(report, dict)
-                and all(isinstance(report.get(key), (dict, type(None))) for key in sections)):
-            raise StageInputError(f"report: malformed input artifact {path} (not an object whose "
-                                  "certification, extraction and artifacts are objects or null)")
-        return report
-    if not os.path.isdir(out_dir):
-        raise StageInputError(f"run directory not found: {out_dir}")
-
-    report: dict = {"artifacts": {}, "certification": {}, "extraction": None, "pass": None,
-                    "gate": "not evaluated (partial run)"}
-    cert_path = os.path.join(out_dir, CERTIFICATION_FILE)
-    if os.path.exists(cert_path):
-        result = _load(cert_path, "report", load_certification)
-        report["certification"] = {
-            "x_star": result.x_star,
-            "p_guess": result.p_guess,
-            "h_min": result.h_min,
-            "mu": result.mu,
-            "beta": result.beta,
-        }
-        report["artifacts"]["certification"] = CERTIFICATION_FILE
-    extracted = os.path.join(out_dir, EXTRACTED_FILE)
-    if os.path.exists(extracted):
-        bits = _load(extracted, "report", ext.load_bits)
-        report["extraction"] = {"total_bits": len(bits), "blocks": None,
-                                "bits_per_block": None, "seed_bits": None}
-        report["artifacts"]["extracted_bits"] = EXTRACTED_FILE
-    for name, fname in (
-        ("counts", COUNTS_FILE),
-        ("assemblage", ASSEMBLAGE_FILE),
-        ("raw_bits", RAW_BITS_FILE),
-    ):
-        if os.path.exists(os.path.join(out_dir, fname)):
-            report["artifacts"][name] = fname
-    if not report["artifacts"]:
-        raise StageInputError(f"{out_dir}: no run artifacts found")
+    report = _load(path, "report", _read_json)
+    sections = ("certification", "extraction", "artifacts")
+    if not (isinstance(report, dict)
+            and all(isinstance(report.get(key), (dict, type(None))) for key in sections)):
+        raise StageInputError(f"report: malformed input artifact {path} (not an object whose "
+                              "certification, extraction and artifacts are objects or null)")
+    certification = report.get("certification") or {}
+    extraction = report.get("extraction") or {}
+    # (field, value, the types it may take; bool is not int here)
+    fields = [(f"certification {key}", certification.get(key), (int, float, type(None)))
+              for key in ("p_guess", "h_min", "mu", "beta", "h_min_mean", "h_min_std")]
+    fields += [(f"extraction {key}", extraction.get(key), (int,)) for key in
+               ("total_bits", "blocks", "bits_per_block", "seed_bits") if extraction]
+    fields += [(f"artifact {name}", value, (str,))
+               for name, value in (report.get("artifacts") or {}).items()]
+    for name, value, types in fields:
+        if type(value) not in types:
+            raise StageInputError(
+                f"report: malformed input artifact {path} ({name} has the wrong type: {value!r})")
     return report
 
 

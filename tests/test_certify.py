@@ -531,6 +531,39 @@ class TestSerialization:
         with pytest.raises(ValueError, match="repeated functional block X null"):
             cert.load_certification(path)
 
+    @staticmethod
+    def edited(tmp_path, result, edit):
+        """A saved certificate whose text is replaced by ``edit(text)``."""
+        path = tmp_path / "certification.txt"
+        cert.save_certification(result, str(path))
+        path.write_text(edit(path.read_text()))
+        return str(path)
+
+    def test_repeated_key_rejected(self, tmp_path, assem_singlet_543):
+        """A second h_min after the certified one used to win."""
+        result = cert.certify(assem_singlet_543, x_star="Z")
+        path = self.edited(tmp_path, result, lambda text: text.replace("\nmu ", "\nh_min 0.9\nmu "))
+        with pytest.raises(ValueError, match="repeated key h_min"):
+            cert.load_certification(path)
+
+    def test_certification_without_p_guess_rejected(self, tmp_path, assem_singlet_543):
+        result = cert.certify(assem_singlet_543, x_star="Z")
+        path = self.edited(tmp_path, result, lambda text: "".join(
+            line for line in text.splitlines(keepends=True) if not line.startswith("p_guess ")))
+        with pytest.raises(KeyError, match="p_guess"):
+            cert.load_certification(path)
+
+    def test_truncated_certification_rejected(self, tmp_path, assem_singlet_543):
+        """A certificate cut off after the first row of its last functional
+        block is malformed; that row is not copied into the block's second."""
+        result = cert.certify(assem_singlet_543, x_star="Z")
+        path = self.edited(tmp_path, result,
+                           lambda text: text[:text.rstrip("\n").rindex("\n") + 1])
+        with open(path, encoding="ascii") as fh:
+            assert fh.read().splitlines()[-2].startswith("functional ")
+        with pytest.raises(ValueError, match="two rows of 4 numbers"):
+            cert.load_certification(path)
+
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("format something-else\n")

@@ -7,6 +7,7 @@ import shutil
 
 import pytest
 
+from steerqrng import assemblage as asm
 from steerqrng import certify as cert
 from steerqrng import cli
 from steerqrng import pipeline as pl
@@ -113,7 +114,7 @@ class TestConfig:
         cfg_path = tmp_path / "config.json"
         cfg_path.write_text(json.dumps(base))
         out = str(tmp_path / "out")
-        assert cli.main(["simulate", "-c", str(cfg_path), "-o", out]) == pl.EXIT_IO
+        assert cli.main(["run", "-c", str(cfg_path), "-o", out]) == pl.EXIT_IO
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:") and key in err[0]
         assert not os.path.exists(out)
@@ -137,7 +138,7 @@ class TestConfig:
 
     def test_negative_seed_option_rejected(self, tmp_path, capsys):
         out = str(tmp_path / "out")
-        assert cli.main(["simulate", "-o", out, "--seed", "-1"]) == pl.EXIT_IO
+        assert cli.main(["run", "-o", out, "--seed", "-1"]) == pl.EXIT_IO
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:") and "rng_seed" in err[0]
         assert not os.path.exists(out)
@@ -232,152 +233,74 @@ class TestFullRun:
         assert certificate.x_star == setting
 
 
-class TestStages:
-    def test_stage_isolation_reproduces_artifacts(self, tmp_path):
-        """Re-running a stage from upstream artifacts alone reproduces its
-        outputs byte for byte."""
-        config = fast_config()
-        out = str(tmp_path / "stages")
-        pl.run(config, out)
-        cert_bytes = read(os.path.join(out, pl.CERTIFICATION_FILE))
-        extracted_bytes = read(os.path.join(out, pl.EXTRACTED_FILE))
-        os.remove(os.path.join(out, pl.CERTIFICATION_FILE))
-        os.remove(os.path.join(out, pl.EXTRACTED_FILE))
-        pl.stage_certify(config, out)
-        pl.stage_extract(config, out)
-        assert read(os.path.join(out, pl.CERTIFICATION_FILE)) == cert_bytes
-        assert read(os.path.join(out, pl.EXTRACTED_FILE)) == extracted_bytes
+def assert_same_artifacts(out, expected):
+    """Both run directories hold the same files, byte for byte, apart from
+    the wall-clock timings."""
+    names = sorted(set(os.listdir(expected)) - {pl.TIMINGS_FILE})
+    assert sorted(set(os.listdir(out)) - {pl.TIMINGS_FILE}) == names
+    for name in names:
+        assert read(os.path.join(out, name)) == read(os.path.join(expected, name)), name
 
-    def test_stage_certify_requires_assemblage(self, tmp_path):
-        out = str(tmp_path / "empty")
+
+class TestInMemoryHandOff:
+    """``run`` hands the assemblage and the certificate on in memory and
+    never reads back a file it derived."""
+
+    def test_run_reads_no_derived_artifact(self, completed_run, tmp_path, monkeypatch):
+        def refuse(path):
+            raise AssertionError(f"read back {path}")
+
+        monkeypatch.setattr(asm, "load_assemblage", refuse)
+        monkeypatch.setattr(cert, "load_certification", refuse)
+        monkeypatch.setattr(pl, "load_certification", refuse)
+        config, src, _ = completed_run
+        out = str(tmp_path / "run")
+        assert pl.run(config, out).exit_code == pl.EXIT_OK
+        assert_same_artifacts(out, src)
+
+    def test_foreign_certificate_in_the_directory_is_not_used(self, tmp_path):
+        """A run into a directory that holds another seed's assemblage and
+        certificate writes byte for byte what a run into a fresh one does."""
+        foreign = str(tmp_path / "seed4")
+        pl.run(fast_config(rng_seed=4), foreign)
+        out = str(tmp_path / "run")
         os.makedirs(out)
-        with pytest.raises(pl.StageInputError):
-            pl.stage_certify(fast_config(), out)
-
-    def test_stage_extract_requires_inputs(self, tmp_path):
-        out = str(tmp_path / "empty2")
-        os.makedirs(out)
-        with pytest.raises(pl.StageInputError):
-            pl.stage_extract(fast_config(), out)
-
-    def test_stage_tomo_requires_counts(self, tmp_path):
-        out = str(tmp_path / "empty3")
-        os.makedirs(out)
-        with pytest.raises(pl.StageInputError):
-            pl.stage_tomo(fast_config(), out)
-
-
-def _drop_p_guess(good: bytes) -> bytes:
-    return b"".join(line for line in good.splitlines(keepends=True)
-                    if not line.startswith(b"p_guess "))
-
-
-def _cut_last_line(good: bytes) -> bytes:
-    return good[:good.rstrip(b"\n").rindex(b"\n") + 1]
-
-
-#: artifact -> (how it is spoiled) -> replacement content given the good bytes
-SPOILED = {
-    "empty": lambda good: b"",
-    "bad_header": lambda good: b"garbage\n",
-}
-
-#: (artifact, command reading it, call of that reader on a run directory)
-STAGE_INPUTS = [
-    (pl.COUNTS_FILE, "tomo", lambda out: pl.stage_tomo(fast_config(), out)),
-    (pl.ASSEMBLAGE_FILE, "certify", lambda out: pl.stage_certify(fast_config(), out)),
-    (pl.CERTIFICATION_FILE, "extract", lambda out: pl.stage_extract(fast_config(), out)),
-    (pl.RAW_BITS_FILE, "extract", lambda out: pl.stage_extract(fast_config(), out)),
-    (pl.CERTIFICATION_FILE, "report", pl.load_report),
-]
+        for name in (pl.ASSEMBLAGE_FILE, pl.CERTIFICATION_FILE):
+            shutil.copy(os.path.join(foreign, name), out)
+        fresh = str(tmp_path / "fresh")
+        pl.run(fast_config(rng_seed=3), fresh)
+        assert read(os.path.join(fresh, pl.CERTIFICATION_FILE)) != \
+            read(os.path.join(foreign, pl.CERTIFICATION_FILE))
+        pl.run(fast_config(rng_seed=3), out)
+        assert_same_artifacts(out, fresh)
 
 
 class TestMalformedArtifacts:
-    """A spoiled stage input is a StageInputError naming the stage and the
-    file, and the CLI exits 4 with a one-line error instead of a traceback."""
+    """A report.json that the renderings cannot use is a StageInputError
+    naming the file, and the CLI exits 4 with a one-line error instead of a
+    traceback."""
 
-    def spoil(self, completed_run, tmp_path, artifact, spoil):
-        _, src, _ = completed_run
-        out = str(tmp_path / "spoiled")
-        shutil.copytree(src, out)
-        os.remove(os.path.join(out, pl.REPORT_JSON))  # report reads the artifacts
-        path = os.path.join(out, artifact)
-        good = read(path)
-        with open(path, "wb") as fh:
-            fh.write(spoil(good))
-        return out
-
-    def check(self, out, artifact, command, reader, capsys):
-        with pytest.raises(pl.StageInputError, match=f"^{command}: .*{artifact}"):
-            reader(out)
-        capsys.readouterr()
-        assert cli.main([command, "-o", out]) == pl.EXIT_IO
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1, err
-
-    @pytest.mark.parametrize("how", sorted(SPOILED))
-    @pytest.mark.parametrize("artifact,command,reader", STAGE_INPUTS,
-                             ids=[f"{a}-{c}" for a, c, _ in STAGE_INPUTS])
-    def test_spoiled_input(self, completed_run, tmp_path, capsys, artifact, command,
-                           reader, how):
-        out = self.spoil(completed_run, tmp_path, artifact, SPOILED[how])
-        self.check(out, artifact, command, reader, capsys)
-
-    @pytest.mark.parametrize("artifact,command,reader",
-                             [case for case in STAGE_INPUTS if case[0] == pl.CERTIFICATION_FILE],
-                             ids=["extract", "report"])
-    def test_certification_without_p_guess(self, completed_run, tmp_path, capsys, artifact,
-                                           command, reader):
-        out = self.spoil(completed_run, tmp_path, artifact, _drop_p_guess)
-        self.check(out, artifact, command, reader, capsys)
-
-    @pytest.mark.parametrize("artifact,command,reader",
-                             [case for case in STAGE_INPUTS if case[0] == pl.CERTIFICATION_FILE],
-                             ids=["extract", "report"])
-    def test_truncated_certification(self, completed_run, tmp_path, capsys, artifact,
-                                     command, reader):
-        """A certificate cut off after the first row of its last functional
-        block is malformed; that row is not copied into the block's second."""
-        out = self.spoil(completed_run, tmp_path, artifact, _cut_last_line)
-        assert read(os.path.join(out, artifact)).splitlines()[-2].startswith(b"functional ")
-        self.check(out, artifact, command, reader, capsys)
-
-    @pytest.mark.parametrize("payload", [b"[]", b'{"certification": "x"}'],
-                             ids=["list", "certification-string"])
+    @pytest.mark.parametrize("payload", [
+        b"[]", b'{"certification": "x"}', b'{"certification": {"p_guess": "x"}}',
+        b'{"extraction": {"blocks": 1}}', b'{"artifacts": {"counts": 5}}',
+    ], ids=["list", "certification-string", "p_guess-string", "extraction-without-total_bits",
+            "artifact-number"])
     def test_report_json_not_a_report(self, completed_run, tmp_path, capsys, payload):
         """report.json must be an object whose certification, extraction and
-        artifacts are each an object or null; anything else is malformed
-        for both renderings, not an AttributeError."""
+        artifacts are each an object or null, and every field the text
+        rendering formats must have its type; anything else is malformed
+        for both renderings."""
         _, src, _ = completed_run
         out = str(tmp_path / "spoiled")
         shutil.copytree(src, out)
         with open(os.path.join(out, pl.REPORT_JSON), "wb") as fh:
             fh.write(payload)
-        self.check(out, pl.REPORT_JSON, "report", pl.load_report, capsys)
-        assert cli.main(["report", "--json", "-o", out]) == pl.EXIT_IO
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1, err
-
-    @pytest.mark.parametrize("artifact,command,reader", STAGE_INPUTS[:2],
-                             ids=[f"{a}-{c}" for a, c, _ in STAGE_INPUTS[:2]])
-    def test_foreign_settings(self, completed_run, tmp_path, capsys, artifact, command,
-                              reader):
-        """Counts and assemblages are laid out over the settings X, Z; a file
-        whose header names others is malformed, not reinterpreted."""
-        out = self.spoil(completed_run, tmp_path, artifact,
-                         lambda good: good.replace(b"settings X Z", b"settings X Q"))
-        self.check(out, artifact, command, reader, capsys)
-
-
-def _edit_certification(old: bytes, new: bytes):
-    def edit(out):
-        path = os.path.join(out, pl.CERTIFICATION_FILE)
-        good = read(path)
-        assert old in good
-        with open(path, "wb") as fh:
-            fh.write(good.replace(old, new))
-        return ["extract", "-o", out]
-    return edit
+        with pytest.raises(pl.StageInputError, match=f"^report: .*{pl.REPORT_JSON}"):
+            pl.load_report(out)
+        for argv in (["report", "-o", out], ["report", "--json", "-o", out]):
+            assert cli.main(argv) == pl.EXIT_IO
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
 def _seed_file(payload: bytes):
@@ -390,7 +313,7 @@ def _seed_file(payload: bytes):
         path = os.path.join(out, "config.json")
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(config, fh)
-        return ["extract", "-c", path, "-o", out]
+        return ["run", "-c", path, "-o", out]
     return use
 
 
@@ -404,12 +327,6 @@ def _output_dir_number(out):
 #: case -> (set-up on a copy of a completed run returning the CLI arguments,
 #:          a fragment of the one error line)
 REFUSED = {
-    "x_star-Q": (_edit_certification(b"x_star Z", b"x_star Q"), "'Q'"),
-    "h_min-2": (_edit_certification(b"\nh_min ", b"\nh_min 2.0\nold_h_min "), "h_min 2.0"),
-    "h_min-nan": (_edit_certification(b"\nh_min ", b"\nh_min nan\nold_h_min "), "h_min nan"),
-    # a second h_min after the certified one used to win
-    "h_min-repeated": (_edit_certification(b"\nmu ", b"\nh_min 0.9\nmu "),
-                       "repeated key h_min"),
     "seed_file-3-bits": (_seed_file((3).to_bytes(8, "little") + b"\xa0"),
                          "seed file holds 3 bits"),
     "seed_file-1-byte": (_seed_file(b"\x00"), "truncated bit-count header"),
@@ -419,7 +336,7 @@ REFUSED = {
 
 class TestRefusedInputs:
     """Inputs a command cannot use exit 4 with one error line, before the
-    command writes anything."""
+    command writes an extraction output."""
 
     @pytest.mark.parametrize("case", sorted(REFUSED))
     def test_exit_io(self, completed_run, tmp_path, monkeypatch, capsys, case):
@@ -486,39 +403,20 @@ class TestReports:
         _, out, report = completed_run
         assert pl.load_report(out) == report.to_dict()
 
-    def test_load_report_from_artifacts(self, completed_run, tmp_path):
-        _, out, report = completed_run
-        # copy everything except the final report, then reassemble
-        import shutil
-
-        partial = str(tmp_path / "partial")
-        shutil.copytree(out, partial)
-        os.remove(os.path.join(partial, pl.REPORT_JSON))
-        loaded = pl.load_report(partial)
-        assert loaded["certification"]["h_min"] == pytest.approx(
-            report.certification["h_min"], abs=1e-12
-        )
-
-    def test_load_report_missing_dir(self, tmp_path):
+    def test_load_report_missing_dir(self, tmp_path, capsys):
         with pytest.raises(pl.StageInputError):
             pl.load_report(str(tmp_path / "nowhere"))
+        # a directory without report.json is not rendered from what it holds
+        (tmp_path / pl.COUNTS_FILE).write_text("")
+        assert cli.main(["report", "-o", str(tmp_path)]) == pl.EXIT_IO
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].endswith(os.path.join(str(tmp_path), pl.REPORT_JSON))
 
     def test_render_report_text(self, completed_run):
         _, out, _ = completed_run
         text = pl.render_report(out)
         assert "min-entropy rate" in text
         assert "pass              : yes" in text
-
-    def test_render_partial_run_text(self, completed_run, tmp_path):
-        _, out, report = completed_run
-        partial = str(tmp_path / "partial")
-        shutil.copytree(out, partial)
-        os.remove(os.path.join(partial, pl.REPORT_JSON))
-        text = pl.render_report(partial)
-        assert "None" not in text
-        total = report.extraction["total_bits"]
-        assert f"extraction        : {total} bits\n" in text
-        assert "pass              : not evaluated\n" in text
 
 
 class TestSweep:
@@ -559,18 +457,14 @@ class TestCli:
         payload = json.loads(capsys.readouterr().out)
         assert payload["pass"] is True
 
-    def test_stagewise_commands_compose(self, tmp_path, capsys):
-        cfg_path = str(tmp_path / "config.json")
-        fast_config().to_file(cfg_path)
-        out = str(tmp_path / "stagewise")
-        for argv in (
-            ["simulate", "-c", cfg_path, "-o", out],
-            ["tomo", "-c", cfg_path, "-o", out],
-            ["certify", "-c", cfg_path, "-o", out],
-            ["extract", "-c", cfg_path, "-o", out],
-        ):
-            assert cli.main(argv) == 0, argv
-        assert os.path.exists(os.path.join(out, pl.EXTRACTED_FILE))
+    @pytest.mark.parametrize("command", ["simulate", "tomo", "certify", "extract"])
+    def test_staged_commands_are_gone(self, tmp_path, capsys, command):
+        """``run`` is the only command that writes a run directory."""
+        out = str(tmp_path / "out")
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, "-o", out])
+        assert exc.value.code == 2
+        assert not os.path.exists(out)
 
     def test_certification_failure_exit_code(self, tmp_path, capsys):
         cfg_path = str(tmp_path / "config.json")
@@ -587,8 +481,8 @@ class TestCli:
         fast_config().to_file(cfg_path)
         out_a = str(tmp_path / "s1")
         out_b = str(tmp_path / "s2")
-        assert cli.main(["simulate", "-c", cfg_path, "-o", out_a, "--seed", "101"]) == 0
-        assert cli.main(["simulate", "-c", cfg_path, "-o", out_b, "--seed", "102"]) == 0
+        assert cli.main(["run", "-c", cfg_path, "-o", out_a, "--seed", "101"]) == 0
+        assert cli.main(["run", "-c", cfg_path, "-o", out_b, "--seed", "102"]) == 0
         assert read(os.path.join(out_a, pl.RAW_BITS_FILE)) != \
             read(os.path.join(out_b, pl.RAW_BITS_FILE))
 
