@@ -1,10 +1,10 @@
 """Command-line interface.
 
-``run`` executes the whole protocol into a run directory, ``report``
-renders the report.json of a finished run, and ``sweep`` certifies ideal
-assemblages over an eta/visibility grid.  Exit codes:
+``run`` executes the whole protocol into a run directory and prints its
+report.txt, and ``sweep`` certifies ideal assemblages over an
+eta/visibility grid.  Exit codes:
 
-    0  protocol passed, or the report or sweep completed
+    0  protocol passed, or the sweep completed
     2  certification failed (no certifiable min-entropy)
     3  parameter failure (certified rate leaves no extractable bits)
     4  I/O or configuration problem
@@ -87,16 +87,6 @@ def cmd_run(args) -> int:
     return report.exit_code
 
 
-def cmd_report(args) -> int:
-    if args.json:
-        import json
-
-        print(json.dumps(pl.load_report(args.out), indent=2, sort_keys=True))
-    else:
-        print(pl.render_report(args.out), end="")
-    return pl.EXIT_OK
-
-
 def cmd_sweep(args) -> int:
     config = _load_config(args)
     out = _out_dir(args, config)
@@ -128,11 +118,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     add("run", cmd_run, "execute the full protocol")
 
-    p_report = sub.add_parser("report", help="render the report.json of a run directory")
-    p_report.add_argument("-o", "--out", required=True, help="run directory")
-    p_report.add_argument("--json", action="store_true", help="machine-readable output")
-    p_report.set_defaults(handler=cmd_report)
-
     p_sweep = add("sweep", cmd_sweep, "certification sweep over an eta/visibility grid",
                   seed=False)
     p_sweep.add_argument("--eta", required=True,
@@ -149,7 +134,7 @@ def main(argv=None) -> int:
     except pl.ExtractionParameterError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return pl.EXIT_PARAMETERS
-    except (pl.ConfigError, pl.StageInputError, FileNotFoundError, PermissionError) as exc:
+    except (pl.ConfigError, pl.StageInputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return pl.EXIT_IO
     except (CertificationError, asm.ReconstructionError,

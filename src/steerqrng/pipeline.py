@@ -5,7 +5,7 @@ tomo and certify, the assemblage to certify, the certificate and the raw
 bits to extract) and writes every artifact only as an output:
 
     simulate   -> counts.txt, alice_tags.bin, bob_tags.bin, raw_bits.bin
-    tomo       -> assemblage.txt, tomography.json
+    tomo       -> assemblage.txt
     certify    -> certification.txt
     extract    -> extracted_bits.bin, extractor_params.txt, [seed.bin]
 
@@ -18,7 +18,8 @@ from their own source in the same call.
 ``run`` applies the protocol gate (certified min-entropy above the floor and
 at least one extractable bit), and writes a deterministic
 report.json/report.txt plus wall-clock timings in a separate timings.json so
-the deterministic artifacts stay byte-comparable.
+the deterministic artifacts stay byte-comparable.  The tomography fit's
+summary is report.json's ``tomography`` section.
 """
 
 from __future__ import annotations
@@ -51,7 +52,6 @@ ALICE_TAGS_FILE = "alice_tags.bin"
 BOB_TAGS_FILE = "bob_tags.bin"
 RAW_BITS_FILE = "raw_bits.bin"
 ASSEMBLAGE_FILE = "assemblage.txt"
-TOMO_REPORT_FILE = "tomography.json"
 CERTIFICATION_FILE = "certification.txt"
 SEED_FILE = "seed.bin"
 EXTRACTED_FILE = "extracted_bits.bin"
@@ -68,8 +68,8 @@ class ConfigError(ValueError):
 
 
 class StageInputError(RuntimeError):
-    """An input file (the config, an external seed, report.json) is missing
-    or unreadable."""
+    """An input file (the config or an external seed) is missing or
+    unreadable."""
 
 
 @dataclass
@@ -204,19 +204,6 @@ def _read_json(path: str) -> dict:
         return json.load(fh)
 
 
-def _load(path: str, stage: str, loader):
-    """``loader(path)`` for an input file that ``stage`` reads; a missing or
-    malformed file raises StageInputError naming the stage and the file."""
-    if not os.path.exists(path):
-        raise StageInputError(f"{stage}: missing input artifact {path}")
-    try:
-        return loader(path)
-    except (ValueError, IndexError, KeyError) as exc:
-        raise StageInputError(
-            f"{stage}: malformed input artifact {path} ({type(exc).__name__}: {exc})"
-        ) from exc
-
-
 # ---------------------------------------------------------------------------
 # stages
 
@@ -265,7 +252,6 @@ def stage_tomo(counts: asm.TomographyCounts, out_dir: str) -> tuple[dict, asm.As
         "converged": reconstruction.converged,
         "start_log_likelihoods": list(reconstruction.start_log_likelihoods),
     }
-    _write_json(os.path.join(out_dir, TOMO_REPORT_FILE), summary)
     return summary, reconstruction.assemblage
 
 
@@ -323,7 +309,12 @@ def stage_extract(config: PipelineConfig, result: CertificationResult, raw,
     # a refused seed file stops before any write
     seed = None
     if params.passes and settings.seed_file is not None:
-        seed = _load(settings.seed_file, "extract", lambda path: ext.ingest_seed(path, params.d))
+        try:
+            seed = ext.ingest_seed(settings.seed_file, params.d)
+        except (OSError, ValueError) as exc:
+            raise StageInputError(
+                f"extract: unusable seed file {settings.seed_file} ({type(exc).__name__}: {exc})"
+            ) from exc
     with open(os.path.join(out_dir, EXTRACTOR_REPORT_FILE), "w", encoding="ascii") as fh:
         fh.write(ext.params_report(params))
     if not params.passes:
@@ -381,48 +372,32 @@ class RunReport:
         }
 
     def text(self) -> str:
-        return _render_text_report(self.to_dict())
-
-
-def _render_text_report(report: dict) -> str:
-    lines = ["steerqrng run report", "===================="]
-    certification = report.get("certification") or {}
-    if certification:
-        lines.append(f"setting x*        : {certification.get('x_star', '?')}")
-        p = certification.get("p_guess")
-        h = certification.get("h_min")
-        lines.append(f"guessing prob.    : {p:.9f}" if p is not None else "guessing prob.    : absent")
-        lines.append(f"min-entropy rate  : {h:.9f}" if h is not None else "min-entropy rate  : absent")
-        if certification.get("mu") is not None:
-            lines.append(f"lhs slack mu      : {certification['mu']:+.9f}")
-        if certification.get("beta") is not None:
-            lines.append(f"steering beta     : {certification['beta']:+.9f}")
-        if None not in (certification.get("h_min_mean"), certification.get("h_min_std")):
+        cert = self.certification
+        lines = [
+            "steerqrng run report",
+            "====================",
+            f"setting x*        : {cert['x_star']}",
+            f"guessing prob.    : {cert['p_guess']:.9f}",
+            f"min-entropy rate  : {cert['h_min']:.9f}",
+            f"lhs slack mu      : {cert['mu']:+.9f}",
+            f"steering beta     : {cert['beta']:+.9f}",
+        ]
+        if "h_min_mean" in cert:
+            lines.append(f"bootstrap         : {cert['h_min_mean']:.9f} +/- {cert['h_min_std']:.9f}")
+        lines.append(f"protocol gate     : {self.gate}")
+        lines.append(f"pass              : {'yes' if self.pass_flag else 'no'}")
+        extraction = self.extraction
+        if extraction:
             lines.append(
-                "bootstrap         : "
-                f"{certification['h_min_mean']:.9f} +/- {certification['h_min_std']:.9f}"
+                "extraction        : "
+                f"{extraction['total_bits']} bits in {extraction['blocks']} blocks "
+                f"({extraction['bits_per_block']} per block, seed {extraction['seed_bits']} bits)"
             )
-    else:
-        lines.append("certification     : absent")
-    lines.append(f"protocol gate     : {report.get('gate', 'not evaluated')}")
-    passed = report.get("pass")
-    verdict = "not evaluated" if passed is None else ("yes" if passed else "no")
-    lines.append(f"pass              : {verdict}")
-    extraction = report.get("extraction")
-    if extraction:
-        lines.append(
-            "extraction        : "
-            f"{extraction['total_bits']} bits in {extraction['blocks']} blocks "
-            f"({extraction['bits_per_block']} per block, seed {extraction['seed_bits']} bits)"
-        )
-    else:
-        lines.append("extraction        : absent")
-    artifacts = report.get("artifacts") or {}
-    if artifacts:
+        else:
+            lines.append("extraction        : absent")
         lines.append("artifacts:")
-        for name in sorted(artifacts):
-            lines.append(f"  {name}: {artifacts[name]}")
-    return "\n".join(lines) + "\n"
+        lines += [f"  {name}: {self.artifacts[name]}" for name in sorted(self.artifacts)]
+        return "\n".join(lines) + "\n"
 
 
 def run(config: PipelineConfig, out_dir: str) -> RunReport:
@@ -447,7 +422,6 @@ def run(config: PipelineConfig, out_dir: str) -> RunReport:
     tomo_summary, assemblage = stage_tomo(counts, out_dir)
     timings["tomo"] = time.perf_counter() - t0
     artifacts["assemblage"] = ASSEMBLAGE_FILE
-    artifacts["tomography"] = TOMO_REPORT_FILE
 
     t0 = time.perf_counter()
     cert_summary, result = stage_certify(config, assemblage, counts, out_dir)
@@ -489,36 +463,6 @@ def run(config: PipelineConfig, out_dir: str) -> RunReport:
         fh.write(report.text())
     _write_json(os.path.join(out_dir, TIMINGS_FILE), {"seconds": timings})
     return report
-
-
-def load_report(out_dir: str) -> dict:
-    """The report.json of a run directory, with the type of every field that
-    the text rendering formats checked."""
-    path = os.path.join(out_dir, REPORT_JSON)
-    report = _load(path, "report", _read_json)
-    sections = ("certification", "extraction", "artifacts")
-    if not (isinstance(report, dict)
-            and all(isinstance(report.get(key), (dict, type(None))) for key in sections)):
-        raise StageInputError(f"report: malformed input artifact {path} (not an object whose "
-                              "certification, extraction and artifacts are objects or null)")
-    certification = report.get("certification") or {}
-    extraction = report.get("extraction") or {}
-    # (field, value, the types it may take; bool is not int here)
-    fields = [(f"certification {key}", certification.get(key), (int, float, type(None)))
-              for key in ("p_guess", "h_min", "mu", "beta", "h_min_mean", "h_min_std")]
-    fields += [(f"extraction {key}", extraction.get(key), (int,)) for key in
-               ("total_bits", "blocks", "bits_per_block", "seed_bits") if extraction]
-    fields += [(f"artifact {name}", value, (str,))
-               for name, value in (report.get("artifacts") or {}).items()]
-    for name, value, types in fields:
-        if type(value) not in types:
-            raise StageInputError(
-                f"report: malformed input artifact {path} ({name} has the wrong type: {value!r})")
-    return report
-
-
-def render_report(out_dir: str) -> str:
-    return _render_text_report(load_report(out_dir))
 
 
 def sweep(

@@ -194,11 +194,16 @@ class TestFullRun:
         assert report.pass_flag
         for name in (
             pl.COUNTS_FILE, pl.ALICE_TAGS_FILE, pl.BOB_TAGS_FILE, pl.RAW_BITS_FILE,
-            pl.ASSEMBLAGE_FILE, pl.TOMO_REPORT_FILE, pl.CERTIFICATION_FILE,
+            pl.ASSEMBLAGE_FILE, pl.CERTIFICATION_FILE,
             pl.SEED_FILE, pl.EXTRACTED_FILE, pl.EXTRACTOR_REPORT_FILE,
             pl.REPORT_JSON, pl.REPORT_TEXT, pl.TIMINGS_FILE,
         ):
             assert os.path.exists(os.path.join(out, name)), name
+        # the fit summary is written once, in report.json
+        assert not os.path.exists(os.path.join(out, "tomography.json"))
+        tomography = json.loads(read(os.path.join(out, pl.REPORT_JSON)))["tomography"]
+        assert {"log_likelihood", "iterations", "converged",
+                "start_log_likelihoods"} <= set(tomography)
         assert report.certification["h_min"] > 0.0
         assert report.certification["p_guess"] == pytest.approx(1.5 - 0.543, abs=5e-3)
         assert report.extraction["total_bits"] > 0
@@ -275,34 +280,6 @@ class TestInMemoryHandOff:
         assert_same_artifacts(out, fresh)
 
 
-class TestMalformedArtifacts:
-    """A report.json that the renderings cannot use is a StageInputError
-    naming the file, and the CLI exits 4 with a one-line error instead of a
-    traceback."""
-
-    @pytest.mark.parametrize("payload", [
-        b"[]", b'{"certification": "x"}', b'{"certification": {"p_guess": "x"}}',
-        b'{"extraction": {"blocks": 1}}', b'{"artifacts": {"counts": 5}}',
-    ], ids=["list", "certification-string", "p_guess-string", "extraction-without-total_bits",
-            "artifact-number"])
-    def test_report_json_not_a_report(self, completed_run, tmp_path, capsys, payload):
-        """report.json must be an object whose certification, extraction and
-        artifacts are each an object or null, and every field the text
-        rendering formats must have its type; anything else is malformed
-        for both renderings."""
-        _, src, _ = completed_run
-        out = str(tmp_path / "spoiled")
-        shutil.copytree(src, out)
-        with open(os.path.join(out, pl.REPORT_JSON), "wb") as fh:
-            fh.write(payload)
-        with pytest.raises(pl.StageInputError, match=f"^report: .*{pl.REPORT_JSON}"):
-            pl.load_report(out)
-        for argv in (["report", "-o", out], ["report", "--json", "-o", out]):
-            assert cli.main(argv) == pl.EXIT_IO
-            err = capsys.readouterr().err
-            assert err.startswith("error: ") and err.count("\n") == 1, err
-
-
 def _seed_file(payload: bytes):
     def use(out):
         seed = os.path.join(out, "external_seed.bin")
@@ -357,6 +334,14 @@ class TestRefusedInputs:
         assert os.listdir(tmp_path) == ["run"]
 
 
+def assert_failed_report_text(out, text):
+    """report.txt is the text of the returned report, of a run that failed."""
+    assert read(os.path.join(out, pl.REPORT_TEXT)).decode() == text
+    lines = text.splitlines()
+    assert "pass              : no" in lines
+    assert "extraction        : absent" in lines
+
+
 class TestGate:
     def test_low_efficiency_fails_certification(self, tmp_path):
         out = str(tmp_path / "fail")
@@ -382,6 +367,7 @@ class TestGate:
         # the parameter report records why nothing could be extracted
         text = read(os.path.join(out, pl.EXTRACTOR_REPORT_FILE)).decode()
         assert "m 0" in text and "passes no" in text
+        assert_failed_report_text(out, report.text())
 
     def test_infeasible_parameters_skip_the_seed_file(self, tmp_path):
         """At m = 0 the seed file is never read: a run with an unusable one
@@ -396,27 +382,6 @@ class TestGate:
         assert pl.run(config, out).exit_code == pl.EXIT_PARAMETERS
         text = read(os.path.join(out, pl.EXTRACTOR_REPORT_FILE)).decode()
         assert "passes no" in text
-
-
-class TestReports:
-    def test_load_report_prefers_json(self, completed_run):
-        _, out, report = completed_run
-        assert pl.load_report(out) == report.to_dict()
-
-    def test_load_report_missing_dir(self, tmp_path, capsys):
-        with pytest.raises(pl.StageInputError):
-            pl.load_report(str(tmp_path / "nowhere"))
-        # a directory without report.json is not rendered from what it holds
-        (tmp_path / pl.COUNTS_FILE).write_text("")
-        assert cli.main(["report", "-o", str(tmp_path)]) == pl.EXIT_IO
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].endswith(os.path.join(str(tmp_path), pl.REPORT_JSON))
-
-    def test_render_report_text(self, completed_run):
-        _, out, _ = completed_run
-        text = pl.render_report(out)
-        assert "min-entropy rate" in text
-        assert "pass              : yes" in text
 
 
 class TestSweep:
@@ -445,21 +410,19 @@ class TestSweep:
 
 class TestCli:
     def test_run_and_report_commands(self, tmp_path, capsys):
+        """``run`` prints its report.txt, byte for byte."""
         cfg_path = str(tmp_path / "config.json")
         fast_config().to_file(cfg_path)
         out = str(tmp_path / "out")
         assert cli.main(["run", "-c", cfg_path, "-o", out]) == 0
-        capsys.readouterr()
-        assert cli.main(["report", "-o", out]) == 0
         text = capsys.readouterr().out
-        assert "pass              : yes" in text
-        assert cli.main(["report", "-o", out, "--json"]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["pass"] is True
+        assert text.encode() == read(os.path.join(out, pl.REPORT_TEXT))
+        assert "pass              : yes" in text.splitlines()
 
-    @pytest.mark.parametrize("command", ["simulate", "tomo", "certify", "extract"])
+    @pytest.mark.parametrize("command", ["simulate", "tomo", "certify", "extract", "report"])
     def test_staged_commands_are_gone(self, tmp_path, capsys, command):
-        """``run`` is the only command that writes a run directory."""
+        """``run`` is the only command that writes a run directory, and
+        its report is the report.txt it writes."""
         out = str(tmp_path / "out")
         with pytest.raises(SystemExit) as exc:
             cli.main([command, "-o", out])
@@ -471,10 +434,30 @@ class TestCli:
         fast_config(eta_alice=0.45).to_file(cfg_path)
         out = str(tmp_path / "fail")
         assert cli.main(["run", "-c", cfg_path, "-o", out]) == pl.EXIT_CERTIFICATION
+        assert_failed_report_text(out, capsys.readouterr().out)
 
     def test_missing_config_is_io_error(self, tmp_path, capsys):
         missing = str(tmp_path / "absent.json")
         assert cli.main(["run", "-c", missing, "-o", str(tmp_path)]) == pl.EXIT_IO
+
+    @pytest.mark.parametrize("case", ["out-is-a-file", "config-is-a-directory",
+                                      "seed_file-is-a-directory"])
+    def test_os_error_is_io_error(self, tmp_path, capsys, case):
+        """Any OSError, not only a missing or unreadable file, exits 4 with
+        one error line, before an extraction output is written."""
+        config = fast_config()
+        if case == "seed_file-is-a-directory":
+            config.extraction.seed_file = str(tmp_path)
+        cfg_path = str(tmp_path / "config.json")
+        config.to_file(cfg_path)
+        out = str(tmp_path / "out")
+        argv = {"out-is-a-file": ["run", "-c", cfg_path, "-o", cfg_path],
+                "config-is-a-directory": ["run", "-c", str(tmp_path), "-o", out],
+                "seed_file-is-a-directory": ["run", "-c", cfg_path, "-o", out]}[case]
+        assert cli.main(argv) == pl.EXIT_IO
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert not os.path.exists(os.path.join(out, pl.EXTRACTOR_REPORT_FILE))
 
     def test_seed_override_changes_stream(self, tmp_path, capsys):
         cfg_path = str(tmp_path / "config.json")
