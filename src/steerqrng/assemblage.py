@@ -18,12 +18,11 @@ carries its own copy.  An assemblage is one complex array of shape
 ``MEMBERS``, axes (x, a) and then Bob's 2x2 matrix.  Tomography counts are
 one integer array of shape ``CELLS``, axes (x, b, a, beta) with b Bob's
 basis and beta his outcome; each (x, b) slice is one multinomial.
-``ml_reconstruct`` maximizes the multinomial likelihood over the set of
-valid assemblages by projected gradient ascent, with feasibility enforced
-by Dykstra's alternating projections at every step.
-The fit holds each member as its four real Pauli coordinates, where both
-projections are closed-form, and runs several fits as one lockstep batch:
-the two starts of a cold fit, or the many tables of ``ml_reconstruct_many``.
+``ml_reconstruct`` maximizes the multinomial likelihood over the valid
+assemblages by damped Newton steps on a log-barrier, over 19 free Pauli
+coordinates in which every iterate is normalized and non-signaling, so that
+no iterate is projected.  Several fits run as one batch: the two starts of
+a cold fit, or the many tables of ``ml_reconstruct_many``.
 """
 
 from __future__ import annotations
@@ -92,7 +91,7 @@ class InsufficientDataError(ValueError):
 
 
 class ReconstructionError(RuntimeError):
-    """Likelihood ascent failed to converge within the iteration cap."""
+    """The likelihood fit did not converge, or its two starts disagree."""
 
 
 def outcome_label(a) -> str:
@@ -221,19 +220,39 @@ class TomographyCounts:
 #
 # The fit works in real Pauli coordinates: a member sigma is the row
 # v = (Tr sigma, Tr X sigma, Tr Y sigma, Tr Z sigma), so that
-# sigma = (v0 1 + v1 X + v2 Y + v3 Z) / 2 and ||sigma||_F^2 = |v|^2 / 2.
-# Euclidean projections of v are therefore Frobenius projections of sigma.
-
-# A likelihood-ascent step is flat when it changes the log-likelihood by at
-# most ML_REL_TOL relative; no convergence within ML_MAX_ITERATIONS steps
-# raises ReconstructionError.
-ML_MAX_ITERATIONS = 5000
-ML_REL_TOL = 1e-10
-# Backtracking projects about this many candidate rows per call: a small
-# batch costs no more than one row, a large one costs per row.
-_BATCH_ROWS = 8
+# sigma = (v0 1 + v1 X + v2 Y + v3 Z) / 2, which is PSD iff v0 >= |v[1:]|.
+# The normalized, non-signaling assemblages are exactly v = _FREE @ theta +
+# _FIXED over 19 free coordinates theta: X's members, but for the null
+# member's trace (1 minus the others'), and Z's outcomes 0 and 1; Z's null
+# member is X's sum minus Z's other two.
+#
+# A fit stops once centred at a barrier weight mu with _NU * mu, a bound on
+# its per-trial log-likelihood gap, at most ML_GAP_TOL; one that has not
+# stopped within ML_MAX_ITERATIONS Newton steps is not converged.  A fit is
+# centred when its squared Newton decrement is at most _CENTRED * mu.
+ML_MAX_ITERATIONS = 100
+ML_GAP_TOL = 1e-12
+_NU = 2 * len(SETTINGS) * len(OUTCOMES)
+_MU_START, _MU_SHRINK, _CENTRED = 1e-2, 0.1, 1e-2
+_J = np.array([1.0, -1.0, -1.0, -1.0])  # v _J v = t^2 - |r|^2
 
 _PAULI_BASIS = np.array([ID2, PAULI_X, PAULI_Y, PAULI_Z])
+
+
+def _coordinate_map() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(_FREE, _FIXED, _THETA): v = _FREE @ theta + _FIXED and theta = v[_THETA],
+    with v flat over the members (x, a) in (X, Z) x (0, 1, null) order."""
+    theta = np.array([i for i in range(24) if i // 4 != 5 and i != 8])
+    m = np.zeros((6, 4, len(theta)))
+    m.reshape(24, -1)[theta, np.arange(len(theta))] = 1.0
+    m[2, 0] = -m[0, 0] - m[1, 0]
+    m[5] = m[:3].sum(axis=0) - m[3] - m[4]
+    c = np.zeros((24, 1))
+    c[[8, 20]] = 1.0  # the null members' traces
+    return m.reshape(24, -1), c, theta
+
+
+_FREE, _FIXED, _THETA = _coordinate_map()
 
 
 @dataclass
@@ -244,7 +263,6 @@ class MlReconstruction:
     iterations: int
     converged: bool
     start_log_likelihoods: list[float]
-    ll_history: list[float]
 
 
 def _pauli_coordinates(stack: np.ndarray) -> np.ndarray:
@@ -286,7 +304,7 @@ def _affine_project(v: np.ndarray) -> np.ndarray:
 def _project_feasible(v: np.ndarray, iterations=500, tol=1e-13) -> np.ndarray:
     """Dykstra alternation between the PSD cone and the affine subspace.
 
-    ``v`` is (B, n, 4), one assemblage per fit.  A fit stops, and leaves the
+    ``v`` is (B, n, 4), one assemblage per row.  A row stops, and leaves the
     batch, once no matrix entry moved by ``tol`` in one iteration.
     """
     out = v.copy()
@@ -314,35 +332,6 @@ def _project_feasible(v: np.ndarray, iterations=500, tol=1e-13) -> np.ndarray:
     return out
 
 
-class _Likelihood:
-    """Multinomial log-likelihoods of one table per fit."""
-
-    def __init__(self, tables: list[TomographyCounts]):
-        n = np.array([counts.n for counts in tables])
-        empty = np.argwhere(n.sum(axis=(3, 4)) == 0)
-        if empty.size:
-            _, x, b = empty[0]
-            raise InsufficientDataError(
-                f"no counts for configuration (x={SETTINGS[x]}, b={BOB_BASES[b]})")
-        self.proj = _pauli_coordinates(bob_projectors().reshape(-1, 2, 2))
-        # rows are the members (x, a), columns Bob's cells (b, beta)
-        self.N = n.transpose(0, 1, 3, 2, 4).reshape(
-            len(tables), -1, len(self.proj)).astype(float)
-        self.total = self.N.sum(axis=(1, 2))
-        self.mask = self.N > 0
-
-    def value(self, v: np.ndarray, fits: np.ndarray) -> np.ndarray:
-        mask = self.mask[fits]
-        p = np.where(mask, np.clip(0.5 * (v @ self.proj.T), 1e-300, None), 1.0)
-        return (self.N[fits] * np.log(p)).reshape(len(fits), -1).sum(axis=1)
-
-    def gradient(self, v: np.ndarray, fits: np.ndarray) -> np.ndarray:
-        """Frobenius gradient of the per-trial log-likelihood, in Pauli coordinates."""
-        p = np.clip(0.5 * (v @ self.proj.T), 1e-300, None)
-        w = np.where(self.mask[fits], self.N[fits] / p, 0.0)
-        return (w @ self.proj) / self.total[fits, None, None]
-
-
 def _flat_start(counts: TomographyCounts) -> np.ndarray:
     """Every member maximally mixed, with the detected fraction as the
     heralding efficiency."""
@@ -366,123 +355,131 @@ def _linear_inversion_start(counts: TomographyCounts) -> np.ndarray:
 def ml_reconstruct(counts: TomographyCounts) -> MlReconstruction:
     """Maximum-likelihood assemblage from tomography counts.
 
-    Projected gradient ascent with backtracking; every accepted step keeps
-    the iterate exactly on the normalization/non-signaling subspace and PSD
-    up to projection tolerance, and the log-likelihood never decreases.
-    Each step projects and scores several step halvings at once and takes
-    the longest acceptable one, the step halving one at a time would take.
-    The ascent runs from two starting points (flat and linear inversion),
-    as one batch, and keeps the best, which also serves as a convergence
-    cross-check.  Warm-started fits go through ``ml_reconstruct_many``.
+    Barrier-Newton fits (``_newton``) from two starts, flat and linear
+    inversion, in one batch; both must converge, to log-likelihoods within
+    1e-6, else ReconstructionError.  Returns the better one.  Warm-started
+    fits go through ``ml_reconstruct_many``.
     """
-    counts.validate()
-    like = _Likelihood([counts, counts])
-    starts = [_flat_start(counts), _linear_inversion_start(counts)]
-    fits = _ascend(like, np.array(starts))
+    n = _cell_counts([counts, counts])
+    fits = _newton(n, [_flat_start(counts), _linear_inversion_start(counts)])
     fit = fits[1] if fits[1].log_likelihood > fits[0].log_likelihood else fits[0]
     fit.start_log_likelihoods = [f.log_likelihood for f in fits]
-    if not fit.converged:
+    if not all(f.converged for f in fits):
         raise ReconstructionError(
-            f"likelihood ascent did not converge within {ML_MAX_ITERATIONS} iterations"
-        )
+            f"likelihood fit did not converge within {ML_MAX_ITERATIONS} Newton steps")
+    spread = max(fit.start_log_likelihoods) - min(fit.start_log_likelihoods)
+    if spread > 1e-6:
+        raise ReconstructionError(
+            f"the fits from the two starts differ by {spread:.3g} in log-likelihood")
     return fit
 
 
-def ml_reconstruct_many(
-    tables: list[TomographyCounts],
-    *,
-    initial: Assemblage,
-) -> list[MlReconstruction]:
-    """One fit per table, each warm-started from ``initial``, all in one batch.
+def ml_reconstruct_many(tables: list[TomographyCounts], *,
+                        initial: Assemblage) -> list[MlReconstruction]:
+    """One fit per table in one batch, each started at 0.95 * ``initial``, a
+    valid assemblage, + 0.05 * the table's flat start.  Each fit is the one
+    the table gets alone; one that did not converge comes back with
+    ``converged=False``."""
+    n = _cell_counts(tables)
+    v = _pauli_coordinates(initial.sigma.reshape(-1, 2, 2))
+    return _newton(n, [0.95 * v + 0.05 * _flat_start(counts) for counts in tables])
 
-    Each fit is the one the table gets alone, in a batch of one; a fit that
-    did not converge comes back with ``converged=False``.
-    """
+
+def _cell_counts(tables: list[TomographyCounts]) -> np.ndarray:
+    """Counts as (table, member (x, a), Bob's cell (b, beta)), once every
+    table is valid and has counts in every (x, b) configuration."""
     for counts in tables:
         counts.validate()
-    like = _Likelihood(tables)
-    start = _project_feasible(_pauli_coordinates(initial.sigma.reshape(-1, 2, 2))[None])
-    return _ascend(like, np.repeat(start, len(tables), axis=0))
+    n = np.array([counts.n for counts in tables])
+    empty = np.argwhere(n.sum(axis=(3, 4)) == 0)
+    if empty.size:
+        _, x, b = empty[0]
+        raise InsufficientDataError(
+            f"no counts for configuration (x={SETTINGS[x]}, b={BOB_BASES[b]})")
+    return n.transpose(0, 1, 3, 2, 4).reshape(len(tables), len(SETTINGS) * len(OUTCOMES), -1)
 
 
-def _ascend(like: _Likelihood, v: np.ndarray) -> list[MlReconstruction]:
-    """Lockstep projected-gradient ascent, one fit per row of ``v`` (B, n, 4).
+def _newton(n: np.ndarray, starts: list[np.ndarray]) -> list[MlReconstruction]:
+    """Damped-Newton fits of -LL / T - mu * sum_k log(t_k^2 - |r_k|^2), T the
+    table's trials, one per table, from valid starts (6, 4) inside every cone.
 
-    Every fit keeps its own step, flat-step counter and iteration count and
-    leaves the batch when it converges.  Backtracking tries the next
-    k = max(1, _BATCH_ROWS // number of fits trying) halvings of every
-    trying fit's step, fewer where one would fall below the 1e-14 floor, in
-    one projection and one likelihood call; each fit takes the first it
-    accepts.  Rows of both
-    calls are independent and halving is exact, so every iterate is the one
-    a one-halving-at-a-time loop reaches.  The batch saves per-call overhead
-    on the few fits of a cold fit and stays at k = 1 for many warm fits.
+    The Hessian is six 4x4 blocks (data plus barrier) mapped through
+    ``_FREE``: one 19x19 solve per step, scaled to unit diagonal and given a
+    1e-12 ridge, as members close to their cones' boundaries can make it
+    singular to working precision.  A step halves until every member stays
+    inside its cone, every observed p > 0 and Armijo's rule holds on the
+    change, computed with ``log1p``; below 1e-12 no step is taken.  No
+    reduction runs across fits: a fit in a batch is the same fit alone.
     """
-    n_fits = len(v)
-    v = _project_feasible(v)
-    ll = like.value(v, np.arange(n_fits))
-    # the start and every accepted step as (fits, log-likelihoods), split
-    # into per-fit histories at the end
-    accepted = [(np.arange(n_fits), ll.copy())]
-    step = np.full(n_fits, 0.5)
-    flat = np.zeros(n_fits, dtype=int)
-    iterations = np.zeros(n_fits, dtype=int)
-    converged = np.zeros(n_fits, dtype=bool)
+    proj = _pauli_coordinates(bob_projectors().reshape(-1, 2, 2))
+    outer = (proj[:, :, None] * proj[:, None, :]).reshape(len(proj), -1)
+    total = n.sum(axis=(1, 2)).astype(float)
+    weights, observed = n / total[:, None, None], n > 0
+    n_fits = len(n)
+    theta = np.array(starts).reshape(n_fits, -1)[:, _THETA, None]
+    mu = np.full(n_fits, _MU_START)
+    iterations, converged = np.zeros(n_fits, dtype=int), np.zeros(n_fits, dtype=bool)
     active = np.arange(n_fits)
-    halvings = 0.5 ** np.arange(max(1, _BATCH_ROWS))
-    for it in range(1, ML_MAX_ITERATIONS + 1):
+    for it in range(ML_MAX_ITERATIONS + 1):
         iterations[active] = it
-        improved = np.zeros(n_fits, dtype=bool)
-        trying, grad = active, like.gradient(v[active], active)
-        while trying.size:
-            # the next k halvings of every trying fit's step, as far as every
-            # one stays at or above the floor, in (fit, halving) order
-            k = max(1, _BATCH_ROWS // len(trying))
-            while k > 1 and step[trying].min() * 0.5 ** (k - 1) < 1e-14:
-                k -= 1
-            steps = step[trying, None] * halvings[:k]
-            cand = _project_feasible(
-                (v[trying, None] + steps[..., None, None] * grad[:, None]).reshape(-1, *v.shape[1:]))
-            ll_cand = like.value(cand, np.repeat(trying, k))
-            ll_old = ll[trying]
-            ok = ll_cand.reshape(-1, k) >= (ll_old - 1e-13 * (1.0 + np.abs(ll_old)))[:, None]
-            # each fit takes its first acceptable halving
-            taken = ok.any(axis=1)
-            pick = (ok.argmax(axis=1) + np.arange(0, ok.size, k))[taken]
-            hit, new, old = trying[taken], ll_cand[pick], ll_old[taken]
-            improved[hit] = new > old
-            v[hit] = cand[pick]
-            ll[hit] = np.maximum(new, old)
-            accepted.append((hit, ll[hit]))
-            step[hit] = np.minimum(steps.ravel()[pick] * 1.5, 1e6)
-            rel_change = np.abs(new - old) / (1.0 + np.abs(old))
-            flat[hit] = np.where(rel_change <= ML_REL_TOL, flat[hit] + 1, 0)
-            # a fit that missed them all halves its last candidate's step
-            missed = trying[~taken]
-            step[missed] *= 0.5 ** k
-            retry = step[missed] >= 1e-14
-            trying, grad = missed[retry], grad[~taken][retry]
-        done = ((step[active] < 1e-14) | (flat[active] >= 3)
-                | (~improved[active] & (flat[active] >= 1)))
+        v = (_FREE @ theta[active] + _FIXED).reshape(len(active), -1, 4)
+        w, mask = weights[active], observed[active]
+        p = 0.5 * (v @ proj.T)
+        wp = np.divide(w, p, out=np.zeros_like(p), where=mask)
+        u = v * _J
+        s = (u * v).sum(axis=-1)
+        if it == 0 and not ((s > 0.0) & (v[..., 0] > 0.0)).all():
+            raise ValueError("a start lies outside the PSD cone: the initial assemblage is invalid")
+        # gradients and Hessian blocks of -LL / T and of the barrier
+        g_data = -0.5 * (wp @ proj)
+        h_data = 0.25 * (np.divide(wp, p, out=np.zeros_like(p), where=mask) @ outer)
+        g_bar = -2.0 * u / s[..., None]
+        h_bar = g_bar[..., :, None] * g_bar[..., None, :] - 2.0 * np.diag(_J) / s[..., None, None]
+
+        def direction(m):
+            g = _FREE.T @ (g_data + m[:, None, None] * g_bar).reshape(len(v), -1, 1)
+            blocks = h_data.reshape(h_bar.shape) + m[:, None, None, None] * h_bar
+            h = _FREE.T @ (blocks @ _FREE.reshape(*v.shape[1:], -1)).reshape(len(v), 24, -1)
+            scale = 1.0 / np.sqrt(np.diagonal(h, axis1=1, axis2=2))[..., None]
+            h = h * scale * scale.swapaxes(1, 2) + 1e-12 * np.eye(h.shape[-1])
+            d = scale * np.linalg.solve(h, -scale * g)
+            return d, -(g * d).sum(axis=(1, 2))
+
+        d, lam2 = direction(mu[active])
+        centred = lam2 <= _CENTRED * mu[active]
+        done = centred & (_NU * mu[active] <= ML_GAP_TOL)
         converged[active[done]] = True
+        if (centred & ~done).any():
+            mu[active[centred & ~done]] *= _MU_SHRINK
+            d, lam2 = direction(mu[active])
         active = active[~done]
-        if not active.size:
+        v, p, u, s, w, mask, d, lam2 = (x[~done] for x in (v, p, u, s, w, mask, d, lam2))
+        if not active.size or it == ML_MAX_ITERATIONS:
             break
-    fits, values = (np.concatenate(parts) for parts in zip(*accepted))
-    order = np.argsort(fits, kind="stable")
-    history = np.split(values[order], np.cumsum(np.bincount(fits, minlength=n_fits))[:-1])
-    return [
-        MlReconstruction(
-            assemblage=Assemblage(_from_pauli(v[i]).reshape(MEMBERS)),
-            log_likelihood=float(ll[i]),
-            log_likelihood_per_trial=float(ll[i] / like.total[i]),
-            iterations=int(iterations[i]),
-            converged=bool(converged[i]),
-            start_log_likelihoods=[float(ll[i])],
-            ll_history=history[i].tolist(),
-        )
-        for i in range(n_fits)
-    ]
+        # along the step, p(a) / p = 1 + a dp and s(a) / s = 1 + a (ds1 + a ds2)
+        dv = (_FREE @ d).reshape(v.shape)
+        dp = np.divide(0.5 * (dv @ proj.T), p, out=np.zeros_like(p), where=mask)
+        ds1, ds2 = 2.0 * (u * dv).sum(axis=-1) / s, (dv * _J * dv).sum(axis=-1) / s
+        alpha, trying = np.ones(len(active)), np.arange(len(active))
+        while trying.size:
+            a = alpha[trying, None]
+            xs, xp = a * (ds1[trying] + a * ds2[trying]), a[..., None] * dp[trying]
+            inside = ((xs > -1.0).all(axis=1) & (xp > -1.0).all(axis=(1, 2))
+                      & (v[trying, :, 0] + a * dv[trying, :, 0] > 0.0).all(axis=1))
+            data = (w[trying] * np.log1p(np.where(inside[:, None, None], xp, 0.0))).sum(axis=(1, 2))
+            barrier = mu[active[trying]] * np.log1p(np.where(inside[:, None], xs, 0.0)).sum(axis=1)
+            ok = inside & (-data - barrier <= -0.25 * a[:, 0] * lam2[trying])
+            theta[active[trying[ok]]] += a[ok, :, None] * d[trying[ok]]
+            alpha[trying] *= 0.5
+            trying = trying[~ok & (alpha[trying] >= 1e-12)]
+    v = (_FREE @ theta + _FIXED).reshape(n_fits, -1, 4)
+    p = np.where(observed, 0.5 * (v @ proj.T), 1.0)
+    ll = (weights * np.log(p)).reshape(n_fits, -1).sum(axis=1)
+    return [MlReconstruction(
+        assemblage=Assemblage(_from_pauli(v[i]).reshape(MEMBERS)),
+        log_likelihood=float(ll[i] * total[i]), log_likelihood_per_trial=float(ll[i]),
+        iterations=int(iterations[i]), converged=bool(converged[i]),
+        start_log_likelihoods=[float(ll[i] * total[i])]) for i in range(n_fits)]
 
 
 # ---------------------------------------------------------------------------

@@ -451,8 +451,8 @@ def _bootstrap_slice(tables: list[TomographyCounts], point_estimate: Assemblage,
     """h_min and p_guess of every resample table that certifies, in order,
     and the number that do not (see ``bootstrap_uncertainty``)."""
     fits = ml_reconstruct_many(tables, initial=point_estimate)
-    # only the converged assemblages go on: the fits, with their likelihood
-    # histories, are released before any SDP is built
+    # only the converged assemblages go on: the fits are released before
+    # any SDP is built
     assemblages = [fit.assemblage for fit in fits if fit.converged]
     failed = len(fits) - len(assemblages)
     del fits

@@ -309,12 +309,7 @@ def stage_extract(config: PipelineConfig, result: CertificationResult, raw,
     # a refused seed file stops before any write
     seed = None
     if params.passes and settings.seed_file is not None:
-        try:
-            seed = ext.ingest_seed(settings.seed_file, params.d)
-        except (OSError, ValueError) as exc:
-            raise StageInputError(
-                f"extract: unusable seed file {settings.seed_file} ({type(exc).__name__}: {exc})"
-            ) from exc
+        seed = _ingest_seed("extract", settings.seed_file, params.d)
     with open(os.path.join(out_dir, EXTRACTOR_REPORT_FILE), "w", encoding="ascii") as fh:
         fh.write(ext.params_report(params))
     if not params.passes:
@@ -400,9 +395,25 @@ class RunReport:
         return "\n".join(lines) + "\n"
 
 
+def _ingest_seed(stage: str, path: str, d: int):
+    """``ext.ingest_seed(path, d)``, with an OSError or ValueError raised as
+    a StageInputError that names the file."""
+    try:
+        return ext.ingest_seed(path, d)
+    except (OSError, ValueError) as exc:
+        raise StageInputError(
+            f"{stage}: unusable seed file {path} ({type(exc).__name__}: {exc})") from exc
+
+
 def run(config: PipelineConfig, out_dir: str) -> RunReport:
-    """Execute the full protocol and write all artifacts plus the report."""
+    """Execute the full protocol and write all artifacts plus the report.
+
+    An unreadable seed file stops the run before anything is written; one
+    with too few bits stops it at extraction, once the seed length is known.
+    """
     config.validate()
+    if config.extraction.seed_file is not None:
+        _ingest_seed("run", config.extraction.seed_file, 0)  # d is not known yet
     os.makedirs(out_dir, exist_ok=True)
     timings: dict[str, float] = {}
     artifacts: dict[str, str] = {}

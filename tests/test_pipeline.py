@@ -370,8 +370,8 @@ class TestGate:
         assert_failed_report_text(out, report.text())
 
     def test_infeasible_parameters_skip_the_seed_file(self, tmp_path):
-        """At m = 0 the seed file is never read: a run with an unusable one
-        still writes the parameter report and exits 3, not 4."""
+        """At m = 0 the seed file's bit count is never checked: a run with
+        one too short still writes the parameter report and exits 3, not 4."""
         seed = tmp_path / "seed.bin"
         seed.write_bytes((3).to_bytes(8, "little") + b"\xa0")
         config = fast_config()
@@ -441,23 +441,29 @@ class TestCli:
         assert cli.main(["run", "-c", missing, "-o", str(tmp_path)]) == pl.EXIT_IO
 
     @pytest.mark.parametrize("case", ["out-is-a-file", "config-is-a-directory",
-                                      "seed_file-is-a-directory"])
+                                      "seed_file-is-a-directory", "seed_file-is-missing"])
     def test_os_error_is_io_error(self, tmp_path, capsys, case):
         """Any OSError, not only a missing or unreadable file, exits 4 with
-        one error line, before an extraction output is written."""
+        one error line, before anything is written: an unreadable seed file
+        is refused before the simulation runs."""
         config = fast_config()
         if case == "seed_file-is-a-directory":
             config.extraction.seed_file = str(tmp_path)
+        if case == "seed_file-is-missing":
+            config.extraction.seed_file = str(tmp_path / "absent.bin")
         cfg_path = str(tmp_path / "config.json")
         config.to_file(cfg_path)
         out = str(tmp_path / "out")
         argv = {"out-is-a-file": ["run", "-c", cfg_path, "-o", cfg_path],
                 "config-is-a-directory": ["run", "-c", str(tmp_path), "-o", out],
-                "seed_file-is-a-directory": ["run", "-c", cfg_path, "-o", out]}[case]
+                "seed_file-is-a-directory": ["run", "-c", cfg_path, "-o", out],
+                "seed_file-is-missing": ["run", "-c", cfg_path, "-o", out]}[case]
         assert cli.main(argv) == pl.EXIT_IO
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, err
-        assert not os.path.exists(os.path.join(out, pl.EXTRACTOR_REPORT_FILE))
+        if case.startswith("seed_file"):
+            assert "unusable seed file" in err
+        assert not os.path.exists(out)
 
     def test_seed_override_changes_stream(self, tmp_path, capsys):
         cfg_path = str(tmp_path / "config.json")

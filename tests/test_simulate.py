@@ -210,9 +210,9 @@ class TestTomographySampling:
         cert.save_certification(cert.certify(fit.assemblage, x_star=config.rng_setting),
                                 str(certification))
         assert hashlib.sha256(assemblage.read_bytes()).hexdigest() == (
-            "e3efb921295cd644c82a1e5d4d23582fab90b5f0ddc10970e2777f40f680e647")
+            "d1b7cc5994b29908a148c31c243144af7aa34a3855d4ce4d7192d1d1f6d24205")
         assert hashlib.sha256(certification.read_bytes()).hexdigest() == (
-            "13017f7b541247668227a80af3be074f3642dceaea0a82f0f5c01cd1c70d802f")
+            "c0806bd2023acfa67a6069a16576af9ac8c149e0e5d045a2e6340a6686ed48cf")
 
 
 class TestStreams:
