@@ -31,6 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import sdp
 from .linalg import (
     ID2,
     PAULI_X,
@@ -226,15 +227,13 @@ class TomographyCounts:
 # member's trace (1 minus the others'), and Z's outcomes 0 and 1; Z's null
 # member is X's sum minus Z's other two.
 #
-# A fit stops once centred at a barrier weight mu with _NU * mu, a bound on
-# its per-trial log-likelihood gap, at most ML_GAP_TOL; one that has not
-# stopped within ML_MAX_ITERATIONS Newton steps is not converged.  A fit is
-# centred when its squared Newton decrement is at most _CENTRED * mu.
+# A fit stops once centred (see ``sdp._newton``) at a barrier weight mu with
+# 12 mu, a bound on its per-trial log-likelihood gap, at most ML_GAP_TOL; one
+# that has not stopped within ML_MAX_ITERATIONS Newton steps is not converged.
+# Each weight before shrinks 10-fold once centred.
 ML_MAX_ITERATIONS = 100
 ML_GAP_TOL = 1e-12
-_NU = 2 * len(SETTINGS) * len(OUTCOMES)
-_MU_START, _MU_SHRINK, _CENTRED = 1e-2, 0.1, 1e-2
-_J = np.array([1.0, -1.0, -1.0, -1.0])  # v _J v = t^2 - |r|^2
+_MU_SHRINK = 0.1
 
 _PAULI_BASIS = np.array([ID2, PAULI_X, PAULI_Y, PAULI_Z])
 
@@ -355,13 +354,13 @@ def _linear_inversion_start(counts: TomographyCounts) -> np.ndarray:
 def ml_reconstruct(counts: TomographyCounts) -> MlReconstruction:
     """Maximum-likelihood assemblage from tomography counts.
 
-    Barrier-Newton fits (``_newton``) from two starts, flat and linear
+    Barrier-Newton fits (``_fit``) from two starts, flat and linear
     inversion, in one batch; both must converge, to log-likelihoods within
     1e-6, else ReconstructionError.  Returns the better one.  Warm-started
     fits go through ``ml_reconstruct_many``.
     """
     n = _cell_counts([counts, counts])
-    fits = _newton(n, [_flat_start(counts), _linear_inversion_start(counts)])
+    fits = _fit(n, [_flat_start(counts), _linear_inversion_start(counts)])
     fit = fits[1] if fits[1].log_likelihood > fits[0].log_likelihood else fits[0]
     fit.start_log_likelihoods = [f.log_likelihood for f in fits]
     if not all(f.converged for f in fits):
@@ -382,7 +381,7 @@ def ml_reconstruct_many(tables: list[TomographyCounts], *,
     ``converged=False``."""
     n = _cell_counts(tables)
     v = _pauli_coordinates(initial.sigma.reshape(-1, 2, 2))
-    return _newton(n, [0.95 * v + 0.05 * _flat_start(counts) for counts in tables])
+    return _fit(n, [0.95 * v + 0.05 * _flat_start(counts) for counts in tables])
 
 
 def _cell_counts(tables: list[TomographyCounts]) -> np.ndarray:
@@ -399,79 +398,23 @@ def _cell_counts(tables: list[TomographyCounts]) -> np.ndarray:
     return n.transpose(0, 1, 3, 2, 4).reshape(len(tables), len(SETTINGS) * len(OUTCOMES), -1)
 
 
-def _newton(n: np.ndarray, starts: list[np.ndarray]) -> list[MlReconstruction]:
-    """Damped-Newton fits of -LL / T - mu * sum_k log(t_k^2 - |r_k|^2), T the
-    table's trials, one per table, from valid starts (6, 4) inside every cone.
-
-    The Hessian is six 4x4 blocks (data plus barrier) mapped through
-    ``_FREE``: one 19x19 solve per step, scaled to unit diagonal and given a
-    1e-12 ridge, as members close to their cones' boundaries can make it
-    singular to working precision.  A step halves until every member stays
-    inside its cone, every observed p > 0 and Armijo's rule holds on the
-    change, computed with ``log1p``; below 1e-12 no step is taken.  No
-    reduction runs across fits: a fit in a batch is the same fit alone.
-    """
+def _fit(n: np.ndarray, starts: list[np.ndarray]) -> list[MlReconstruction]:
+    """Barrier-Newton fits (``sdp._newton``) of -LL / T, T the table's
+    trials, one per table, from valid starts (6, 4) inside every cone, over
+    the 19 free coordinates: -LL / T is the weighted sum of -log p over the
+    observed cells, each p = v_member . proj / 2 for one of Bob's projectors."""
     proj = _pauli_coordinates(bob_projectors().reshape(-1, 2, 2))
-    outer = (proj[:, :, None] * proj[:, None, :]).reshape(len(proj), -1)
     total = n.sum(axis=(1, 2)).astype(float)
     weights, observed = n / total[:, None, None], n > 0
     n_fits = len(n)
-    theta = np.array(starts).reshape(n_fits, -1)[:, _THETA, None]
-    mu = np.full(n_fits, _MU_START)
-    iterations, converged = np.zeros(n_fits, dtype=int), np.zeros(n_fits, dtype=bool)
-    active = np.arange(n_fits)
-    for it in range(ML_MAX_ITERATIONS + 1):
-        iterations[active] = it
-        v = (_FREE @ theta[active] + _FIXED).reshape(len(active), -1, 4)
-        w, mask = weights[active], observed[active]
-        p = 0.5 * (v @ proj.T)
-        wp = np.divide(w, p, out=np.zeros_like(p), where=mask)
-        u = v * _J
-        s = (u * v).sum(axis=-1)
-        if it == 0 and not ((s > 0.0) & (v[..., 0] > 0.0)).all():
-            raise ValueError("a start lies outside the PSD cone: the initial assemblage is invalid")
-        # gradients and Hessian blocks of -LL / T and of the barrier
-        g_data = -0.5 * (wp @ proj)
-        h_data = 0.25 * (np.divide(wp, p, out=np.zeros_like(p), where=mask) @ outer)
-        g_bar = -2.0 * u / s[..., None]
-        h_bar = g_bar[..., :, None] * g_bar[..., None, :] - 2.0 * np.diag(_J) / s[..., None, None]
-
-        def direction(m):
-            g = _FREE.T @ (g_data + m[:, None, None] * g_bar).reshape(len(v), -1, 1)
-            blocks = h_data.reshape(h_bar.shape) + m[:, None, None, None] * h_bar
-            h = _FREE.T @ (blocks @ _FREE.reshape(*v.shape[1:], -1)).reshape(len(v), 24, -1)
-            scale = 1.0 / np.sqrt(np.diagonal(h, axis1=1, axis2=2))[..., None]
-            h = h * scale * scale.swapaxes(1, 2) + 1e-12 * np.eye(h.shape[-1])
-            d = scale * np.linalg.solve(h, -scale * g)
-            return d, -(g * d).sum(axis=(1, 2))
-
-        d, lam2 = direction(mu[active])
-        centred = lam2 <= _CENTRED * mu[active]
-        done = centred & (_NU * mu[active] <= ML_GAP_TOL)
-        converged[active[done]] = True
-        if (centred & ~done).any():
-            mu[active[centred & ~done]] *= _MU_SHRINK
-            d, lam2 = direction(mu[active])
-        active = active[~done]
-        v, p, u, s, w, mask, d, lam2 = (x[~done] for x in (v, p, u, s, w, mask, d, lam2))
-        if not active.size or it == ML_MAX_ITERATIONS:
-            break
-        # along the step, p(a) / p = 1 + a dp and s(a) / s = 1 + a (ds1 + a ds2)
-        dv = (_FREE @ d).reshape(v.shape)
-        dp = np.divide(0.5 * (dv @ proj.T), p, out=np.zeros_like(p), where=mask)
-        ds1, ds2 = 2.0 * (u * dv).sum(axis=-1) / s, (dv * _J * dv).sum(axis=-1) / s
-        alpha, trying = np.ones(len(active)), np.arange(len(active))
-        while trying.size:
-            a = alpha[trying, None]
-            xs, xp = a * (ds1[trying] + a * ds2[trying]), a[..., None] * dp[trying]
-            inside = ((xs > -1.0).all(axis=1) & (xp > -1.0).all(axis=(1, 2))
-                      & (v[trying, :, 0] + a * dv[trying, :, 0] > 0.0).all(axis=1))
-            data = (w[trying] * np.log1p(np.where(inside[:, None, None], xp, 0.0))).sum(axis=(1, 2))
-            barrier = mu[active[trying]] * np.log1p(np.where(inside[:, None], xs, 0.0)).sum(axis=1)
-            ok = inside & (-data - barrier <= -0.25 * a[:, 0] * lam2[trying])
-            theta[active[trying[ok]]] += a[ok, :, None] * d[trying[ok]]
-            alpha[trying] *= 0.5
-            trying = trying[~ok & (alpha[trying] >= 1e-12)]
+    v = np.array(starts)
+    if not (sdp.cone_margins(v) > 0.0).all():
+        raise ValueError("a start lies outside the PSD cone: the initial assemblage is invalid")
+    theta, iterations, converged, _slack, _broken = sdp._newton(
+        _FREE, np.broadcast_to(_FIXED, (n_fits, *_FIXED.shape)),
+        v.reshape(n_fits, -1)[:, _THETA, None], np.zeros(v.shape), weights, 0.5 * proj,
+        gap_tol=ML_GAP_TOL, max_iterations=ML_MAX_ITERATIONS, shrink=_MU_SHRINK,
+        loose=sdp.CENTRED)
     v = (_FREE @ theta + _FIXED).reshape(n_fits, -1, 4)
     p = np.where(observed, 0.5 * (v @ proj.T), 1.0)
     ll = (weights * np.log(p)).reshape(n_fits, -1).sum(axis=1)

@@ -1,6 +1,8 @@
 """Randomness certification from assemblages via semidefinite programming.
 
-Two SDPs drive everything here:
+Two SDPs drive everything here, both posed in the Pauli rows of
+``sdp`` (a 2x2 PSD matrix is a Lorentz-cone row) and solved by its
+log-barrier Newton method:
 
 * the guessing-probability program: an eavesdropper who prepared the devices
   splits the observed assemblage into parts indexed by her guess ``e`` (one
@@ -8,7 +10,9 @@ Two SDPs drive everything here:
   non-signaling and PSD, and sum back to the observed assemblage.  The
   maximal probability of her guess matching Alice's outcome at the
   certification setting gives the certified min-entropy
-  ``h_min = -log2(p_guess)``.
+  ``h_min = -log2(p_guess)``.  p_guess is read from the dual side: the
+  value b . y of multipliers whose slack is strictly inside every cone,
+  which bounds every decomposition's value from above (weak duality).
 
 * the local-hidden-state program: the largest ``mu`` such that
   ``sigma_{a|x} = sum_lambda D(a|x,lambda) sigma_lambda`` with
@@ -42,6 +46,8 @@ from .assemblage import (
     SETTINGS,
     Assemblage,
     TomographyCounts,
+    _from_pauli,
+    _pauli_coordinates,
     format_block,
     ml_reconstruct,  # unused here; benchmarks/layers.py wraps it at this name
     ml_reconstruct_many,
@@ -51,7 +57,7 @@ from .assemblage import (
     validate_assemblage,
 )
 from .extractor import _cpu_count
-from .linalg import hermitian_basis, hermitian_part
+from .linalg import hermitian_part
 
 __all__ = [
     "CertificationError",
@@ -77,13 +83,20 @@ _SLICE_RESAMPLES = 20  # fewest resamples per bootstrap slice: ~0.07 s of each i
 
 
 class CertificationError(RuntimeError):
-    """SDP trouble during certification (infeasible or not converged)."""
+    """SDP trouble during certification: a solve that did not converge, or a
+    guessing dual whose slack leaves a cone."""
 
 
 #: The deterministic strategies, one per row: the index into OUTCOMES that
 #: strategy lambda answers on each setting, so D(a|x,lambda) = 1 exactly when
 #: STRATEGIES[lambda, x] == a.  Enumerated outcomes-major per setting.
 STRATEGIES = np.array(list(itertools.product(range(len(OUTCOMES)), repeat=len(SETTINGS))))
+
+#: The LHS program's rows over the hidden states' Pauli rows (see
+#: ``steering_functional``): (x, a, k) by (lambda, j).
+_LHS_ROWS = ((STRATEGIES.T[:, None, :] == np.arange(len(OUTCOMES))[:, None])[:, :, None, :, None]
+             * np.eye(4)[:, None, :] - np.diag([1.0, 0, 0, 0])[:, None, :] / 3
+             ).reshape(len(SETTINGS) * len(OUTCOMES) * 4, -1)
 
 
 @dataclass
@@ -99,6 +112,9 @@ class EveDecomposition:
 
 @dataclass
 class GuessingResult:
+    """``p_guess`` is the dual value b . y of ``solution``, an upper bound on
+    the guessing probability; Eve's decomposition is its primal side."""
+
     p_guess: float
     x_star: str
     decomposition: EveDecomposition
@@ -150,99 +166,104 @@ def _require_valid(assem: Assemblage) -> None:
         )
 
 
-def _member_supports(assem: Assemblage) -> dict[tuple[int, int], tuple]:
-    """(isometry V, eigenvalues on the support) of every member of nonzero
-    rank, keyed by its (x, a) index, in (x, a) order."""
-    w, v = np.linalg.eigh(hermitian_part(assem.sigma))
-    keep = w > SUPPORT_TOL
-    return {idx: (v[idx][:, keep[idx]], np.clip(w[idx][keep[idx]], 0.0, None))
-            for idx in np.ndindex(keep.shape[:2]) if keep[idx].any()}
-
-
 @dataclass
 class _GuessingProgram:
-    """The guessing-probability SDP of one assemblage, whose blocks are keyed
-    by their (e, x, a) index, with the member supports that read its
-    solution back."""
+    """The guessing-probability program of one assemblage, whose cones are
+    labeled by their part's (e, x, a) index, with each member's ``lift``
+    from a part's cone row to its Pauli coordinates."""
 
     problem: sdp.SdpProblem
     x_star: str
-    supports: dict
+    lift: np.ndarray
 
 
 def _guessing_program(assem: Assemblage, x_star: str) -> _GuessingProgram:
-    """Build the guessing-probability SDP (see ``guessing_probability``)."""
+    """Build the guessing-probability program (see ``guessing_probability``)
+    in Pauli rows: one cone per part sigma^e_{a|x} of a nonzero member, 3 x 6
+    of them for a full-rank assemblage; rows that split each member over the
+    guesses and keep each guess's parts non-signaling; and the start
+    sigma^e = sigma / 3."""
     if x_star not in SETTINGS:
         raise ValueError(f"unknown certification setting {x_star!r}")
     _require_valid(assem)
-    supports = _member_supports(assem)
-    guesses = range(len(OUTCOMES))
+    w, vecs = np.linalg.eigh(hermitian_part(assem.sigma.reshape(-1, 2, 2)))
+    rank = (w > SUPPORT_TOL).sum(axis=-1)
+    # a full-rank member's parts are any PSD matrices; a rank-1 member's are
+    # lambda P on its support P, with the cone row (lambda, 0, 0, 0), whose
+    # lift to Pauli coordinates is lambda times P's; a zero member has none
+    top = vecs[..., 1]
+    lift = np.zeros((len(rank), 4, 4))
+    lift[rank == 2] = np.eye(4)
+    lift[rank == 1, :, 0] = _pauli_coordinates(top[..., :, None] * top.conj()[..., None, :])[rank == 1]
+    whole = np.where((rank == 2)[:, None], _pauli_coordinates(assem.sigma.reshape(-1, 2, 2)),
+                     np.eye(4)[0] * w[:, 1:] * (rank == 1)[:, None])
 
-    blocks = {(e, x, a): v.shape[1] for e in guesses for (x, a), (v, _w) in supports.items()}
-    full_basis = hermitian_basis(2)
-    n_rows = 1 + sum(v.shape[1] ** 2 for v, _w in supports.values()) + (
-        len(guesses) * (len(SETTINGS) - 1) * len(full_basis))
-    coef = np.zeros((n_rows, sum(2 * d * d for d in blocks.values())))
-    rhs = np.zeros(n_rows)
-    coeffs = sdp.block_views(coef, blocks)
-
-    # row 0 is the objective, the trace of the parts at x_star whose guess is
-    # their outcome; then each member splits across the guesses, one row per
-    # element B of its support's Hermitian basis: Tr(B^H diag(w)) = sum_i Re(B_ii) w_i
-    j = 1
-    for (x, a), (v, w) in supports.items():
-        basis = np.array(hermitian_basis(v.shape[1]))
-        if x == SETTINGS.index(x_star):
-            coeffs[a, x, a][0] = np.eye(v.shape[1])
-        for e in guesses:
-            coeffs[e, x, a][j:j + len(basis)] = basis
-        rhs[j:j + len(basis)] = (basis.diagonal(axis1=1, axis2=2).real * w).sum(axis=1)
-        j += len(basis)
-    # every part is non-signaling on its own; the basis is compressed to
-    # each member's support once, not once per guess
-    compressed = {key: np.array([v.conj().T @ basis_el @ v for basis_el in full_basis])
-                  for key, (v, _w) in supports.items()}
-    for e in guesses:
-        for x in range(1, len(SETTINGS)):
-            for (xx, a), comp in compressed.items():
-                if xx in (0, x):
-                    coeffs[e, xx, a][j:j + len(full_basis)] = comp if xx == 0 else -comp
-            j += len(full_basis)
-
-    problem = sdp.SdpProblem(blocks=blocks, objective=coef[0], constraints=coef[1:],
-                             rhs=rhs[1:])
-    return _GuessingProgram(problem=problem, x_star=x_star, supports=supports)
+    # rows over the (guess, member, coordinate) columns: each member is the
+    # sum of its parts, and each guess's parts sum to one state per setting
+    guesses, members = len(OUTCOMES), np.arange(len(rank))
+    split = np.zeros((len(rank), 4, guesses, len(rank), 4))
+    split[members, :, :, members] = lift[:, :, None]
+    no_signal = np.zeros((guesses, 4, guesses, len(rank), 4))
+    sign = np.repeat([1.0, -1.0], len(OUTCOMES))
+    no_signal[np.arange(guesses), :, np.arange(guesses)] = (sign[:, None, None] * lift).swapaxes(0, 1)
+    cones = np.tile(rank > 0, guesses)
+    rays = np.eye(4 * len(cones)).reshape(len(cones), 4, -1)[np.tile(rank == 1, guesses), 1:]
+    columns = np.repeat(cones, 4)
+    constraints = np.concatenate([split[rank > 0].reshape(-1, len(columns)),
+                                  no_signal.reshape(-1, len(columns)),
+                                  rays.reshape(-1, len(columns))])[:, columns]
+    rhs = np.zeros(len(constraints))
+    rhs[:4 * (rank > 0).sum()] = (lift @ whole[..., None])[rank > 0].ravel()
+    objective = np.zeros((guesses, *MEMBERS[:2], 4))
+    objective[np.arange(guesses), SETTINGS.index(x_star), np.arange(guesses), 0] = 1.0
+    problem = sdp.SdpProblem(
+        blocks=[(e, *np.unravel_index(m, MEMBERS[:2])) for e in range(guesses)
+                for m in members[rank > 0]],
+        objective=objective.ravel()[columns], constraints=constraints, rhs=rhs,
+        start=np.tile(whole / guesses, (guesses, 1))[cones].ravel())
+    return _GuessingProgram(problem=problem, x_star=x_star, lift=lift.reshape(*MEMBERS[:2], 4, 4))
 
 
 def _optimal_value(solution: sdp.SdpSolution, program: str) -> float:
     """The optimum of a solved ``program``; raises CertificationError unless
     the solve was optimal."""
-    if solution.status == sdp.INFEASIBLE:
-        raise CertificationError(f"{program} SDP infeasible; assemblage is inconsistent")
     if solution.status != sdp.OPTIMAL:
         raise CertificationError(
             f"{program} SDP did not converge: {solution.status} ({solution.message})")
     return float(solution.primal_value)
 
 
+def _certified_guess(program: _GuessingProgram, solution: sdp.SdpSolution) -> float:
+    """The dual value b . y of a solved guessing program, an upper bound on
+    p_guess by weak duality once its slack A^T y - c is strictly inside
+    every cone; raises CertificationError unless the solve was optimal and
+    the slack is inside."""
+    _optimal_value(solution, "guessing-probability")
+    report = sdp.check_certificate(program.problem, solution)
+    if not report.dual_margin > 0.0:
+        raise CertificationError(
+            f"guessing-probability dual slack leaves its cone: smallest margin "
+            f"{report.dual_margin:.3g}")
+    return report.dual_value
+
+
 def _read_guess(program: _GuessingProgram, solution: sdp.SdpSolution) -> GuessingResult:
     """Guessing probability and Eve's decomposition from a solved program."""
-    p_guess = _optimal_value(solution, "guessing-probability")
-    parts = np.zeros((len(OUTCOMES), *MEMBERS), dtype=complex)
-    for e, x, a in program.problem.blocks:
-        v = program.supports[x, a][0]
-        parts[e, x, a] = v @ solution.primal_blocks[e, x, a] @ v.conj().T
-    decomposition = EveDecomposition(parts=parts, x_star=program.x_star)
+    p_guess = _certified_guess(program, solution)
+    rows = np.zeros((len(OUTCOMES), *MEMBERS[:2], 4))
+    rows[tuple(np.array(program.problem.blocks).T)] = solution.primal
+    parts = _from_pauli(np.einsum("xaij,exaj->exai", program.lift, rows))
     return GuessingResult(
         p_guess=p_guess,
         x_star=program.x_star,
-        decomposition=decomposition,
+        decomposition=EveDecomposition(parts=parts, x_star=program.x_star),
         solution=solution,
     )
 
 
 def guessing_probability(assem: Assemblage, x_star: str) -> GuessingResult:
-    """Optimal guessing probability of Alice's outcome at ``x_star``.
+    """Optimal guessing probability of Alice's outcome at ``x_star``, from
+    the dual side: the certified upper bound b . y (see ``sdp``).
 
     The eavesdropper's guess ranges over the full outcome alphabet including
     null: predicting a no-detection event is as good for her as predicting a
@@ -289,31 +310,31 @@ def steering_functional(assem: Assemblage) -> SteeringResult:
     assemblage.
     """
     _require_valid(assem)
-    basis = np.array(hermitian_basis(2))
-    tr_b = np.trace(basis, axis1=1, axis2=2).real
-    answers = STRATEGIES.T[:, None, :] == np.arange(len(OUTCOMES))[:, None]   # (x, a, lambda)
-    t = np.trace(assem.sigma, axis1=2, axis2=3).real.sum() / len(SETTINGS)
-
-    # one row per member (x, a) and basis element B, Tr(B sigma_{a|x}) =
-    # sum_{lambda(x)=a} Tr(B tau_lambda) + 3 Tr(B) mu, as 3 of the strategies
-    # answer each member: the mu term is Tr(B) (t - sum Tr tau) / 6; each
-    # row's float view is the blocks' layout, and the objective -sum Tr tau
-    coeffs = (answers[:, :, None, :, None, None] * basis[:, None]
-              - (tr_b / 6)[:, None, None, None] * np.eye(2))   # (x, a, B, lambda, 2, 2)
-    rhs = np.einsum("kij,xaji->xak", basis, assem.sigma).real - t / 6 * tr_b
+    v = _pauli_coordinates(assem.sigma)
+    t = v[..., 0].sum() / len(SETTINGS)
+    # one row per member (x, a) and Pauli coordinate k: the k-th coordinate
+    # of sigma_{a|x} is sum_{lambda(x)=a} tau_lambda[k] + 3 mu Tr(P_k 1), as 3
+    # of the strategies answer each member, and 6 mu = (t - sum_lambda
+    # Tr tau_lambda) / 3; the objective is -sum_lambda Tr tau_lambda
+    e0 = np.eye(4)[0]
+    rhs = v - t / 3 * e0
+    # any particular solution plus delta 1 on every tau meets the rows: this
+    # one splits each setting's members over the strategies' answers
+    rho = v.sum(axis=1).mean(axis=0)
+    tau = (v[0, STRATEGIES[:, 0]] + v[1, STRATEGIES[:, 1]]) / 3 - rho / 9
+    delta = t / 18 - sdp.cone_margins(tau).min() / 2
     problem = sdp.SdpProblem(
-        blocks=dict.fromkeys(range(len(STRATEGIES)), 2),
-        objective=np.tile(-np.eye(2, dtype=complex).ravel(), len(STRATEGIES)).view(float),
-        constraints=coeffs.reshape(rhs.size, -1).view(float), rhs=rhs.ravel())
+        blocks=list(range(len(STRATEGIES))), objective=np.tile(-e0, len(STRATEGIES)),
+        constraints=_LHS_ROWS, rhs=rhs.ravel(), start=(tau + 2 * delta * e0).ravel())
     solution = sdp.solve(problem)
     mu = float(t + _optimal_value(solution, "LHS")) / 18
-    hidden = np.array(list(solution.primal_blocks.values())) + mu * np.eye(2)
+    hidden = _from_pauli(solution.primal) + mu * np.eye(2)
 
-    # G_{a|x} = sum_B y B from the member duals, T = sum Tr G: dual
+    # G_{a|x} = sum_k y_k P_k from the member duals, T = sum Tr G: dual
     # feasibility is sum_x G_{lambda(x)|x} + (1 - T/6) 1 >= 0, so sharing the
     # identity term over the two settings and dividing by 18 normalizes the
     # functional and makes beta = (dual value + t) / 18 = mu
-    g = np.einsum("xak,kij->xaij", solution.dual_multipliers.reshape(rhs.shape), basis)
+    g = 2.0 * _from_pauli(solution.dual_multipliers.reshape(rhs.shape))
     functional = (g + (6 - np.trace(g, axis1=2, axis2=3).real.sum()) / 12 * np.eye(2)) / 18
     beta = float(np.vdot(functional, assem.sigma).real)
     return SteeringResult(beta=beta, functional=functional, mu=mu,
@@ -345,8 +366,8 @@ def bootstrap_uncertainty(
     ``OPENBLAS_NUM_THREADS=1``.  Each slice refits its tables
     in one batch (``ml_reconstruct_many``, warm-started from
     ``point_estimate``, the fit of ``counts``) and solves the
-    guessing-probability SDPs of the converged fits, at the same
-    ``x_star``, in one ``sdp.solve_many`` call, in lockstep groups; each
+    guessing-probability programs of the converged fits, at the same
+    ``x_star``, in one ``sdp.solve_many`` call, batched by row matrix; each
     resample's result is the one it would get alone, so the slices' results
     joined in resample order do not depend on how many there are.
     Resamples whose fit does not converge or whose SDP fails are excluded
@@ -457,23 +478,18 @@ def _bootstrap_slice(tables: list[TomographyCounts], point_estimate: Assemblage,
     failed = len(fits) - len(assemblages)
     del fits
 
-    def problems():
-        # built as the solver takes them, so the problems are never all
-        # alive at once
-        nonlocal failed
-        for assem in assemblages:
-            try:
-                program = _guessing_program(assem, x_star)
-            except (ValueError, RuntimeError):
-                failed += 1
-                continue
-            yield program.problem
+    programs = []
+    for assem in assemblages:
+        try:
+            programs.append(_guessing_program(assem, x_star))
+        except (ValueError, RuntimeError):
+            failed += 1
 
     h_values = []
     p_values = []
-    for solution in sdp.solve_many(problems()):
+    for program, solution in zip(programs, sdp.solve_many([p.problem for p in programs])):
         try:
-            p_guess = _optimal_value(solution, "guessing-probability")
+            p_guess = _certified_guess(program, solution)
             h_min = min_entropy(p_guess)
         except (ValueError, RuntimeError):
             failed += 1

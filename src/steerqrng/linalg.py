@@ -31,7 +31,6 @@ __all__ = [
     "hermitian_part",
     "assert_hermitian",
     "assert_density_matrix",
-    "hermitian_basis",
 ]
 
 HERMITIAN_TOL = 1e-10
@@ -139,29 +138,3 @@ def assert_density_matrix(
     if lam < eig_tol:
         raise ValueError(f"{name} has negative eigenvalue {lam:.3e} below {eig_tol:.1e}")
     return rho
-
-
-def hermitian_basis(dim: int) -> list[np.ndarray]:
-    """Orthonormal (Frobenius) basis of Hermitian dim x dim matrices.
-
-    Ordering: diagonal units first, then for each i<j the pair
-    (E_ij + E_ji)/sqrt(2) and (-iE_ij + iE_ji)/sqrt(2), so that expansion
-    coefficients of any Hermitian matrix are real.
-    """
-    basis: list[np.ndarray] = []
-    for i in range(dim):
-        e = np.zeros((dim, dim), dtype=complex)
-        e[i, i] = 1.0
-        basis.append(e)
-    inv_sqrt2 = 1.0 / np.sqrt(2.0)
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            s = np.zeros((dim, dim), dtype=complex)
-            s[i, j] = inv_sqrt2
-            s[j, i] = inv_sqrt2
-            basis.append(s)
-            t = np.zeros((dim, dim), dtype=complex)
-            t[i, j] = -1.0j * inv_sqrt2
-            t[j, i] = 1.0j * inv_sqrt2
-            basis.append(t)
-    return basis

@@ -79,8 +79,8 @@ def bootstrap_run(ml_fit):
     setting with a parametric bootstrap, and certifies the noiseless ideal assemblage at the same
     setting for comparison.  Session-scoped because the bootstrap costs
     about a second of CPU, most of it in its hundred SDP solves; it refits
-    its tables as one batch and solves their SDPs in lockstep groups of
-    ``sdp.GROUP_SIZE``, in one slice unless the test process runs a single
+    its tables as one batch and solves their programs as one batch, in one
+    slice unless the test process runs a single
     thread (``OPENBLAS_NUM_THREADS=1``), and then in contiguous slices of the
     resamples, one per CPU, all but the first in forked workers.  The
     certification unit tests, the solver regression pins and the acceptance

@@ -1,5 +1,6 @@
 """Certification: guessing probability, LHS robustness, steering functional."""
 
+import dataclasses
 import math
 import multiprocessing
 import os
@@ -12,6 +13,7 @@ import pytest
 
 from steerqrng import assemblage as asm
 from steerqrng import certify as cert
+from steerqrng import sdp
 from steerqrng.linalg import ID2, PAULI_X, hermitian_part, min_eigenvalue, singlet_state
 from steerqrng.simulate import werner_state
 
@@ -123,6 +125,28 @@ class TestGuessingProbability:
         sigma[asm.SETTINGS.index("X"), 0] += 0.9e-7 * PAULI_X
         with pytest.raises(cert.CertificationError, match="numerical-failure"):
             cert.certify(asm.Assemblage(sigma), x_star="Z")
+
+
+    def test_p_guess_is_the_dual_value(self, assem_singlet_543):
+        """p_guess is b . y, the weak-duality upper bound, at or above the
+        value of Eve's decomposition and within 1e-10 of it."""
+        result = cert.guessing_probability(assem_singlet_543, "Z")
+        assert result.p_guess == result.solution.dual_value
+        assert 0.0 <= result.p_guess - result.solution.primal_value <= 1e-10
+
+    def test_tampered_dual_refused(self, assem_singlet_543, monkeypatch):
+        """A dual whose slack leaves a cone bounds nothing: certify refuses
+        it, naming the smallest margin."""
+        solve = sdp.solve
+
+        def tampered(problem):
+            solution = solve(problem)
+            return dataclasses.replace(solution, dual_multipliers=solution.dual_multipliers - 1e-6)
+
+        monkeypatch.setattr(sdp, "solve", tampered)
+        with pytest.raises(cert.CertificationError,
+                           match="dual slack leaves its cone: smallest margin -"):
+            cert.certify(assem_singlet_543, x_star="Z")
 
 
 class TestMinEntropy:

@@ -1,7 +1,7 @@
 """Cross-validation of the built-in SDP solver against an external one.
 
 Both certification programs are re-encoded from scratch in cvxpy and solved
-with CLARABEL; optimal values must agree with the in-tree interior-point
+with CLARABEL; optimal values must agree with the in-tree log-barrier
 solver.  Skipped automatically when cvxpy is not installed.
 """
 

@@ -154,23 +154,3 @@ class TestEigenHelpers:
             la.assert_density_matrix(np.eye(2))  # trace 2
         with pytest.raises(ValueError):
             la.assert_density_matrix(np.diag([1.5, -0.5]))  # negative eigenvalue
-
-
-class TestBasesAndEmbedding:
-    def test_hermitian_basis_orthonormal(self):
-        for dim in (2, 3):
-            basis = la.hermitian_basis(dim)
-            assert len(basis) == dim * dim
-            for i, bi in enumerate(basis):
-                la.assert_hermitian(bi, tol=1e-14)
-                for j, bj in enumerate(basis):
-                    ip = np.trace(bi.conj().T @ bj).real
-                    assert ip == pytest.approx(1.0 if i == j else 0.0, abs=1e-13)
-
-    def test_hermitian_basis_expands_real(self, rng):
-        a = random_hermitian(rng, 3)
-        basis = la.hermitian_basis(3)
-        coeffs = [np.trace(b.conj().T @ a) for b in basis]
-        assert max(abs(c.imag) for c in coeffs) < 1e-12
-        recon = sum(c.real * b for c, b in zip(coeffs, basis))
-        assert np.allclose(recon, a, atol=1e-12)

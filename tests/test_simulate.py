@@ -212,7 +212,7 @@ class TestTomographySampling:
         assert hashlib.sha256(assemblage.read_bytes()).hexdigest() == (
             "d1b7cc5994b29908a148c31c243144af7aa34a3855d4ce4d7192d1d1f6d24205")
         assert hashlib.sha256(certification.read_bytes()).hexdigest() == (
-            "c0806bd2023acfa67a6069a16576af9ac8c149e0e5d045a2e6340a6686ed48cf")
+            "17bc466ecb8c5671b432ef3a8830b5e88aa1c386c48481c5d13f8ff20ba812a9")
 
 
 class TestStreams:

@@ -23,7 +23,14 @@ sigma_lambda - mu * 1 alone, its iteration counts went from 12-13 to
 the bootstrap pins were re-recorded when the ML fit, a projected-gradient
 ascent that stopped short of the maximum, became barrier-Newton steps that
 reach it: the fitted assemblage moved, and with it p_guess (by -2.2e-5 at X
-and Z), mu, beta and the bootstrap statistics.  Unlike the cvxpy
+and Z), mu, beta and the bootstrap statistics.  Every pin was re-recorded
+when the interior-point core gave way to the log-barrier Newton method over
+Pauli rows and p_guess became the dual value b . y, the upper side of the
+bracket: each p_guess, mu and beta moved by at most 7.6e-10 (p_guess up,
+as the interior-point primal value stopped up to 1e-9 short of the
+optimum), the iteration counts are the barrier's Newton steps (23-33), and
+of the bootstrap pins "first h_min" moved by -1.7e-9: its resample has a
+feasible decomposition 1.1e-9 above the old p_guess.  Unlike the cvxpy
 cross-check, this runs without any external solver.
 """
 
@@ -37,29 +44,29 @@ from conftest import steering_cases
 TOL = 1e-9
 
 # name -> (p_guess at X, p_guess at Z, mu, beta,
-#          iterations of the X, Z and LHS solves)
+#          Newton steps of the X, Z and LHS solves)
 PINNED = {
     "singlet eta=0.543": (
-        0.956999999966649, 0.956999999966645,
-        -0.0024592117525732426, -0.0024592108775675645, (11, 11, 10)),
+        0.9570000000240002, 0.9570000000239998,
+        -0.0024592112125107293, -0.002459211211526838, (27, 27, 24)),
     "singlet eta=0.8": (
-        0.6999999999660423, 0.6999999999658024,
-        -0.017157287533481336, -0.01715728751755755, (10, 10, 10)),
+        0.7000000000240001, 0.7000000000239996,
+        -0.017157287525928308, -0.01715728752493655, (25, 25, 23)),
     "werner V=0.99 eta=0.543": (
-        0.9747522462012806, 0.9747522462070646,
-        -0.0019290750383984534, -0.0019290741495679008, (12, 12, 10)),
+        0.9747522462732097, 0.9747522462732096,
+        -0.0019290744864678905, -0.0019290744854744916, (33, 33, 24)),
     "werner V=0.7 eta=1": (
-        0.9999999992564073, 0.9999999992564084,
-        5.350764276101927e-11, 1.1430495439057609e-11, (10, 10, 10)),
+        1.0000000000119995, 1.000000000012,
+        -5.547907812165755e-13, 4.444507361645054e-13, (30, 30, 28)),
     "werner V=0.75 eta=1": (
-        0.9557189134988542, 0.9557189134988514,
-        -0.004187710987582749, -0.004187710965622706, (10, 10, 10)),
+        0.9557189138930731, 0.955718913893074,
+        -0.004187710975053636, -0.004187710974069496, (29, 29, 24)),
     "asymmetric pure eta=0.8": (
-        0.9389972143955284, 0.764345403339667,
-        -0.004034183553039972, -0.004034183328812402, (12, 12, 12)),
+        0.9389972145026799, 0.7643454039177204,
+        -0.004034183352203309, -0.004034183351205083, (31, 31, 26)),
     "ml fit": (
-        0.9749830292314756, 0.9749200864439549,
-        -0.0019149743573575462, -0.001914974244855442, (13, 13, 10)),
+        0.9749830295565387, 0.9749200867023824,
+        -0.0019149743074399945, -0.001914974306446223, (30, 30, 25)),
 }
 
 
@@ -76,6 +83,10 @@ def check_pinned(assemblage, pinned):
     assert steering.mu == pytest.approx(mu, abs=TOL)
     assert steering.beta == pytest.approx(beta, abs=TOL)
     assert [s.iterations for s in solutions] == list(iterations)
+    # p_guess is the dual side of the bracket, within 1e-10 of the primal
+    for guess in (guess_x, guess_z):
+        assert guess.p_guess == guess.solution.dual_value
+        assert 0.0 <= guess.solution.dual_value - guess.solution.primal_value <= 1e-10
 
 
 @pytest.mark.parametrize("name,assemblage", list(steering_cases()))
@@ -88,15 +99,16 @@ def test_ml_assemblage_matches_pinned(ml_fit):
 
 
 # The bootstrap of the ``bootstrap_run`` fixture (100 resamples of the ML
-# fit, seed 2024, x* = Z), recorded when each resample's guessing SDP was
-# solved on its own; the lockstep groups of ``sdp.solve_many`` reproduce it
-# to 1e-9.  A solver change that moves these must re-record them on purpose.
+# fit, seed 2024, x* = Z), re-recorded with the barrier core; each
+# resample's program is solved in one batch by ``sdp.solve_many``, as it
+# would be alone.  A solver change that moves these must re-record them on
+# purpose.
 BOOTSTRAP_PINNED = {
-    "h_min_mean": 0.03666267063440371,
-    "h_min_std": 0.000317909748129164,
-    "p_guess_mean": 0.9749075794871032,
-    "first h_min": 0.03634840896551637,
-    "last h_min": 0.03672809557930538,
+    "h_min_mean": 0.036662669775868476,
+    "h_min_std": 0.00031790973445658383,
+    "p_guess_mean": 0.97490758006726,
+    "first h_min": 0.03634840729772446,
+    "last h_min": 0.036728095329786395,
 }
 
 
