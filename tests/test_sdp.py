@@ -194,12 +194,15 @@ class TestRankDeficient:
     the programs still certify."""
 
     def test_pure_singlet_certifies(self):
-        # the README quick start: ideal V = 1, every detected member rank 1
-        assemblage = asm.ideal_assemblage(singlet_state(), eta=0.8)
+        # the README quick start: ideal V = 1 at eta = 0.543, every detected
+        # member rank 1, the null members full rank
+        assemblage = asm.ideal_assemblage(singlet_state(), eta=0.543)
         program = cert._guessing_program(assemblage, "Z")
         assert np.count_nonzero(program.lift[..., 1:, 1:].any(axis=(-2, -1))) == 2
         result = cert.certify(assemblage, x_star="Z")
-        assert result.p_guess == pytest.approx(0.7, abs=1e-9)
+        assert result.p_guess == pytest.approx(1.5 - 0.543, abs=1e-9)
+        assert result.h_min == pytest.approx(0.0634, abs=1e-4)
+        assert result.mu < 0 and result.beta == pytest.approx(result.mu, abs=1e-9)
         assert result.p_guess >= result.decomposition.parts[
             np.arange(3), 1, np.arange(3)].trace(axis1=-2, axis2=-1).real.sum()
 
